@@ -68,6 +68,7 @@ type t = {
   mutable next_snode_id : int;
   snodes : (int, snode) Hashtbl.t;
   documents : (string, doc) Hashtbl.t;
+  doc_roots : (int, string) Hashtbl.t; (* schema root id -> document *)
   collections : (string, string list) Hashtbl.t;
   indexes : (string, index_def) Hashtbl.t;
   (* text store allocation state: pages with known free bytes *)
@@ -87,6 +88,7 @@ let create () =
     next_snode_id = 1;
     snodes = Hashtbl.create 64;
     documents = Hashtbl.create 16;
+    doc_roots = Hashtbl.create 16;
     collections = Hashtbl.create 8;
     indexes = Hashtbl.create 8;
     text_space = Hashtbl.create 64;
@@ -190,10 +192,14 @@ let add_document t ~name ~schema_root_id =
     { doc_name = name; in_collection = None; schema_root_id; doc_indir = Xptr.null }
   in
   Hashtbl.add t.documents name d;
+  Hashtbl.replace t.doc_roots schema_root_id name;
   bump_epoch t;
   d
 
 let find_document t name = Hashtbl.find_opt t.documents name
+
+let document_of_schema_root t id =
+  Option.bind (Hashtbl.find_opt t.doc_roots id) (find_document t)
 
 let get_document t name =
   match find_document t name with
@@ -208,6 +214,7 @@ let remove_document t name =
      Hashtbl.replace t.collections c (List.filter (( <> ) name) docs)
    | None -> ());
   Hashtbl.remove t.documents name;
+  Hashtbl.remove t.doc_roots d.schema_root_id;
   bump_epoch t
 
 let document_names t =
@@ -271,12 +278,7 @@ let indexes_for_document t doc =
    carry unprefixed names, so an empty uri matches any namespace. *)
 let snode_matches_name (want : Xname.t) (s : snode) =
   s.kind = Element
-  &&
-  match s.name with
-  | Some m ->
-    String.equal (Xname.local want) (Xname.local m)
-    && (Xname.uri want = "" || String.equal (Xname.uri want) (Xname.uri m))
-  | None -> false
+  && match s.name with Some m -> Xname.matches ~want m | None -> false
 
 (* Resolve a structural path of element-name steps ([descendant] = true
    for a descendant step, false for a child step) against the schema

@@ -55,6 +55,9 @@ type t = {
   mutable next_snode_id : int;
   snodes : (int, snode) Hashtbl.t;
   documents : (string, doc) Hashtbl.t;
+  doc_roots : (int, string) Hashtbl.t;
+      (** schema root id -> document name, kept by {!add_document} and
+          {!remove_document} *)
   collections : (string, string list) Hashtbl.t;
   indexes : (string, index_def) Hashtbl.t;
   text_space : (int64, int) Hashtbl.t;
@@ -107,6 +110,11 @@ val add_document : t -> name:string -> schema_root_id:int -> doc
 val find_document : t -> string -> doc option
 val get_document : t -> string -> doc
 (** Raises [No_such_document]. *)
+
+val document_of_schema_root : t -> int -> doc option
+(** The document whose document node belongs to the given schema root:
+    resolves a stored node's document from its tree's root, without
+    scanning the registry. *)
 
 val remove_document : t -> string -> unit
 val document_names : t -> string list

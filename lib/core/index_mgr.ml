@@ -1,7 +1,14 @@
 (* Value indexes: CREATE INDEX maps a path of element names (below the
    document's root element) to a B-tree keyed by the string or numeric
    value reachable by a second path.  Entries point to node handles,
-   which survive descriptor relocation (paper §4.1.2). *)
+   which survive descriptor relocation (paper §4.1.2).
+
+   Both paths are walked through the descriptive schema: a step follows
+   the parent's per-schema child pointers of the matching child schema
+   nodes, so a walk fetches only nodes on the path (paper §4.1: the
+   schema is "a naturally built index").  Maintenance under updates is
+   local to the changed region and applies only the entries that
+   changed. *)
 
 open Sedna_util
 
@@ -13,45 +20,51 @@ let encode_key (def : Catalog.index_def) (raw : string) : string option =
     | Some f -> Some (Btree.encode_number f)
     | None -> None (* non-numeric values are not indexed *))
 
-(* nodes reached from [d] by a path of child element names; a step of
-   the form "@name" selects attributes and must be last *)
-let rec walk_path (st : Store.t) (d : Node.desc) (path : string list) :
-    Node.desc list =
-  match path with
-  | [] -> [ d ]
-  | name :: rest when String.length name > 0 && name.[0] = '@' ->
-    if rest <> [] then []
-    else
-      let want = Xname.of_string (String.sub name 1 (String.length name - 1)) in
-      Traverse.attributes st d
-      |> Seq.filter (fun a ->
-             match Node.name st a with
-             | Some n -> String.equal (Xname.local n) (Xname.local want)
-             | None -> false)
-      |> List.of_seq
-  | name :: rest ->
-    let test = Traverse.element_test (Some (Xname.of_string name)) in
-    Traverse.children st d
-    |> Seq.filter (Traverse.node_matches st test)
-    |> Seq.fold_left (fun acc c -> acc @ walk_path st c rest) []
+(* The schema test of one path step: "name" selects child elements (an
+   empty namespace matches any, as in queries), "@name" attributes by
+   local name.  Attributes have no children, so an "@name" step that is
+   not last selects nothing. *)
+let step_test (step : string) : Traverse.test =
+  let n = String.length step in
+  if n > 0 && step.[0] = '@' then
+    {
+      Traverse.t_kind = Some Catalog.Attribute;
+      t_name = Some (Xname.of_string (String.sub step 1 (n - 1)));
+    }
+  else Traverse.element_test (Some (Xname.of_string step))
 
-(* (key, handle) pairs contributed by the subtree rooted at the
-   document node [doc_desc].  Every key node below a target contributes
-   an entry (general-comparison semantics are existential); duplicate
-   (key, handle) pairs are collapsed so maintenance stays symmetric. *)
-let entries_for (st : Store.t) (def : Catalog.index_def) (doc_desc : Node.desc)
-    : (string * Xptr.t) list =
-  let targets = walk_path st doc_desc def.Catalog.idx_path in
+(* nodes reached from [d] by a path of step tests, in document order *)
+let walk (st : Store.t) (d : Node.desc) (tests : Traverse.test list) :
+    Node.desc list =
+  let rec go acc d = function
+    | [] -> d :: acc
+    | test :: rest ->
+      Seq.fold_left (fun acc c -> go acc c rest) acc
+        (Traverse.children_schema st ~test d)
+  in
+  List.rev (go [] d tests)
+
+(* (key, handle) pairs the given targets contribute.  Every key node
+   below a target contributes an entry (general-comparison semantics
+   are existential); duplicate pairs are collapsed so maintenance stays
+   symmetric. *)
+let target_entries (st : Store.t) (def : Catalog.index_def)
+    (targets : Node.desc list) : (string * Xptr.t) list =
+  let key_tests = List.map step_test def.Catalog.idx_key_path in
   List.concat_map
     (fun target ->
-      walk_path st target def.Catalog.idx_key_path
+      let h = Node.handle st target in
+      walk st target key_tests
       |> List.filter_map (fun k ->
-             let raw = Node_ser.string_value st k in
-             Option.map
-               (fun key -> (key, Node.handle st target))
-               (encode_key def raw)))
+             Option.map (fun key -> (key, h))
+               (encode_key def (Node_ser.string_value st k))))
     targets
   |> List.sort_uniq compare
+
+(* the pairs the whole document rooted at [doc_desc] contributes *)
+let entries_for (st : Store.t) (def : Catalog.index_def) (doc_desc : Node.desc)
+    : (string * Xptr.t) list =
+  target_entries st def (walk st doc_desc (List.map step_test def.Catalog.idx_path))
 
 (* Build (or rebuild) the index for its document. *)
 let build (st : Store.t) (def : Catalog.index_def) =
@@ -109,39 +122,76 @@ let range_string (st : Store.t) (def : Catalog.index_def) ?lo ?hi () :
   Btree.range (Btree.of_root st.Store.bm def.Catalog.idx_root) ?lo ?hi ()
   |> List.map snd
 
-(* Incremental maintenance: called by the update executor around
-   structural updates on a document that has indexes. *)
-let subtree_entries (st : Store.t) (def : Catalog.index_def)
-    (subtree : Node.desc) : (string * Xptr.t) list =
-  (* index entries affected by a change at [subtree]: entries whose
-     target is inside it, plus entries on its ancestors (whose key
-     value may be derived from the changed subtree) *)
-  let doc = Catalog.get_document st.Store.cat def.Catalog.idx_doc in
-  let doc_desc = Indirection.get st.Store.bm doc.Catalog.doc_indir in
-  let anchor = Node.label st subtree in
-  entries_for st def doc_desc
-  |> List.filter (fun (_, h) ->
-         let d = Indirection.get st.Store.bm h in
-         let l = Node.label st d in
-         Sedna_nid.Nid.is_descendant_or_self ~ancestor:anchor l
-         || Sedna_nid.Nid.is_ancestor ~ancestor:l anchor)
+(* ---- maintenance under updates ------------------------------------------ *)
 
-let on_subtree_removed (st : Store.t) ~doc_name (subtree : Node.desc) =
-  List.iter
-    (fun def ->
-      let bt = Btree.of_root st.Store.bm def.Catalog.idx_root in
-      List.iter
-        (fun (key, h) -> ignore (Btree.delete bt ~key ~value:h))
-        (subtree_entries st def subtree);
-      def.Catalog.idx_root <- Btree.root bt)
-    (Catalog.indexes_for_document st.Store.cat doc_name)
+(* The targets whose entries a change strictly below the anchor can
+   alter, given the anchor's ancestor-or-self chain from the document
+   node down.  A target's key nodes lie in its subtree, so only targets
+   on the chain and targets below the anchor qualify.  The chain node
+   at the index path's depth is the one target on the chain, if the
+   chain matches the path that far; when the path reaches below the
+   anchor, its rest is walked from the anchor.  The cost is the
+   anchor's depth plus the nodes the index reaches under it. *)
+let region_targets (st : Store.t) (def : Catalog.index_def)
+    (chain : Node.desc list) : Node.desc list =
+  let rec go tests chain =
+    match (tests, chain) with
+    | [], n :: _ -> [ n ]
+    | _, [ anchor ] -> walk st anchor tests
+    | t :: ts, _ :: (below :: _ as rest) ->
+      if Traverse.node_matches st t below then go ts rest else []
+    | _, [] -> []
+  in
+  go (List.map step_test def.Catalog.idx_path) chain
 
-let on_subtree_added (st : Store.t) ~doc_name (subtree : Node.desc) =
-  List.iter
-    (fun def ->
-      let bt = Btree.of_root st.Store.bm def.Catalog.idx_root in
-      List.iter
-        (fun (key, h) -> Btree.insert bt ~key ~value:h)
-        (subtree_entries st def subtree);
-      def.Catalog.idx_root <- Btree.root bt)
-    (Catalog.indexes_for_document st.Store.cat doc_name)
+let diff_entries a b =
+  let rec go only_a only_b a b =
+    match (a, b) with
+    | [], rest -> (List.rev only_a, List.rev_append only_b rest)
+    | rest, [] -> (List.rev_append only_a rest, List.rev only_b)
+    | x :: xs, y :: ys ->
+      let c = compare x y in
+      if c = 0 then go only_a only_b xs ys
+      else if c < 0 then go (x :: only_a) only_b xs b
+      else go only_a (y :: only_b) a ys
+  in
+  go [] [] a b
+
+(* Pairs only in [before] are deleted, pairs only in [after] inserted;
+   pairs present in both never touch the B-tree. *)
+let apply_diff (st : Store.t) (def : Catalog.index_def) before after =
+  match diff_entries before after with
+  | [], [] -> ()
+  | dels, adds ->
+    let bt = Btree.of_root st.Store.bm def.Catalog.idx_root in
+    List.iter (fun (key, h) -> ignore (Btree.delete bt ~key ~value:h)) dels;
+    List.iter (fun (key, h) -> Btree.insert bt ~key ~value:h) adds;
+    if not (Xptr.equal (Btree.root bt) def.Catalog.idx_root) then begin
+      (* a split moved the root: the catalog must carry it *)
+      def.Catalog.idx_root <- Btree.root bt;
+      Catalog.mark_dirty st.Store.cat
+    end
+
+let with_refresh (st : Store.t) (anchor : Node.handle) (f : unit -> 'a) : 'a =
+  (* document node first; re-derived after [f], which may relocate *)
+  let chain () =
+    List.rev (List.of_seq (Traverse.ancestor_or_self st (Node.by_handle st anchor)))
+  in
+  let entries def chain = target_entries st def (region_targets st def chain) in
+  let chain0 = chain () in
+  let defs =
+    match
+      Catalog.document_of_schema_root st.Store.cat
+        (Node.snode st (List.hd chain0)).Catalog.id
+    with
+    | None -> []
+    | Some doc -> Catalog.indexes_for_document st.Store.cat doc.Catalog.doc_name
+  in
+  if defs = [] then f ()
+  else begin
+    let before = List.map (fun def -> (def, entries def chain0)) defs in
+    let r = f () in
+    let chain1 = chain () in
+    List.iter (fun (def, b) -> apply_diff st def b (entries def chain1)) before;
+    r
+  end

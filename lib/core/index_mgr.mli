@@ -30,16 +30,20 @@ val range_string :
 
 val entries_for :
   Store.t -> Catalog.index_def -> Node.desc -> (string * Xptr.t) list
-(** The (key, handle) pairs a document currently contributes. *)
+(** The (key, handle) pairs a document currently contributes, sorted
+    and duplicate-free: what a full build inserts.  Path steps are
+    "name" (child elements; an empty namespace matches any) and "@name"
+    (attributes by local name), walked through the per-schema child
+    pointers. *)
 
-val subtree_entries :
-  Store.t -> Catalog.index_def -> Node.desc -> (string * Xptr.t) list
-(** Entries affected by a change at the given node: targets inside its
-    subtree plus targets on its ancestor chain (whose keys may derive
-    from it). *)
+val diff_entries : 'a list -> 'a list -> 'a list * 'a list
+(** For two sorted lists, the elements only in the first and those only
+    in the second, each in order. *)
 
-val on_subtree_removed : Store.t -> doc_name:string -> Node.desc -> unit
-val on_subtree_added : Store.t -> doc_name:string -> Node.desc -> unit
-(** The update executor brackets each mutation with these two calls on
-    the same anchor node, so affected entries are removed under the old
-    keys and recomputed under the new ones. *)
+val with_refresh : Store.t -> Node.handle -> (unit -> 'a) -> 'a
+(** [with_refresh st anchor f] runs the mutation [f], which changes
+    only nodes strictly below [anchor] and leaves [anchor] itself in
+    place, and keeps every index on the anchor's document up to date.
+    The affected targets are found from the anchor's ancestor chain and
+    the index path below it, before and after [f]; only the pairs that
+    differ are deleted from or inserted into the B-tree. *)

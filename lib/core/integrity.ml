@@ -10,7 +10,9 @@
    - each parent's per-schema child slot aims at its first child of
      that schema (and is null iff there are none);
    - every schema node's node_count matches its stored population;
-   - every descriptor's indirection cell points back at it. *)
+   - every descriptor's indirection cell points back at it;
+   - every value index on the document holds exactly the (key, handle)
+     entries a rebuild from the document would insert. *)
 
 module F = Format
 
@@ -110,6 +112,23 @@ let check_document (st : Store.t) (doc_name : string) : string list =
         err "schema node %d: node_count %d but %d stored" s.Catalog.id
           s.Catalog.node_count !count)
     (root :: Catalog.schema_descendants root);
+  (* every index holds exactly what a rebuild from the document would *)
+  List.iter
+    (fun (def : Catalog.index_def) ->
+      let name = def.Catalog.idx_name in
+      let extra, missing =
+        Index_mgr.diff_entries
+          (List.sort compare (Btree.range (Btree.of_root bm def.Catalog.idx_root) ()))
+          (Index_mgr.entries_for st def dd)
+      in
+      List.iter
+        (fun (k, h) ->
+          err "index %S holds an entry (%S, %a) no node produces" name k Xptr.pp h)
+        extra;
+      List.iter
+        (fun (k, h) -> err "index %S misses the entry (%S, %a)" name k Xptr.pp h)
+        missing)
+    (Catalog.indexes_for_document st.Store.cat doc_name);
   List.rev !errors
 
 let check_all (st : Store.t) : (string * string list) list =

@@ -115,18 +115,20 @@ let first_child_of_schema (st : Store.t) (d : desc) (child_snode : Catalog.snode
    children of one parent and one schema node are contiguous in the
    snode sequence. *)
 let children_of_schema (st : Store.t) (d : desc) (cs : Catalog.snode) :
-    desc list =
+    desc Seq.t =
+ fun () ->
   match first_child_of_schema st d cs with
-  | None -> []
+  | None -> Seq.Nil
   | Some c ->
+    let bm = st.Store.bm in
     let my = handle st d in
-    let rec go acc cur =
-      match Node_block.next_desc st.Store.bm cur with
-      | Some n when Xptr.equal (Node_block.parent_indir st.Store.bm n) my ->
-        go (n :: acc) n
-      | _ -> List.rev acc
+    let rec after cur () =
+      match Node_block.next_desc bm cur with
+      | Some n when Xptr.equal (Node_block.parent_indir bm n) my ->
+        Seq.Cons (n, after n)
+      | _ -> Seq.Nil
     in
-    go [ c ] c
+    Seq.Cons (c, after c)
 
 (* ---- relocation -------------------------------------------------------- *)
 

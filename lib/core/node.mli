@@ -47,9 +47,10 @@ val attributes : Store.t -> desc -> desc list
 val first_child_of_schema : Store.t -> desc -> Catalog.snode -> desc option
 (** The per-schema first-child pointer — the schema-driven fast path. *)
 
-val children_of_schema : Store.t -> desc -> Catalog.snode -> desc list
-(** Children under one schema node, via the first-child pointer and the
-    next-in-block chain (contiguous in the schema node's sequence). *)
+val children_of_schema : Store.t -> desc -> Catalog.snode -> desc Seq.t
+(** Children under one schema node, lazily, via the first-child pointer
+    and the next-in-block chain (contiguous in the schema node's
+    sequence). *)
 
 val relocate_desc :
   Store.t -> src:desc -> dst_block:Xptr.t -> order_after:int option -> desc

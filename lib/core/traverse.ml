@@ -31,7 +31,7 @@ let snode_matches (test : test) (s : Catalog.snode) =
   match test.t_name with
   | None -> true
   | Some n -> (
-    match s.Catalog.name with Some m -> Xname.equal n m | None -> false)
+    match s.Catalog.name with Some m -> Xname.matches ~want:n m | None -> false)
 
 let node_matches (st : Store.t) (test : test) (d : Node.desc) =
   snode_matches test (Node.snode st d)
@@ -166,19 +166,19 @@ let descendants_schema (st : Store.t) ?(test = any_test) (d : Node.desc) :
   in
   match seqs with [ one ] -> one | seqs -> merge_by_doc_order st seqs
 
-(* Children via the schema: follow the per-schema first-child pointers
-   of matching child schema nodes. *)
+(* Children via the schema: follow [d]'s per-schema first-child
+   pointers of the matching child schema nodes, merged by label when
+   several match.  Children of other schema nodes are never fetched.
+   Attribute schema nodes are children too, so an attribute test
+   selects attributes. *)
 let children_schema (st : Store.t) ?(test = any_test) (d : Node.desc) :
     Node.desc Seq.t =
+ fun () ->
   let s = Node.snode st d in
-  let targets = List.filter (snode_matches test) s.Catalog.children in
-  let seqs =
-    List.map (fun cs -> List.to_seq (Node.children_of_schema st d cs)) targets
-  in
-  match seqs with
-  | [] -> Seq.empty
-  | [ one ] -> one
-  | seqs -> merge_by_doc_order st seqs
+  match List.filter (snode_matches test) s.Catalog.children with
+  | [] -> Seq.Nil
+  | [ cs ] -> Node.children_of_schema st d cs ()
+  | css -> merge_by_doc_order st (List.map (Node.children_of_schema st d) css) ()
 
 (* ---- document-order successors, and the long axes ---------------------- *)
 

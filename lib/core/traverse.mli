@@ -8,7 +8,9 @@
 
 type test = {
   t_kind : Catalog.kind option;  (** [None] = any principal kind *)
-  t_name : Sedna_util.Xname.t option;  (** [None] = wildcard *)
+  t_name : Sedna_util.Xname.t option;
+      (** [None] = wildcard; names match as {!Sedna_util.Xname.matches}
+          (an empty uri matches any namespace) *)
 }
 
 val any_test : test
@@ -57,6 +59,12 @@ val descendants_schema :
     is "a naturally built index"). *)
 
 val children_schema : Store.t -> ?test:test -> Node.desc -> Node.desc Seq.t
+(** The children matching [test] (default: any principal kind), via the
+    parent's per-schema first-child pointers of the matching child
+    schema nodes, merged by label when several match: children of other
+    schema nodes are never fetched.  An attribute test selects
+    attributes.  Used by the child step with a name test and by index
+    path walks. *)
 
 val next_in_document : Store.t -> Node.desc -> Node.desc option
 

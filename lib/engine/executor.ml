@@ -52,11 +52,7 @@ let context_node ctx =
 (* ---- node tests ---------------------------------------------------------- *)
 
 let name_matches (want : Xname.t) (got : Xname.t option) =
-  match got with
-  | Some g ->
-    String.equal (Xname.local want) (Xname.local g)
-    && (Xname.uri want = "" || String.equal (Xname.uri want) (Xname.uri g))
-  | None -> false
+  match got with Some g -> Xname.matches ~want g | None -> false
 
 let test_matches ctx (test : Ast.node_test) (n : node) : bool =
   let st = ctx.st in
@@ -82,7 +78,8 @@ let test_matches ctx (test : Ast.node_test) (n : node) : bool =
   | Ast.Kind_document -> kind = Catalog.Document
 
 (* convert an AST test into a schema-level test for the schema-driven
-   descendant evaluation *)
+   descendant evaluation; names match as in [test_matches] (an empty
+   uri matches any namespace) *)
 let traverse_test_of (test : Ast.node_test) : Traverse.test option =
   match test with
   | Ast.Name_test n | Ast.Kind_element (Some n) ->
@@ -94,10 +91,6 @@ let traverse_test_of (test : Ast.node_test) : Traverse.test option =
     Some { Traverse.t_kind = Some Catalog.Comment; t_name = None }
   | Ast.Kind_any -> Some Traverse.any_test
   | _ -> None
-
-(* Traverse.test name matching uses Xname.equal (uri+local).  Queries
-   usually use unprefixed names against documents without namespaces;
-   when the test has an empty uri we match by local name. *)
 
 (* ---- axes over XDM nodes --------------------------------------------------- *)
 
@@ -185,6 +178,18 @@ let descendant_step ctx (test : Ast.node_test) (n : node) : node Seq.t =
     Seq.map (fun x -> Stored x) (Traverse.descendants_schema ctx.st ~test:tt d)
   | _ ->
     Seq.filter (test_matches ctx test) (axis_seq ctx Ast.Descendant n)
+
+(* child step: with a name test on a stored node, follow the parent's
+   per-schema first-child pointers of the matching child schema nodes,
+   so non-matching siblings are never fetched; other tests walk the
+   sibling chain *)
+let child_step ctx (test : Ast.node_test) (n : node) : node Seq.t =
+  match (n, test) with
+  | Stored d, (Ast.Name_test want | Ast.Kind_element (Some want)) ->
+    Seq.map
+      (fun x -> Stored x)
+      (Traverse.children_schema ctx.st ~test:(Traverse.element_test (Some want)) d)
+  | _ -> Seq.filter (test_matches ctx test) (axis_seq ctx Ast.Child n)
 
 (* ---- DDO ------------------------------------------------------------------- *)
 
@@ -446,6 +451,7 @@ and eval_cast ctx e' ty : item Seq.t =
 and eval_step ctx (step : Ast.step) (n : node) : item Seq.t =
   let raw =
     match step.Ast.axis with
+    | Ast.Child -> child_step ctx step.Ast.test n
     | Ast.Descendant -> descendant_step ctx step.Ast.test n
     | Ast.Descendant_or_self ->
       if test_matches ctx step.Ast.test n then

@@ -21,17 +21,6 @@ let stored_handles (ctx : Executor.ctx) (e : Ast.expr) : Xptr.t list =
          dynamic_error "update target must be a stored node"
        | Xdm.A _ -> dynamic_error "update target must be a node")
 
-let doc_name_of_node (st : Store.t) (d : Node.desc) : string option =
-  let rec up d = match Node.parent st d with Some p -> up p | None -> d in
-  let root = up d in
-  let h = Node.handle st root in
-  let found = ref None in
-  Hashtbl.iter
-    (fun name (doc : Catalog.doc) ->
-      if Xptr.equal doc.Catalog.doc_indir h then found := Some name)
-    st.Store.cat.Catalog.documents;
-  !found
-
 (* ---- inserting evaluated content into the store ------------------------- *)
 
 (* Insert one XDM item as a node under [parent_handle], after
@@ -138,30 +127,12 @@ let insert_preceding_h (st : Store.t) ~target_handle (items : Xdm.item list) :
 
 (* ---- the statement executor ---------------------------------------------- *)
 
-(* Index maintenance: entries in the region around [anchor_handle]
-   (its subtree plus its ancestors' entries, whose keys may derive from
-   it) are removed before the mutation and recomputed after it.  The
-   anchor must survive the mutation — callers pass the parent of the
-   nodes being changed. *)
-let with_index_refresh (st : Store.t) (anchor_handle : Xptr.t) f =
-  let d = Indirection.get st.Store.bm anchor_handle in
-  match doc_name_of_node st d with
-  | None -> f ()
-  | Some doc_name ->
-    let defs = Catalog.indexes_for_document st.Store.cat doc_name in
-    if defs = [] then f ()
-    else begin
-      Index_mgr.on_subtree_removed st ~doc_name d;
-      let r = f () in
-      Index_mgr.on_subtree_added st ~doc_name
-        (Indirection.get st.Store.bm anchor_handle);
-      r
-    end
-
 let parent_handle_of (st : Store.t) (h : Xptr.t) : Xptr.t =
   Node_block.parent_indir st.Store.bm (Indirection.get st.Store.bm h)
 
-(* Returns the number of affected target nodes. *)
+(* Returns the number of affected target nodes.  Every mutation runs
+   inside [Index_mgr.with_refresh] on an anchor that survives it: the
+   target itself for insert-into, otherwise the target's parent. *)
 let execute (ctx : Executor.ctx) (u : Ast.update_stmt) : int =
   let st = ctx.Executor.st in
   let eval_src src =
@@ -173,7 +144,7 @@ let execute (ctx : Executor.ctx) (u : Ast.update_stmt) : int =
     let items = eval_src src in
     List.iter
       (fun th ->
-        with_index_refresh st th (fun () ->
+        Index_mgr.with_refresh st th (fun () ->
             ignore (insert_into st ~parent_handle:th items)))
       targets;
     List.length targets
@@ -182,7 +153,7 @@ let execute (ctx : Executor.ctx) (u : Ast.update_stmt) : int =
     let items = eval_src src in
     List.iter
       (fun th ->
-        with_index_refresh st (parent_handle_of st th) (fun () ->
+        Index_mgr.with_refresh st (parent_handle_of st th) (fun () ->
             ignore (insert_following_h st ~target_handle:th items)))
       targets;
     List.length targets
@@ -191,7 +162,7 @@ let execute (ctx : Executor.ctx) (u : Ast.update_stmt) : int =
     let items = eval_src src in
     List.iter
       (fun th ->
-        with_index_refresh st (parent_handle_of st th) (fun () ->
+        Index_mgr.with_refresh st (parent_handle_of st th) (fun () ->
             ignore (insert_preceding_h st ~target_handle:th items)))
       targets;
     List.length targets
@@ -202,7 +173,7 @@ let execute (ctx : Executor.ctx) (u : Ast.update_stmt) : int =
         let anchor = parent_handle_of st th in
         if Xptr.is_null anchor then Update_ops.delete_node st th
         else
-          with_index_refresh st anchor (fun () -> Update_ops.delete_node st th))
+          Index_mgr.with_refresh st anchor (fun () -> Update_ops.delete_node st th))
       targets;
     List.length targets
   | Ast.Delete_undeep target ->
@@ -221,7 +192,7 @@ let execute (ctx : Executor.ctx) (u : Ast.update_stmt) : int =
           Update_ops.delete_node st th
         in
         if Xptr.is_null anchor then dynamic_error "cannot undeep a root node"
-        else with_index_refresh st anchor lift)
+        else Index_mgr.with_refresh st anchor lift)
       targets;
     List.length targets
   | Ast.Replace (v, target, with_e) ->
@@ -243,7 +214,7 @@ let execute (ctx : Executor.ctx) (u : Ast.update_stmt) : int =
           Update_ops.delete_node st th
         in
         if Xptr.is_null anchor then dynamic_error "cannot replace a root node"
-        else with_index_refresh st anchor replace)
+        else Index_mgr.with_refresh st anchor replace)
       targets;
     List.length targets
   | Ast.Rename (target, new_name) ->
@@ -301,6 +272,6 @@ let execute (ctx : Executor.ctx) (u : Ast.update_stmt) : int =
           | _ -> dynamic_error "rename applies to elements and attributes"
         in
         if Xptr.is_null anchor then dynamic_error "cannot rename a root node"
-        else with_index_refresh st anchor rename)
+        else Index_mgr.with_refresh st anchor rename)
       targets;
     List.length targets

@@ -5,8 +5,9 @@
 
     Inserted content is always a copy (XQuery constructor semantics);
     virtual constructor results are serialized into the store without
-    an intermediate deep copy.  Around every mutation the affected
-    index region is refreshed (removed under old keys, recomputed). *)
+    an intermediate deep copy.  Every mutation runs inside
+    {!Sedna_core.Index_mgr.with_refresh}, which applies only the index
+    entries the mutation changed. *)
 
 val execute : Executor.ctx -> Sedna_xquery.Xq_ast.update_stmt -> int
 (** Returns the number of target nodes affected. *)
@@ -26,6 +27,3 @@ val insert_node_copy :
   left_handle:Sedna_core.Xptr.t option ->
   Xdm.node ->
   Sedna_core.Xptr.t
-
-val doc_name_of_node :
-  Sedna_core.Store.t -> Sedna_core.Node.desc -> string option

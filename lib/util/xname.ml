@@ -18,6 +18,12 @@ let compare a b =
 
 let hash t = Hashtbl.hash (t.uri, t.local)
 
+(* Query-side name tests: queries usually carry unprefixed names, so an
+   empty uri on the wanted name matches any namespace. *)
+let matches ~want got =
+  String.equal want.local got.local
+  && (want.uri = "" || String.equal want.uri got.uri)
+
 (* Display form: prefix:local when prefixed, else local. *)
 let to_string t =
   if t.prefix = "" then t.local else t.prefix ^ ":" ^ t.local

@@ -14,6 +14,10 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 
+val matches : want:t -> t -> bool
+(** The query-side name test: local parts equal, and an empty uri on
+    [want] matches any namespace. *)
+
 val to_string : t -> string
 (** Display form: [prefix:local] when prefixed. *)
 

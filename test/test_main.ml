@@ -20,6 +20,7 @@ let () =
       ("write-path", Test_write_path.suite);
       ("baselines", Test_baselines.suite);
       ("fuzz", Test_fuzz.suite);
+      ("index-maint", Test_index_maint.suite);
       ("hier-lock", Test_hier_lock.suite);
       ("crash", Test_crash.suite);
       ("server", Test_server.suite);
