@@ -82,10 +82,10 @@ let counter_during name f =
 
 (* every global counter that moved while [f] ran *)
 let deltas_during f =
-  let before = Metrics.snapshot ~zeros:true Metrics.global in
+  let before = Sedna_util.Counters.snapshot_all () in
   let r = f () in
-  let after = Metrics.snapshot ~zeros:true Metrics.global in
-  (Metrics.diff ~before ~after, r)
+  let after = Sedna_util.Counters.snapshot_all () in
+  (Sedna_util.Counters.diff ~before ~after, r)
 
 (* ---- machine-readable metrics output -------------------------------- *)
 

@@ -1767,7 +1767,7 @@ let experiments =
 let () =
   (* SEDNA_SLOW_MS / SEDNA_SLOW_LOG: CI keeps the slow-statement log of
      the bench smoke as an artifact *)
-  Sedna_util.Slow_log.init_from_env ();
+  Sedna_util.Span.slow_init_from_env ();
   let wanted =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as names) -> names

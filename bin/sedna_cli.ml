@@ -35,12 +35,13 @@ let run_statement_inner session text =
     Sedna_util.Counters.reset_all ();
     print_endline "counters reset"
   | "\\trace" -> (
-    match Sedna_util.Trace.to_json_lines () with
-    | "" -> print_endline "trace buffer is empty"
-    | lines -> print_endline lines)
+    (* the newest retained trace — usually the previous statement's *)
+    match Sedna_util.Span.traces () with
+    | (id, _) :: _ -> print_string (Option.value (Sedna_util.Span.render id) ~default:"")
+    | [] -> print_endline "no traces retained")
   | "\\trace clear" ->
-    Sedna_util.Trace.clear ();
-    print_endline "trace buffer cleared"
+    Sedna_util.Span.clear ();
+    print_endline "trace store cleared"
   | "\\traces" -> (
     match Sedna_util.Span.summaries () with
     | [] -> print_endline "no traces retained"
@@ -51,11 +52,15 @@ let run_statement_inner session text =
             (total_s *. 1000.))
         ts)
   | "\\slow" -> (
-    match Sedna_util.Slow_log.dump () with
+    match Sedna_util.Span.slow () with
     | [] -> print_endline "slow log is empty"
-    | _ -> print_endline (Sedna_util.Slow_log.to_json_lines ()))
+    | slow ->
+      List.iter
+        (fun t ->
+          print_endline (Sedna_util.Metrics.json_to_string (Sedna_util.Span.trace_to_json t)))
+        (List.rev slow))
   | "\\slow clear" ->
-    Sedna_util.Slow_log.clear ();
+    Sedna_util.Span.clear_slow ();
     print_endline "slow log cleared"
   | "\\checkpoint" ->
     Database.checkpoint (Sedna_db.Session.database session);
@@ -135,7 +140,7 @@ let run_statement_inner session text =
     with e -> Printf.printf "error: %s\n" (Printexc.to_string e))
   | text when String.length text > 7 && String.sub text 0 7 = "\\trace " -> (
     (* \trace <id>: the span tree of one retained trace (\trace clear is
-       matched above and still clears the event ring) *)
+       matched above) *)
     let id = String.trim (String.sub text 7 (String.length text - 7)) in
     match Sedna_util.Span.render id with
     | Some tree -> print_string tree
@@ -435,13 +440,9 @@ let main db_dir create stmts serve connect promote host port db_name
   Sedna_util.Netfault.arm_from_env ();
   (* slow-statement log: SEDNA_SLOW_MS / SEDNA_SLOW_LOG first, explicit
      flags override *)
-  Sedna_util.Slow_log.init_from_env ();
-  (match slow_ms with
-   | Some ms -> Sedna_util.Slow_log.set_threshold (ms /. 1000.)
-   | None -> ());
-  (match slow_log with
-   | Some path -> Sedna_util.Slow_log.set_file (Some path)
-   | None -> ());
+  Sedna_util.Span.slow_init_from_env ();
+  Option.iter (fun ms -> Sedna_util.Span.set_slow_threshold (ms /. 1000.)) slow_ms;
+  Option.iter (fun path -> Sedna_util.Span.set_slow_file (Some path)) slow_log;
   match (promote, connect, serve, db_dir) with
   | true, _, _, _ -> promote_mode host port db_name
   | false, true, _, _ -> connect_mode host port db_name stmts
@@ -567,8 +568,8 @@ let slow_ms_arg =
     & opt (some float) None
     & info [ "slow-ms" ] ~docv:"MS"
         ~doc:"Slow-statement threshold in milliseconds (default 1000; also \
-              $(b,SEDNA_SLOW_MS)).  Statements slower than this are kept in \
-              the $(b,\\\\slow) ring.")
+              $(b,SEDNA_SLOW_MS)).  The traces of statements slower than \
+              this are kept for $(b,\\\\slow).")
 
 let slow_log_arg =
   Arg.(

@@ -137,7 +137,6 @@ let install t pid ~load =
     (* off the deref fast path: only faults that displace a resident
        page get here *)
     Counters.bump "buffer.evict";
-    Trace.emit (Trace.Buffer_evict { pid = v.pid; dirty = v.dirty });
     Fault.check evict_site
   end;
   flush_frame t fi;

@@ -123,8 +123,7 @@ let observe_epoch db e =
       db.fenced <- true;
       Counters.bump Counters.fence_demotions;
       Logs.warn (fun m ->
-          m "fenced: observed cluster epoch %d above ours — demoting to read-only" e);
-      Trace.emit (Trace.Repl_state { role = "primary"; state = "fenced" })
+          m "fenced: observed cluster epoch %d above ours — demoting to read-only" e)
     end
   end
 
@@ -140,8 +139,7 @@ let enter_degraded db reason =
     Counters.bump Counters.degraded_entered;
     Counters.set Counters.degraded_state 1;
     Logs.warn (fun m ->
-        m "degraded: %s — shedding writes, reads keep serving" reason);
-    Trace.emit (Trace.Degraded_mode { entered = true; reason })
+        m "degraded: %s — shedding writes, reads keep serving" reason)
   end
 
 let exit_degraded db =
@@ -151,8 +149,7 @@ let exit_degraded db =
     db.degraded_reason <- "";
     Counters.bump Counters.degraded_recovered;
     Counters.set Counters.degraded_state 0;
-    Logs.info (fun m -> m "degraded mode cleared (was: %s) — writes resume" reason);
-    Trace.emit (Trace.Degraded_mode { entered = false; reason })
+    Logs.info (fun m -> m "degraded mode cleared (was: %s) — writes resume" reason)
   end
 
 (* Classify an exception from a storage write/sync call site: resource
@@ -239,7 +236,7 @@ let checkpoint db =
     Error.raise_error Error.Txn_not_active
       "checkpoint with active transactions is not supported";
   try
-    let flushed = Buffer_mgr.flush_all db.bm in
+    ignore (Buffer_mgr.flush_all db.bm);
     write_catalog_file db;
     Wal.reset db.wal;
     (* WAL positions restarted at 0: the group committer's notion of
@@ -247,8 +244,7 @@ let checkpoint db =
        at a small position would be treated as already synced *)
     Group_commit.note_reset db.gc;
     Wal.append db.wal Wal.Checkpoint;
-    Wal.sync db.wal;
-    Trace.emit (Trace.Checkpoint { pages_flushed = flushed })
+    Wal.sync db.wal
   with
   | (Fault.Injected_fault _ | Fault.Injected_crash _) as e -> raise e
   | e -> reraise_classified db ~what:"checkpoint" e
@@ -337,8 +333,6 @@ let recover db =
    | None -> ());
   Counters.bump ~n:!replayed Counters.recovery_redo;
   Counters.bump ~n:!skipped Counters.recovery_skip;
-  if !replayed > 0 || !skipped > 0 then
-    Trace.emit (Trace.Recovery_done { redo = !replayed; skipped = !skipped });
   !replayed
 
 let open_existing ?(buffer_frames = 256) dir =
@@ -494,11 +488,13 @@ let lock_exn ?(retries = 3) ?(backoff_s = 0.0005) db txn ~doc ~mode =
           (Retry.policy ~max_attempts:(retries + 1) ~base_s:backoff_s
              ~cap_s:(backoff_s *. 256.) ~jitter:false "lock")
       in
+      let outcome o = Option.iter (fun sp -> Span.annotate sp "outcome" (Metrics.Str o)) sp in
       let rec go () =
         Deadline.check_now ();
         match lock db txn ~doc ~mode with
-        | Lock_mgr.Granted -> ()
+        | Lock_mgr.Granted -> outcome "granted"
         | Lock_mgr.Deadlock_detected ->
+          outcome "deadlock";
           Error.raise_error Error.Deadlock
             "deadlock detected for transaction %d on document %S" txn.Txn.id doc
         | Lock_mgr.Blocked ->
@@ -506,10 +502,12 @@ let lock_exn ?(retries = 3) ?(backoff_s = 0.0005) db txn ~doc ~mode =
             Counters.bump Counters.lock_retry;
             go ()
           end
-          else
+          else begin
+            outcome "timeout";
             Error.raise_error Error.Lock_timeout
               "transaction %d blocked on document %S (after %d retries)"
               txn.Txn.id doc retries
+          end
       in
       go ())
 
@@ -695,7 +693,7 @@ let with_txn ?read_only db f =
    The shipped WAL bytes themselves are appended to the standby's own
    log by the receiver *before* this runs, so ordinary recovery can
    finish the job if the standby dies mid-apply. *)
-let apply_txn db ~txn_id ~images ~catalog_blob =
+let apply_txn db ~images ~catalog_blob =
   let pages =
     List.map
       (fun (pid, after) ->
@@ -718,8 +716,7 @@ let apply_txn db ~txn_id ~images ~catalog_blob =
   let commit_ts = Versions.last_commit_ts db.versions + 1 in
   Versions.install_commit db.versions ~commit_ts pages;
   Counters.bump Counters.repl_txns_applied;
-  Counters.bump ~n:(List.length pages) Counters.repl_pages_applied;
-  Trace.emit (Trace.Repl_apply { txn = txn_id; pages = List.length pages })
+  Counters.bump ~n:(List.length pages) Counters.repl_pages_applied
 
 (* Crash simulation for recovery tests and the fault-injection harness:
    drop all volatile state without flushing; the caller then re-opens

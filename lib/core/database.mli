@@ -88,7 +88,7 @@ val exit_degraded : t -> unit
     hysteresis — see {!Watchdog}. *)
 
 val apply_txn :
-  t -> txn_id:int -> images:(int * Bytes.t) list -> catalog_blob:string option -> unit
+  t -> images:(int * Bytes.t) list -> catalog_blob:string option -> unit
 (** Standby redo of one shipped committed transaction: install the page
     after-images, adopt the catalog when present, and version the
     displaced pages so concurrent read-only snapshots stay consistent.

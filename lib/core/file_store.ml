@@ -162,7 +162,6 @@ let read_page t pid (dst : Bytes.t) =
   if pid < Bytes.length t.known && Bytes.get t.known pid = '\001' then begin
     if t.cksum.(pid) <> crc then begin
       Counters.bump Counters.checksum_fail;
-      Trace.emit (Trace.Checksum_failed { pid });
       Error.raise_error Error.Corrupt_page
         "page %d checksum mismatch (stored %08x, computed %08x)" pid
         (t.cksum.(pid) land 0xFFFFFFFF) (crc land 0xFFFFFFFF)

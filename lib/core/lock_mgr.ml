@@ -53,7 +53,7 @@ let holds t name txn =
   | None -> None
   | Some e -> List.assoc_opt txn e.holders
 
-let acquire_locked t ~txn ~name ~mode : outcome =
+let acquire t ~txn ~name ~mode : outcome =
   let e = entry t name in
   match List.assoc_opt txn e.holders with
   | Some Exclusive -> Granted (* already strongest *)
@@ -91,31 +91,8 @@ let acquire_locked t ~txn ~name ~mode : outcome =
       end
     end
 
-let acquire t ~txn ~name ~mode : outcome =
-  let outcome = acquire_locked t ~txn ~name ~mode in
-  Sedna_util.Trace.emit
-    (Sedna_util.Trace.Lock_acquire
-       {
-         txn;
-         doc = name;
-         mode = (match mode with Shared -> "shared" | Exclusive -> "exclusive");
-         outcome =
-           (match outcome with
-           | Granted -> "granted"
-           | Blocked -> "blocked"
-           | Deadlock_detected -> "deadlock");
-       });
-  outcome
-
 (* Release everything held or queued by [txn]; then promote waiters. *)
 let release_all t ~txn =
-  let held =
-    Hashtbl.fold
-      (fun _ e acc -> if List.mem_assoc txn e.holders then acc + 1 else acc)
-      t.table 0
-  in
-  if held > 0 then
-    Sedna_util.Trace.emit (Sedna_util.Trace.Lock_release { txn; count = held });
   Hashtbl.remove t.wait_for txn;
   Hashtbl.iter
     (fun _ e ->

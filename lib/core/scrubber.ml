@@ -126,7 +126,6 @@ let confirm_and_repair t st pid =
              | "pool" -> Counters.scrub_repaired_pool
              | "wal" -> Counters.scrub_repaired_wal
              | _ -> Counters.scrub_repaired_standby);
-          Trace.emit (Trace.Scrub_repair { pid; source });
           Logs.info (fun m -> m "scrub: repaired page %d from %s" pid source)
         in
         (match Buffer_mgr.residency bm pid with

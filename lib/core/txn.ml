@@ -42,12 +42,10 @@ let log_op t op = t.logical_ops <- op :: t.logical_ops
 let dirty_pages t = Hashtbl.fold (fun pid img acc -> (pid, img) :: acc) t.dirty []
 
 (* Lifecycle: [make] and the [mark_*] transitions are the single places
-   a transaction changes status, so they double as the trace emission
-   points for txn begin/commit/rollback. *)
+   a transaction changes status. *)
 
 let make ~id ~read_only ~snapshot_ts ~reader_catalog ~cat_backup ~fs_page_count
     ~fs_free =
-  Sedna_util.Trace.emit (Sedna_util.Trace.Txn_begin { txn = id; read_only });
   {
     id;
     read_only;
@@ -61,11 +59,5 @@ let make ~id ~read_only ~snapshot_ts ~reader_catalog ~cat_backup ~fs_page_count
     fs_free;
   }
 
-let mark_committed t =
-  t.status <- Committed;
-  Sedna_util.Trace.emit
-    (Sedna_util.Trace.Txn_commit { txn = t.id; dirty_pages = Hashtbl.length t.dirty })
-
-let mark_aborted t =
-  t.status <- Aborted;
-  Sedna_util.Trace.emit (Sedna_util.Trace.Txn_rollback { txn = t.id })
+let mark_committed t = t.status <- Committed
+let mark_aborted t = t.status <- Aborted

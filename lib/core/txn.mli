@@ -28,14 +28,14 @@ val make :
   fs_page_count:int ->
   fs_free:int list ->
   t
-(** Fresh [Active] transaction; emits a [Txn_begin] trace event. *)
+(** Fresh [Active] transaction. *)
 
 val mark_committed : t -> unit
-(** Flip to [Committed] and emit [Txn_commit].  State cleanup (WAL,
-    locks, versions) stays with {!Database}. *)
+(** Flip to [Committed].  State cleanup (WAL, locks, versions) stays
+    with {!Database}. *)
 
 val mark_aborted : t -> unit
-(** Flip to [Aborted] and emit [Txn_rollback]. *)
+(** Flip to [Aborted]. *)
 
 val is_active : t -> bool
 val touched : t -> int -> bool

@@ -168,17 +168,7 @@ let append_unlocked t record =
     if off < len then drain (off + Unix.write t.fd frame off (len - off))
   in
   drain 0;
-  t.size <- t.size + len;
-  let tag =
-    match record with
-    | Begin _ -> "begin"
-    | Image _ -> "image"
-    | Commit _ -> "commit"
-    | Abort _ -> "abort"
-    | Checkpoint -> "checkpoint"
-    | Logical _ -> "logical"
-  in
-  Trace.emit (Trace.Wal_append { tag; bytes = len })
+  t.size <- t.size + len
 
 let append t record = with_writer t (fun () -> append_unlocked t record)
 
@@ -318,8 +308,7 @@ let open_existing path =
     Unix.ftruncate fd valid;
     Unix.fsync fd;
     Sysutil.fsync_dir (Filename.dirname path);
-    Counters.bump ~n:(size - valid) Counters.wal_truncated_bytes;
-    Trace.emit (Trace.Wal_truncated { bytes = size - valid })
+    Counters.bump ~n:(size - valid) Counters.wal_truncated_bytes
   end;
   ignore (Unix.lseek fd valid Unix.SEEK_SET);
   let epoch =

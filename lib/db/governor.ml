@@ -128,7 +128,6 @@ let connect t ~database : int * Session.t =
   locked t.mu (fun () ->
       if List.length t.sessions >= t.limits.max_sessions then begin
         Counters.bump Counters.conn_rejected;
-        Trace.emit (Trace.Conn_reject { reason = "overloaded" });
         Error.raise_error Error.Overloaded
           "session limit reached (%d of %d)" (List.length t.sessions)
           t.limits.max_sessions
@@ -182,8 +181,8 @@ let shutdown t =
 
 (* Aggregate observability report across everything the governor
    manages: per-session plan-cache and latency figures, the registered
-   latency histograms, the non-zero global counters and the retained
-   trace events by type. *)
+   latency histograms, the non-zero global counters, the recent traces
+   and the retained slow ones. *)
 let observability_report t =
   let sessions = locked t.mu (fun () -> t.sessions) in
   let b = Buffer.create 1024 in
@@ -275,10 +274,6 @@ let observability_report t =
     (Counters.get Counters.repl_acked_pos);
   line "global counters:";
   List.iter (fun (k, v) -> line "  %-24s %d" k v) (Counters.snapshot ());
-  line "trace: %d events emitted, %d retained (capacity %d)" (Trace.emitted ())
-    (List.length (Trace.dump ()))
-    (Trace.capacity ());
-  List.iter (fun (k, v) -> line "  %-24s %d" k v) (Trace.counts_by_type ());
   (match Span.summaries () with
    | [] -> ()
    | ts ->
@@ -288,17 +283,21 @@ let observability_report t =
          line "  %s  %2d spans  root %-16s %8.3f ms" id nspans root
            (total_s *. 1000.))
        ts);
-  (match Slow_log.dump () with
+  (match Span.slow () with
    | [] -> ()
-   | es ->
-     line "slow statements: %d recorded (threshold %.0f ms; \\slow for details)"
-       (Slow_log.recorded_total ())
-       (Slow_log.threshold () *. 1000.);
+   | slow ->
+     line "slow statements: %d retained (threshold %.0f ms; \\slow for details)"
+       (List.length slow)
+       (Span.slow_threshold () *. 1000.);
      List.iter
-       (fun (e : Slow_log.entry) ->
-         line "  %8.3f ms  session %d  %s" e.Slow_log.sl_total_ms
-           e.Slow_log.sl_session
-           (let t = e.Slow_log.sl_text in
-            if String.length t > 60 then String.sub t 0 57 ^ "..." else t))
-       es);
+       (fun (id, spans) ->
+         match List.find_opt (fun (sp : Span.span) -> sp.sp_name = "statement") spans with
+         | Some sp ->
+           line "  %8.3f ms  %s  %s" (sp.sp_dur *. 1000.) id
+             (match List.assoc_opt "text" sp.sp_annots with
+              | Some (Metrics.Str t) when String.length t > 60 -> String.sub t 0 57 ^ "..."
+              | Some (Metrics.Str t) -> t
+              | _ -> "")
+         | None -> ())
+       slow);
   Buffer.contents b

@@ -70,4 +70,4 @@ val shutdown : t -> unit
 val observability_report : t -> string
 (** Aggregate report across sessions: per-session plan-cache stats and
     latency percentiles, registered histograms, non-zero global
-    counters and retained trace-event counts by type. *)
+    counters, recent traces and retained slow traces. *)

@@ -39,7 +39,8 @@ type t = {
   mutable txn : Txn.t option;
   mutable rewriter_options : Sedna_xquery.Rewriter.options;
   plans : (string, plan) Hashtbl.t; (* keyed by statement text *)
-  metrics : Metrics.set; (* per-session scope, parent = Metrics.global *)
+  mutable plan_hits : int; (* this session's share of plan.hit / plan.miss *)
+  mutable plan_misses : int;
   latency : Metrics.histogram; (* per-session statement latency *)
   (* how this session's commits wait for the covering group fsync: the
      governor points this at [Governor.without_engine] so the engine
@@ -63,8 +64,8 @@ let connect db =
     txn = None;
     rewriter_options = Sedna_xquery.Rewriter.default_options;
     plans = Hashtbl.create 32;
-    metrics =
-      Metrics.create ~name:(Printf.sprintf "session-%d" id) ~parent:Metrics.global ();
+    plan_hits = 0;
+    plan_misses = 0;
     latency = Metrics.histogram ~register:false "session.latency";
     park = (fun wait -> wait ());
   }
@@ -72,7 +73,6 @@ let connect db =
 let set_park t f = t.park <- f
 let database t = t.db
 let id t = t.id
-let metrics t = t.metrics
 let latency t = t.latency
 
 let set_rewriter_options t o =
@@ -80,11 +80,7 @@ let set_rewriter_options t o =
   (* plans compiled under other options are useless now *)
   Hashtbl.reset t.plans
 
-(* Hits/misses come from the same scoped set whose bumps propagate into
-   the global plan.hit / plan.miss counters — one bump site, no way for
-   the per-session and global views to drift. *)
-let plan_cache_stats t =
-  (Metrics.get t.metrics Counters.plan_hit, Metrics.get t.metrics Counters.plan_miss)
+let plan_cache_stats t = (t.plan_hits, t.plan_misses)
 
 let clear_plan_cache t = Hashtbl.reset t.plans
 
@@ -243,7 +239,7 @@ let optimize_expr t (prolog : Ast.prolog) (e : Ast.expr) : Ast.expr =
    data — so a cached plan skips it all.  Prolog variable initializers
    are rewritten here too; [build_ctx] below only evaluates them.
    Returns the compiled statement plus (analyze, rewrite) seconds for
-   the statement trace. *)
+   [\profile]. *)
 let compile t (stmt : Ast.statement) : Ast.statement * float * float =
   match stmt with
   | Ast.Query (prolog, e) ->
@@ -290,33 +286,21 @@ let compile t (stmt : Ast.statement) : Ast.statement * float * float =
     (stmt, 0., tr)
   | Ast.Ddl _ -> (stmt, 0., 0.)
 
-(* Phase timings of one statement's compilation, for the trace. *)
-type compile_info = {
-  ci_cached : bool;
-  ci_parse_s : float;
-  ci_analyze_s : float;
-  ci_rewrite_s : float;
-}
-
-let cached_info = { ci_cached = true; ci_parse_s = 0.; ci_analyze_s = 0.; ci_rewrite_s = 0. }
-
 (* The compiled-plan cache: parse + compile once per (statement text,
    catalog epoch, rewriter options).  DDL is never cached — it is
-   compilation-free and always bumps the epoch anyway. *)
-let compiled_statement t (text : string) : Ast.statement * compile_info =
+   compilation-free and always bumps the epoch anyway.  Returns the
+   statement and whether it was a cache hit. *)
+let compiled_statement t (text : string) : Ast.statement * bool =
   let epoch = Catalog.epoch (Database.catalog t.db) in
   match Hashtbl.find_opt t.plans text with
   | Some p when p.c_epoch = epoch && p.c_opts = t.rewriter_options ->
-    Metrics.bump t.metrics Counters.plan_hit;
-    Trace.emit (Trace.Plan_cache { session = t.id; hit = true });
-    (p.c_stmt, cached_info)
+    t.plan_hits <- t.plan_hits + 1;
+    Counters.bump Counters.plan_hit;
+    (p.c_stmt, true)
   | _ ->
-    Metrics.bump t.metrics Counters.plan_miss;
-    Trace.emit (Trace.Plan_cache { session = t.id; hit = false });
-    let tp, parsed =
-      Metrics.time (fun () -> Sedna_xquery.Xq_parser.parse_statement text)
-    in
-    let stmt, ta, tr = compile t parsed in
+    t.plan_misses <- t.plan_misses + 1;
+    Counters.bump Counters.plan_miss;
+    let stmt, _, _ = compile t (Sedna_xquery.Xq_parser.parse_statement text) in
     (match stmt with
      | Ast.Ddl _ -> ()
      | Ast.Query _ | Ast.Update _ ->
@@ -326,7 +310,7 @@ let compiled_statement t (text : string) : Ast.statement * compile_info =
        then Hashtbl.reset t.plans;
        Hashtbl.replace t.plans text
          { c_stmt = stmt; c_epoch = epoch; c_opts = t.rewriter_options });
-    (stmt, { ci_cached = false; ci_parse_s = tp; ci_analyze_s = ta; ci_rewrite_s = tr })
+    (stmt, false)
 
 (* ---- statement execution ----------------------------------------------- *)
 
@@ -401,7 +385,6 @@ let statement_kind = function
    statement joins it; otherwise it runs in an auto-commit transaction
    of the appropriate kind. *)
 let execute t (text : string) : result =
-  Trace.emit (Trace.Statement_start { session = t.id; text });
   (* tracing: join the server's request context when one is ambient,
      otherwise root a trace of our own (CLI, tests, bench); [owned]
      remembers which case so we publish and un-install only our own *)
@@ -424,8 +407,7 @@ let execute t (text : string) : result =
       cx
   in
   let t0 = Metrics.mono () in
-  let ms s = s *. 1000. in
-  let finish ~kind ~ok ~ci ~execute_s =
+  let finish ~kind ~ok =
     let total = Metrics.mono () -. t0 in
     Metrics.observe t.latency total;
     Metrics.observe stmt_latency total;
@@ -433,132 +415,102 @@ let execute t (text : string) : result =
      | Some c, Some sp ->
        Span.finish c
          ~annots:[ ("kind", Metrics.Str kind); ("ok", Metrics.Bool ok) ]
-         sp
+         sp;
+       (* the slow log is this trace, kept apart at publish time *)
+       if sp.Span.sp_dur >= Span.slow_threshold () then Span.mark_slow c
      | _ -> ());
-    Slow_log.observe
-      ~trace:(match cx with Some c -> Span.trace_id c | None -> "")
-      ~session:t.id ~text ~kind ~ok ~cached:ci.ci_cached ~total_s:total
-      ~spans:
-        (match cx with
-         | Some c ->
-           List.rev_map
-             (fun s -> (s.Span.sp_name, Float.max 0.0 s.Span.sp_dur *. 1000.))
-             (Span.spans c)
-         | None ->
-           [
-             ("parse", ms ci.ci_parse_s);
-             ("analyze", ms ci.ci_analyze_s);
-             ("rewrite", ms ci.ci_rewrite_s);
-             ("execute", ms execute_s);
-           ]);
-    (match owned with
-     | Some c ->
-       Span.publish c;
-       Span.set_current None
-     | None -> ());
-    Trace.emit
-      (Trace.Statement_end
-         {
-           session = t.id;
-           kind;
-           ok;
-           cached = ci.ci_cached;
-           parse_ms = ms ci.ci_parse_s;
-           analyze_ms = ms ci.ci_analyze_s;
-           rewrite_ms = ms ci.ci_rewrite_s;
-           execute_ms = ms execute_s;
-           total_ms = ms total;
-         })
+    match owned with
+    | Some c ->
+      Span.publish c;
+      Span.set_current None
+    | None -> ()
   in
   try
-    let stmt, ci =
+    let stmt =
       Span.with_span "compile" (fun sp ->
-          let ((_, ci) as r) = compiled_statement t text in
-          (match sp with
-           | Some sp -> Span.annotate sp "cached" (Metrics.Bool ci.ci_cached)
-           | None -> ());
-          r)
+          let stmt, cached = compiled_statement t text in
+          Option.iter (fun sp -> Span.annotate sp "cached" (Metrics.Bool cached)) sp;
+          stmt)
     in
     (* span-boundary deadline check: compilation can be slow and never
        passes an executor choke point *)
     Deadline.check_now ();
     let locks = statement_locks t.db stmt in
-    let execute_s, r =
-      Metrics.time (fun () ->
-          match t.txn with
-          | Some txn when Txn.is_active txn -> (
-            try
+    let r =
+      match t.txn with
+      | Some txn when Txn.is_active txn -> (
+        try
+          List.iter
+            (fun (doc, mode) -> Database.lock_exn t.db txn ~doc ~mode)
+            locks;
+          Span.with_span "eval" (fun _ ->
+              Database.run t.db txn (fun () -> run_statement t stmt txn))
+        with
+        | Fault.Injected_crash _ as e ->
+          (* simulated process death: nothing may be written after
+             this point, the harness reopens the directory *)
+          t.txn <- None;
+          raise e
+        | e when aborts_transaction e ->
+          (if Txn.is_active txn then
+             try Database.abort t.db txn with
+             | Fault.Injected_crash _ as c ->
+               t.txn <- None;
+               raise c
+             | _ -> ());
+          t.txn <- None;
+          raise e)
+      | _ ->
+        let read_only = is_query stmt in
+        let run_once () =
+          let txn = Database.begin_txn ~read_only t.db in
+          try
+            if not read_only then
               List.iter
                 (fun (doc, mode) -> Database.lock_exn t.db txn ~doc ~mode)
                 locks;
+            let r =
               Span.with_span "eval" (fun _ ->
                   Database.run t.db txn (fun () -> run_statement t stmt txn))
-            with
-            | Fault.Injected_crash _ as e ->
-              (* simulated process death: nothing may be written after
-                 this point, the harness reopens the directory *)
-              t.txn <- None;
-              raise e
-            | e when aborts_transaction e ->
-              (if Txn.is_active txn then
-                 try Database.abort t.db txn with
-                 | Fault.Injected_crash _ as c ->
-                   t.txn <- None;
-                   raise c
-                 | _ -> ());
-              t.txn <- None;
-              raise e)
-          | _ ->
-            let read_only = is_query stmt in
-            let run_once () =
-              let txn = Database.begin_txn ~read_only t.db in
-              try
-                if not read_only then
-                  List.iter
-                    (fun (doc, mode) -> Database.lock_exn t.db txn ~doc ~mode)
-                    locks;
-                let r =
-                  Span.with_span "eval" (fun _ ->
-                      Database.run t.db txn (fun () -> run_statement t stmt txn))
-                in
-                Database.commit ~park:t.park t.db txn;
-                r
-              with
-              | Fault.Injected_crash _ as e -> raise e
-              | e ->
-                (if Txn.is_active txn then
-                   try Database.abort t.db txn with
-                   | Fault.Injected_crash _ as c -> raise c
-                   | _ -> ());
-                raise e
             in
-            (* Lock timeouts restart the whole auto-commit statement: the
-               document lock is typically held by a commit parked in the
-               group fsync, and that commit can only complete — and
-               release — once this session lets go of the engine lock.
-               So the pause between attempts goes through [t.park]
-               (engine lock released, like a commit park).  The timed-out
-               attempt was fully aborted, and locks are acquired before
-               any modification, so the restart is invisible to the
-               client.  Explicit transactions are not restarted: their
-               abort is the documented statement-failure contract. *)
-            let max_attempts = 20 in
-            let rec attempt n =
-              match run_once () with
-              | r -> r
-              | exception Error.Sedna_error (Error.Lock_timeout, _)
-                when n < max_attempts ->
-                Counters.bump Counters.stmt_lock_restarts;
-                t.park (fun () ->
-                    Unix.sleepf (Float.min 0.008 (0.0005 *. float_of_int (1 lsl n))));
-                attempt (n + 1)
-            in
-            attempt 1)
+            Database.commit ~park:t.park t.db txn;
+            r
+          with
+          | Fault.Injected_crash _ as e -> raise e
+          | e ->
+            (if Txn.is_active txn then
+               try Database.abort t.db txn with
+               | Fault.Injected_crash _ as c -> raise c
+               | _ -> ());
+            raise e
+        in
+        (* Lock timeouts restart the whole auto-commit statement: the
+           document lock is typically held by a commit parked in the
+           group fsync, and that commit can only complete — and
+           release — once this session lets go of the engine lock.
+           So the pause between attempts goes through [t.park]
+           (engine lock released, like a commit park).  The timed-out
+           attempt was fully aborted, and locks are acquired before
+           any modification, so the restart is invisible to the
+           client.  Explicit transactions are not restarted: their
+           abort is the documented statement-failure contract. *)
+        let max_attempts = 20 in
+        let rec attempt n =
+          match run_once () with
+          | r -> r
+          | exception Error.Sedna_error (Error.Lock_timeout, _)
+            when n < max_attempts ->
+            Counters.bump Counters.stmt_lock_restarts;
+            t.park (fun () ->
+                Unix.sleepf (Float.min 0.008 (0.0005 *. float_of_int (1 lsl n))));
+            attempt (n + 1)
+        in
+        attempt 1
     in
-    finish ~kind:(statement_kind stmt) ~ok:true ~ci ~execute_s;
+    finish ~kind:(statement_kind stmt) ~ok:true;
     r
   with e ->
-    finish ~kind:"error" ~ok:false ~ci:cached_info ~execute_s:0.;
+    finish ~kind:"error" ~ok:false;
     raise e
 
 let execute_string t text = result_to_string (execute t text)

@@ -28,12 +28,7 @@ val set_park : t -> ((unit -> unit) -> unit) -> unit
 val database : t -> Sedna_core.Database.t
 
 val id : t -> int
-(** Process-unique session number (used in trace events). *)
-
-val metrics : t -> Sedna_util.Metrics.set
-(** The session's scoped counter set; its parent is
-    {!Sedna_util.Metrics.global}, so session bumps also appear in the
-    global counters. *)
+(** Process-unique session number (annotated on statement spans). *)
 
 val latency : t -> Sedna_util.Metrics.histogram
 (** Statement latency of this session only (all sessions also feed the
@@ -47,7 +42,9 @@ val plan_cache_stats : t -> int * int
 (** [(hits, misses)] of this session's compiled-plan cache.  A hit
     means the statement skipped parse → static analysis → rewrite
     entirely.  Plans are keyed by statement text and invalidated when
-    the catalog epoch moves (any DDL) or the rewriter options change. *)
+    the catalog epoch moves (any DDL) or the rewriter options change.
+    Every hit and miss also bumps the global [plan.hit] / [plan.miss]
+    counters. *)
 
 val clear_plan_cache : t -> unit
 

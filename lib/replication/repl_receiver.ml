@@ -202,7 +202,6 @@ let install_seed t files =
   t.db <- Some ndb
 
 let seed t fd =
-  Trace.emit (Trace.Repl_state { role = "standby"; state = "seeding" });
   Wire.write_repl_request fd Wire.Seed_request;
   let rec recv files =
     match read_response_timed t fd with
@@ -218,7 +217,6 @@ let seed t fd =
   (* count the install before publishing epoch/pos: anyone who waited
      for the new epoch to appear must also see this seed counted *)
   Counters.bump Counters.repl_reseeds;
-  Trace.emit (Trace.Repl_reseed { epoch });
   Hashtbl.reset t.pending;
   Hashtbl.reset t.shipped_open;
   t.epoch <- epoch;
@@ -247,7 +245,7 @@ let apply_batch t db records =
         in
         Hashtbl.remove t.pending id;
         Governor.with_engine t.gov (fun () ->
-            Database.apply_txn db ~txn_id:id ~images ~catalog_blob)
+            Database.apply_txn db ~images ~catalog_blob)
       | Wal.Abort id -> Hashtbl.remove t.pending id
       | Wal.Checkpoint -> ())
     records
@@ -376,13 +374,6 @@ let pull_loop t fd =
          and hand the redo to the apply thread, overlapping it with the
          next batch's receive+fsync *)
       let records = Wal.records_of_frames frames in
-      Trace.emit
-        (Trace.Repl_batch
-           {
-             records = List.length records;
-             bytes = String.length frames;
-             pos = next_pos;
-           });
       List.iter
         (fun (r, _) ->
           match r with
@@ -452,7 +443,6 @@ let recover_in_place t =
       t.db <- Some ndb;
       t.pos <- t.boundary;
       Counters.bump Counters.repl_apply_restarts;
-      Trace.emit (Trace.Repl_state { role = "standby"; state = "apply-restart" });
       Logs.warn (fun m ->
           m "standby %s: apply stage failed; recovered in place from the local \
              WAL (resuming at %d)"
@@ -477,7 +467,6 @@ let session_loop t () =
       t.connected <- true;
       Counters.set Counters.repl_standby_connected 1;
       t.last_contact <- Unix.gettimeofday ();
-      Trace.emit (Trace.Repl_state { role = "standby"; state = "connected" });
       (try
          if t.db = None then seed t fd;
          pull_loop t fd
@@ -498,10 +487,7 @@ let session_loop t () =
       Netfault.unregister fd;
       (try Unix.close fd with _ -> ());
       if t.apply_exn <> None && not t.stopping then recover_in_place t;
-      if not t.stopping then begin
-        Trace.emit (Trace.Repl_state { role = "standby"; state = "disconnected" });
-        Unix.sleepf t.poll_s
-      end
+      if not t.stopping then Unix.sleepf t.poll_s
   done
 
 let start ?(poll_s = 0.01) ?(heartbeat_timeout_s = 2.0) ?(max_batch = 1 lsl 22)
@@ -681,7 +667,6 @@ let promote t =
           Counters.bump Counters.repl_promotions;
           let epoch = Wal.epoch (Database.wal db) in
           persist_state t;
-          Trace.emit (Trace.Repl_promote { epoch });
           Logs.info (fun m ->
               m "standby %s promoted to primary (wal epoch %d, cluster epoch %d)"
                 t.name epoch cluster);

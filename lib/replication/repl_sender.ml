@@ -75,7 +75,7 @@ let read_file path =
    A checkpoint truncating the log mid-copy invalidates the captured
    position; the epoch re-check catches that and retries. *)
 let serve_seed t db conn_id fd =
-  Trace.emit (Trace.Repl_state { role = "primary"; state = "seeding" });
+  Logs.info (fun m -> m "replication sender: seeding standby (conn %d)" conn_id);
   let tmp = Database.directory db ^ Printf.sprintf ".seed%d" conn_id in
   let rec consistent_backup attempts =
     rm_rf tmp;
@@ -135,9 +135,6 @@ let serve_pull db fd ~cluster ~epoch ~pos ~max_bytes =
       Fault.check send_site;
       Counters.bump ~n:(String.length frames) Counters.repl_bytes_shipped;
       Counters.bump ~n:count Counters.repl_records_shipped;
-      Trace.emit
-        (Trace.Repl_batch
-           { records = count; bytes = String.length frames; pos = next_pos });
       (* forward the trace marks of the commits this batch completes,
          so the standby's apply spans join the statements' traces *)
       let marks =

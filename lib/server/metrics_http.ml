@@ -48,33 +48,22 @@ let prom_float f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.9g" f
 
-(* counters that are really gauges: their value moves both ways.  The
-   cluster epoch is here so the series exists from the first scrape —
-   an alert on a fencing event compares epochs across nodes and must
-   not find the series missing on a node that was never promoted. *)
-let gauge_counters =
-  [ Counters.repl_lag_bytes; Counters.repl_acked_pos; Counters.cluster_epoch;
-    (* self-healing: scrub progress/pass-size move both ways, and the
-       degraded flag must exist from the first scrape so the alert rule
-       never finds the series missing *)
-    Counters.scrub_progress; Counters.scrub_last_pass_pages;
-    Counters.degraded_state ]
-
 let render_metrics gauges =
   let b = Buffer.create 4096 in
   let meta name typ = Printf.ksprintf (Buffer.add_string b) "# TYPE %s %s\n" name typ in
-  (* the replication gauges are exported even before anything touches
-     them — a scraper alerting on lag must not see the series vanish *)
+  (* gauge cells are exported even before anything touches them — an
+     alert on lag, the degraded flag or a fencing epoch must not find
+     the series missing on a node where the event never happened *)
   List.iter
     (fun name ->
       let pn = prom_name name in
       meta pn "gauge";
       Printf.ksprintf (Buffer.add_string b) "%s %d\n" pn (Counters.get name))
-    gauge_counters;
+    Counters.gauges;
   (* global counters *)
   List.iter
     (fun (name, v) ->
-      if not (List.mem name gauge_counters) then begin
+      if not (List.mem name Counters.gauges) then begin
         let pn = prom_name name in
         meta pn "counter";
         Printf.ksprintf (Buffer.add_string b) "%s %d\n" pn v

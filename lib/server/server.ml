@@ -71,7 +71,6 @@ type conn = {
   mutable session : Session.t option;
   mutable pending : string;  (* materialized query result awaiting fetches *)
   mutable sent : int;  (* bytes of [pending] already delivered *)
-  mutable requests : int;
   queue_wait_s : float;  (* time spent in the accept queue *)
   mutable queue_wait_reported : bool;  (* span emitted on first traced request *)
 }
@@ -95,9 +94,8 @@ let err_of_exn = function
   | Wire.Protocol_error msg -> Wire.Err { code = "SE-PROTOCOL"; msg }
   | e -> Wire.Err { code = "SE-INTERNAL"; msg = Printexc.to_string e }
 
-let reject fd ~code ~msg ~reason =
+let reject fd ~code ~msg =
   Counters.bump Counters.conn_rejected;
-  Trace.emit (Trace.Conn_reject { reason });
   (try Wire.write_response fd (Wire.Err { code; msg }) with _ -> ());
   Netfault.unregister fd;
   try Unix.close fd with _ -> ()
@@ -163,7 +161,6 @@ let handle_request t (conn : conn) cx (req : Wire.request) : bool (* keep going 
       | gid, s ->
         conn.gov_id <- Some gid;
         conn.session <- Some s;
-        Trace.emit (Trace.Conn_open { conn = conn.conn_id; session = Session.id s });
         send conn (Wire.Opened (Session.id s));
         true
       | exception e ->
@@ -242,7 +239,6 @@ let close_conn t (conn : conn) =
    | Some gid when not t.killed -> (
      try Governor.disconnect t.gov gid with _ -> ())
    | _ -> ());
-  Trace.emit (Trace.Conn_close { conn = conn.conn_id; requests = conn.requests });
   Netfault.unregister conn.fd;
   try Unix.close conn.fd with _ -> ()
 
@@ -299,7 +295,6 @@ let handle_conn t fd queue_wait_s =
       session = None;
       pending = "";
       sent = 0;
-      requests = 0;
       queue_wait_s;
       queue_wait_reported = false;
     }
@@ -307,7 +302,6 @@ let handle_conn t fd queue_wait_s =
   let rec loop () =
     match Wire.read_request fd with
     | trace_hdr, epoch_hdr, req ->
-      conn.requests <- conn.requests + 1;
       (* a client relaying a higher cluster epoch fences us before the
          request runs: its write must not be acked past the fence *)
       (match (epoch_hdr, conn.session) with
@@ -339,7 +333,7 @@ let worker_main t () =
       if t.draining then
         (* accepted but never started: refuse rather than run work the
            shutdown would have to wait arbitrarily long for *)
-        reject fd ~code:"SE-SHUTDOWN" ~msg:"server shutting down" ~reason:"shutdown"
+        reject fd ~code:"SE-SHUTDOWN" ~msg:"server shutting down"
       else begin
         Counters.bump Counters.conn_accepted;
         handle_conn t fd (Metrics.mono () -. enqueued_at)
@@ -376,9 +370,8 @@ let listener_main t () =
          reject fd ~code:"SE-OVERLOADED"
            ~msg:
              (Printf.sprintf "connection queue full (%d waiting)" t.cfg.max_queue)
-           ~reason:"overloaded"
        | `Shutdown ->
-         reject fd ~code:"SE-SHUTDOWN" ~msg:"server shutting down" ~reason:"shutdown");
+         reject fd ~code:"SE-SHUTDOWN" ~msg:"server shutting down");
       loop ()
     | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _)
       when t.draining ->
@@ -428,7 +421,6 @@ let start ?(config = default_config) ?on_promote (gov : Governor.t) : t =
   in
   t.workers <- List.init (max 1 config.pool_size) (fun _ -> Thread.create (worker_main t) ());
   t.listener <- Some (Thread.create (listener_main t) ());
-  Trace.emit (Trace.Server_state { state = "listening" });
   Logs.info (fun m -> m "server listening on %s:%d" config.host bound_port);
   t
 
@@ -439,7 +431,7 @@ let stop ?(shutdown_governor = true) t =
   Condition.broadcast t.qcond;
   Mutex.unlock t.qmu;
   if not was_draining then begin
-    Trace.emit (Trace.Server_state { state = "draining" });
+    Logs.info (fun m -> m "server draining");
     (* wake the listener out of accept(2) *)
     (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with _ -> ());
     (try
@@ -468,7 +460,7 @@ let stop ?(shutdown_governor = true) t =
     (* every session is now disconnected (open transactions rolled
        back); checkpoint and close the stores cleanly *)
     if shutdown_governor then Governor.shutdown t.gov;
-    Trace.emit (Trace.Server_state { state = "stopped" })
+    Logs.info (fun m -> m "server stopped")
   end
 
 (* Hard stop simulating SIGKILL: no drain, no rollbacks, no checkpoint,
@@ -504,5 +496,5 @@ let kill t =
       fds;
     List.iter Thread.join t.workers;
     t.workers <- [];
-    Trace.emit (Trace.Server_state { state = "killed" })
+    Logs.info (fun m -> m "server killed")
   end

@@ -58,8 +58,6 @@ let reset name =
   locked (fun () ->
       match Hashtbl.find_opt global name with Some r -> r := 0 | None -> ())
 
-let reset_all () = locked (fun () -> Hashtbl.iter (fun _ r -> r := 0) global)
-
 (* The hot-path [*_cell] bindings below pre-register their counters at
    module init, so the table always holds some cells that were never
    bumped.  [snapshot] hides those zero rows; [snapshot_all] keeps them
@@ -70,7 +68,19 @@ let snapshot_all () =
 
 let snapshot () = List.filter (fun (_, v) -> v <> 0) (snapshot_all ())
 
-let global_table = global
+(* Per-key [after - before], dropping zero deltas.  Keys present only in
+   [before] (a reset happened in between) are reported as negative. *)
+let diff ~before ~after =
+  let tbl = Hashtbl.create 16 in
+  List.iter (fun (k, v) -> Hashtbl.replace tbl k (-v)) before;
+  List.iter
+    (fun (k, v) ->
+      match Hashtbl.find_opt tbl k with
+      | Some d -> Hashtbl.replace tbl k (d + v)
+      | None -> Hashtbl.add tbl k v)
+    after;
+  Hashtbl.fold (fun k d acc -> if d <> 0 then (k, d) :: acc else acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Well-known counter names, centralised so benches and storage agree. *)
 let buffer_fault = "buffer.fault"
@@ -140,6 +150,18 @@ let degraded_recovered = "degraded.recovered"
 let degraded_rejected_writes = "degraded.rejected_writes"
 let resource_errors = "store.resource_errors"
 let repl_pages_served = "repl.pages_served"
+
+(* Cells that hold a current value rather than a running total: they
+   move both ways, a reset must not zero them (the node is still
+   degraded, the epoch still stands), and /metrics types them as
+   gauges. *)
+let gauges =
+  [ repl_lag_bytes; repl_acked_pos; repl_standby_connected; repl_standby_epoch;
+    cluster_epoch; scrub_progress; scrub_last_pass_pages; degraded_state ]
+
+let reset_all () =
+  locked (fun () ->
+      Hashtbl.iter (fun k r -> if not (List.mem k gauges) then r := 0) global)
 
 (* Pre-resolved cells for the hot-path counters: incrementing these is
    a plain [incr], so instrumentation does not distort the pointer-

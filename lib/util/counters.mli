@@ -19,6 +19,8 @@ val set : string -> int -> unit
 val get : string -> int
 val reset : string -> unit
 val reset_all : unit -> unit
+(** Zero every counter except the {!gauges}, which keep their current
+    value. *)
 
 val snapshot : unit -> (string * int) list
 (** Sorted [(name, value)] pairs for every counter with a non-zero
@@ -28,10 +30,9 @@ val snapshot : unit -> (string * int) list
 val snapshot_all : unit -> (string * int) list
 (** Like {!snapshot} but including zero-valued registered cells. *)
 
-val global_table : (string, int ref) Hashtbl.t
-(** The raw storage behind the global counters.  {!Metrics.global}
-    wraps this table so scoped metric sets and the legacy [Counters]
-    API observe the same cells. *)
+val diff :
+  before:(string * int) list -> after:(string * int) list -> (string * int) list
+(** Per-key [after - before] of two snapshots, dropping zero deltas. *)
 
 val cell : string -> int ref
 (** The underlying cell of a named counter (creates it on first use). *)
@@ -226,6 +227,10 @@ val resource_errors : string
 
 val repl_pages_served : string
 (** Single-page repair fetches served to peers ({!Wire} Page_request). *)
+
+val gauges : string list
+(** The names above that hold a current value, not a running total:
+    skipped by {!reset_all}, exported as [gauge] on /metrics. *)
 
 (** {1 Pre-resolved hot-path cells (same storage as the names above)} *)
 

@@ -158,10 +158,9 @@ let due s policy =
   | Every n -> n > 0 && s.hits_since_arm mod n = 0
   | Prob (p, _) -> float_of_int (next_rng s) /. 2147483647.0 < p
 
-let record_fired s action =
+let record_fired action =
   Counters.bump "fault.injected";
-  Counters.bump ("fault.injected." ^ action_name action);
-  Trace.emit (Trace.Fault_injected { site = s.name; action = action_name action })
+  Counters.bump ("fault.injected." ^ action_name action)
 
 (* Raise the simulated process death; [hit] has already recorded the
    injection, so this is bare (the torn-write caller lands here after
@@ -182,21 +181,21 @@ let hit ?len s : verdict =
       (match policy.trigger with Nth _ -> s.armed <- None | _ -> ());
       match (policy.action, len) with
       | Fail, _ ->
-        record_fired s Fail;
+        record_fired Fail;
         raise (Injected_fault s.name)
       | Crash, _ ->
-        record_fired s Crash;
+        record_fired Crash;
         crash s
       | Torn, Some len when len > 1 ->
-        record_fired s Torn;
+        record_fired Torn;
         Short_write (len / 2)
       | Torn, _ ->
-        record_fired s Crash;
+        record_fired Crash;
         crash s
       | Enospc, _ ->
         (* a real errno, not [Injected_fault]: disk-full must flow
            through the same classification path as the genuine error *)
-        record_fired s Enospc;
+        record_fired Enospc;
         raise (Unix.Unix_error (Unix.ENOSPC, "write", s.name))
     end
 

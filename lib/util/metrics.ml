@@ -1,20 +1,12 @@
-(* Scoped metric sets, wall-clock timers and fixed-bucket latency
-   histograms — the measurement layer the benches, the session profiler
-   and the governor report are built on.
-
-   A [set] is a named bag of integer counters with an optional parent;
-   bumping a counter in a child set also bumps the same name in every
-   ancestor, so a per-session "plan.hit" and the global "plan.hit" are
-   one bump at one call site and cannot drift.  The root [global] set
-   shares storage with the legacy {!Counters} table, so the pre-resolved
-   hot-path cells ([Counters.deref_cell] etc., plain [incr]s on the
-   storage fast paths) remain visible through this API without being
-   routed through it. *)
+(* Timers, fixed-bucket latency histograms and a small JSON type — the
+   measurement layer the benches, the session, the span store and the
+   governor report are built on.  Named integer cells live in
+   {!Counters}. *)
 
 (* -------------------------------------------------------------- JSON *)
 
-(* A tiny JSON document type + printer: enough for metrics snapshots,
-   trace events and bench output without an external dependency. *)
+(* A tiny JSON document type + printer: enough for span annotations,
+   slow-log lines and bench output without an external dependency. *)
 type json =
   | Null
   | Bool of bool
@@ -91,79 +83,6 @@ let time f =
   let r = f () in
   (mono () -. t0, r)
 
-(* -------------------------------------------------------------- sets *)
-
-type set = {
-  set_name : string;
-  cells : (string, int ref) Hashtbl.t;
-  parent : set option;
-}
-
-let global = { set_name = "global"; cells = Counters.global_table; parent = None }
-
-let create ?(name = "scope") ?parent () =
-  { set_name = name; cells = Hashtbl.create 16; parent }
-
-let name t = t.set_name
-
-(* The root set shares storage with the thread-safe {!Counters} table;
-   route its accesses through that module's mutex so scoped bumps that
-   chain up to the global set cannot race the server threads.  Scoped
-   (non-global) sets stay unguarded: they are per-session and only
-   touched under the governor's engine lock. *)
-let is_global t = t.cells == Counters.global_table
-
-let cell t key =
-  if is_global t then Counters.cell key
-  else
-    match Hashtbl.find_opt t.cells key with
-    | Some r -> r
-    | None ->
-      let r = ref 0 in
-      Hashtbl.add t.cells key r;
-      r
-
-let rec bump ?(n = 1) t key =
-  if is_global t then Counters.bump ~n key
-  else begin
-    let r = cell t key in
-    r := !r + n;
-    match t.parent with Some p -> bump ~n p key | None -> ()
-  end
-
-let get t key =
-  if is_global t then Counters.get key
-  else match Hashtbl.find_opt t.cells key with Some r -> !r | None -> 0
-
-let reset t =
-  if is_global t then Counters.reset_all ()
-  else Hashtbl.iter (fun _ r -> r := 0) t.cells
-
-let snapshot ?(zeros = false) t =
-  if is_global t then
-    List.filter (fun (_, v) -> zeros || v <> 0) (Counters.snapshot_all ())
-  else
-    Hashtbl.fold
-      (fun k r acc -> if zeros || !r <> 0 then (k, !r) :: acc else acc)
-      t.cells []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* Per-key [after - before], dropping zero deltas.  Keys present only in
-   [before] (a reset happened in between) are reported as negative. *)
-let diff ~before ~after =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k (-v)) before;
-  List.iter
-    (fun (k, v) ->
-      match Hashtbl.find_opt tbl k with
-      | Some d -> Hashtbl.replace tbl k (d + v)
-      | None -> Hashtbl.add tbl k v)
-    after;
-  Hashtbl.fold (fun k d acc -> if d <> 0 then (k, d) :: acc else acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let to_json t = Obj (List.map (fun (k, v) -> (k, Int v)) (snapshot t))
-
 (* --------------------------------------------------------- histograms *)
 
 type histogram = {
@@ -211,11 +130,6 @@ let observe h v =
   h.counts.(i) <- h.counts.(i) + 1;
   h.sum <- h.sum +. v;
   h.total <- h.total + 1
-
-let hist_reset h =
-  Array.fill h.counts 0 (Array.length h.counts) 0;
-  h.sum <- 0.;
-  h.total <- 0
 
 let hist_name h = h.hist_name
 let hist_count h = h.total

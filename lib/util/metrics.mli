@@ -1,17 +1,13 @@
-(** Scoped metric sets, timers and fixed-bucket latency histograms.
+(** Timers, fixed-bucket latency histograms and a minimal JSON type.
 
-    The measurement layer behind [\counters], [\profile], the trace
-    subsystem, the governor report and the bench harness.  Counters live
-    in named {!set}s arranged in a parent chain: bumping a key in a
-    child set also bumps the same key in every ancestor, so per-session
-    and global views of the same event share a single bump site.  The
-    root {!global} set is backed by the legacy {!Counters} table — both
-    APIs observe the same cells. *)
+    The measurement layer behind [\profile], the span store, the
+    governor report and the bench harness.  Named integer counters live
+    in {!Counters}. *)
 
 (** {1 JSON}
 
-    A minimal JSON document type shared by metrics snapshots, trace
-    events and the bench harness (no external dependency). *)
+    A minimal JSON document type shared by span annotations, slow-log
+    lines and the bench harness (no external dependency). *)
 
 type json =
   | Null
@@ -38,38 +34,6 @@ val time : (unit -> 'a) -> float * 'a
 (** [time f] runs [f] and returns [(elapsed_seconds, result)], measured
     on the monotonic clock. *)
 
-(** {1 Scoped counter sets} *)
-
-type set
-
-val global : set
-(** Root of every parent chain; shares storage with {!Counters}. *)
-
-val create : ?name:string -> ?parent:set -> unit -> set
-val name : set -> string
-
-val bump : ?n:int -> set -> string -> unit
-(** Bump [key] in this set and, transitively, in every ancestor. *)
-
-val get : set -> string -> int
-(** Value of [key] in this set only (0 if never bumped here). *)
-
-val cell : set -> string -> int ref
-(** Pre-resolved cell of [key] in this set.  Bumping the cell directly
-    skips parent propagation — reserve it for hot paths. *)
-
-val reset : set -> unit
-(** Zero every counter in this set (ancestors keep their totals). *)
-
-val snapshot : ?zeros:bool -> set -> (string * int) list
-(** Sorted [(key, value)] pairs; zero cells omitted unless [~zeros]. *)
-
-val diff :
-  before:(string * int) list -> after:(string * int) list -> (string * int) list
-(** Per-key [after - before], dropping zero deltas. *)
-
-val to_json : set -> json
-
 (** {1 Fixed-bucket histograms} *)
 
 type histogram
@@ -95,7 +59,6 @@ val hist_buckets : histogram -> float array * int array
     has one extra trailing overflow slot. *)
 
 val hist_mean : histogram -> float
-val hist_reset : histogram -> unit
 
 val percentile : histogram -> float -> float
 (** [percentile h q] for [q] in [0,1]: the upper bound of the bucket

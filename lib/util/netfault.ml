@@ -203,11 +203,9 @@ let arm_from_env () =
 
 (* ---- the injection points -------------------------------------------- *)
 
-let record_fired site action =
+let record_fired action =
   incr injected_cell;
-  Counters.bump (Counters.net_injected ^ "." ^ action_name action);
-  Trace.emit
-    (Trace.Fault_injected { site = site.name; action = action_name action })
+  Counters.bump (Counters.net_injected ^ "." ^ action_name action)
 
 (* shared decision: did the armed policy fire on this hit? *)
 let fired site =
@@ -217,7 +215,7 @@ let fired site =
     if not (Trigger.fire st policy.trigger) then None
     else begin
       if Trigger.one_shot policy.trigger then site.armed <- None;
-      record_fired site policy.action;
+      record_fired policy.action;
       Some policy.action
     end
 

@@ -8,7 +8,14 @@
     lock wait, eval, commit fsync and standby apply for one statement.
 
     When tracing is disabled ({!set_enabled}[ false]) no context is
-    ever created and every instrumented site costs one option match. *)
+    ever created and every instrumented site costs one option match.
+
+    The slow-statement log ([\slow], [--slow-ms], [--slow-log]) is a
+    filter over finished traces: a context marked with {!mark_slow}
+    is also kept in a bounded list of 128 slow traces that the main
+    store's eviction does not touch, and appended as one JSON line to
+    the slow-log file when one is set.  With tracing disabled nothing
+    is logged as slow. *)
 
 type span = {
   sp_trace : string;
@@ -27,14 +34,14 @@ type ctx
 val set_enabled : bool -> unit
 val is_enabled : unit -> bool
 
-val gen_trace_id : unit -> string
-(** Fresh 16-hex-char trace ID. *)
-
 val make : ?trace:string -> ?parent:int -> unit -> ctx option
 (** New context; [trace]/[parent] rebuild a context received over the
     wire.  [None] while tracing is disabled. *)
 
 val trace_id : ctx -> string
+
+val mark_slow : ctx -> unit
+(** Have {!publish} also keep this context's spans as a slow trace. *)
 
 val start : ctx -> ?parent:int -> string -> span
 (** Open a span.  The parent defaults to the innermost open span, or to
@@ -47,10 +54,8 @@ val annotate : span -> string -> Metrics.json -> unit
 
 val publish : ctx -> unit
 (** Move the context's spans into the global bounded trace store, where
-    {!find}/{!render} and [\trace <id>] can see them. *)
-
-val spans : ctx -> span list
-(** Spans collected so far, newest first. *)
+    {!find}/{!render} and [\trace <id>] can see them — and, for a
+    context marked slow, into the slow list and the slow-log file. *)
 
 val current : unit -> ctx option
 (** Ambient context.  Set only inside the engine-locked section or in a
@@ -91,9 +96,30 @@ val summaries : ?limit:int -> unit -> (string * int * string * float) list
 val render : string -> string option
 (** Ascii span tree for [\trace <id>]; [None] for an unknown trace. *)
 
-val span_to_json : span -> Metrics.json
+val trace_to_json : string * span list -> Metrics.json
+(** [{"trace": id, "spans": [...]}] — one slow-log line. *)
 
 val set_capacity : int -> unit
 (** Retain at most this many traces (default 256, min 1). *)
 
 val clear : unit -> unit
+(** Empty the trace store (the slow list is kept). *)
+
+(** {1 Slow traces} *)
+
+val set_slow_threshold : float -> unit
+(** Statement latency, in seconds, at which the session marks its
+    context slow (default 1.0; [infinity] disables). *)
+
+val slow_threshold : unit -> float
+
+val set_slow_file : string option -> unit
+(** Also append each slow trace as a JSON line to this file. *)
+
+val slow_init_from_env : unit -> unit
+(** Configure from [SEDNA_SLOW_MS] (milliseconds) and [SEDNA_SLOW_LOG]. *)
+
+val slow : unit -> (string * span list) list
+(** Retained slow traces, newest first. *)
+
+val clear_slow : unit -> unit

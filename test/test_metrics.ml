@@ -1,7 +1,7 @@
-(* The observability subsystem: scoped metric sets (session isolation,
-   parent propagation), histogram bucket edges and percentiles, the
-   trace ring buffer's wraparound, and the query profiler's row
-   accounting against actual result cardinalities. *)
+(* The observability subsystem: counter snapshots and per-session plan
+   statistics, histogram bucket edges and percentiles, the span store's
+   wraparound and slow list, the statement span tree, and the query
+   profiler's row accounting against actual result cardinalities. *)
 
 open Sedna_util
 
@@ -24,48 +24,14 @@ let create_price_index db =
     (Test_util.exec db
        {|CREATE INDEX "price" ON doc("lib")/library/book BY price AS xs:integer|})
 
-(* ---- scoped counter sets ------------------------------------------- *)
-
-let test_scoped_sets () =
-  let parent = Metrics.create ~name:"p" () in
-  let a = Metrics.create ~name:"a" ~parent () in
-  let b = Metrics.create ~name:"b" ~parent () in
-  Metrics.bump a "x";
-  Metrics.bump a "x";
-  Metrics.bump b "x";
-  Metrics.bump b "y" ~n:5;
-  check_int "a sees its own" 2 (Metrics.get a "x");
-  check_int "b not polluted by a" 1 (Metrics.get b "x");
-  check_int "a has no y" 0 (Metrics.get a "y");
-  check_int "parent aggregates x" 3 (Metrics.get parent "x");
-  check_int "parent aggregates y" 5 (Metrics.get parent "y");
-  (* a child reset keeps the parent totals *)
-  Metrics.reset a;
-  check_int "reset child" 0 (Metrics.get a "x");
-  check_int "parent keeps totals" 3 (Metrics.get parent "x");
-  (* snapshot hides zeros unless asked *)
-  check_bool "snapshot hides zeroed cells" true
-    (List.assoc_opt "x" (Metrics.snapshot a) = None);
-  check_bool "snapshot ~zeros keeps them" true
-    (List.assoc_opt "x" (Metrics.snapshot ~zeros:true a) = Some 0)
-
-let test_global_shares_counters () =
-  (* Metrics.global is the Counters table: a bump through a scoped set
-     with global as parent lands in the legacy API too *)
-  let name = "test.metrics.shared" in
-  Counters.reset name;
-  let s = Metrics.create ~name:"scope" ~parent:Metrics.global () in
-  Metrics.bump s name ~n:7;
-  check_int "legacy Counters sees the bump" 7 (Counters.get name);
-  check_int "scoped view" 7 (Metrics.get s name);
-  Counters.reset name
+(* ---- counters ------------------------------------------------------ *)
 
 let test_diff () =
   let before = [ ("a", 2); ("b", 5) ] in
   let after = [ ("a", 2); ("b", 9); ("c", 1) ] in
   Alcotest.(check (list (pair string int)))
     "diff drops unchanged, keeps new" [ ("b", 4); ("c", 1) ]
-    (Metrics.diff ~before ~after)
+    (Counters.diff ~before ~after)
 
 let test_counters_snapshot_zero_filter () =
   (* registered-but-never-bumped cells must not show up in snapshot *)
@@ -98,7 +64,7 @@ let test_session_isolation () =
       check_int "s1 misses" 1 m1;
       check_int "s2 hits (not polluted by s1)" 0 h2;
       check_int "s2 misses" 1 m2;
-      (* the same bumps propagated into the global counters *)
+      (* every session hit also bumped the global counter *)
       check_bool "global plan.hit >= session hits" true
         (Counters.get Counters.plan_hit >= h1);
       check_int "session latency observations" 3
@@ -122,55 +88,71 @@ let test_histogram_edges () =
   let empty = Metrics.histogram ~register:false ~buckets:[| 1.0 |] "empty" in
   check_bool "empty percentile is nan" true (Float.is_nan (Metrics.percentile empty 0.5))
 
-(* ---- trace ring buffer ---------------------------------------------- *)
+(* ---- span store ------------------------------------------------------ *)
 
-let test_trace_wraparound () =
-  let old_capacity = Trace.capacity () in
-  Trace.set_capacity 8;
+(* one finished single-span trace, published from its own ctx *)
+let publish_one ?(slow = false) name =
+  let cx = Option.get (Span.make ()) in
+  Span.finish cx (Span.start cx name);
+  if slow then Span.mark_slow cx;
+  Span.publish cx;
+  Span.trace_id cx
+
+let test_slow_survives_wraparound () =
+  Span.set_capacity 64;
   Fun.protect
-    ~finally:(fun () -> Trace.set_capacity old_capacity)
+    ~finally:(fun () ->
+      Span.set_capacity 256;
+      Span.clear ();
+      Span.clear_slow ())
     (fun () ->
-      for i = 0 to 19 do
-        Trace.emit (Trace.Checkpoint { pages_flushed = i })
+      Span.clear ();
+      Span.clear_slow ();
+      let slow_id = publish_one ~slow:true "statement" in
+      for _ = 1 to 300 do
+        ignore (publish_one "statement")
       done;
-      check_int "emitted counts everything" 20 (Trace.emitted ());
-      let retained = Trace.dump () in
-      check_int "ring keeps capacity entries" 8 (List.length retained);
-      (* oldest first, and only the 8 most recent survive *)
-      let seqs = List.map (fun (e : Trace.entry) -> e.Trace.seq) retained in
-      Alcotest.(check (list int)) "seqs 12..19" [ 12; 13; 14; 15; 16; 17; 18; 19 ] seqs;
-      let pages =
-        List.map
-          (fun (e : Trace.entry) ->
-            match e.Trace.event with
-            | Trace.Checkpoint { pages_flushed } -> pages_flushed
-            | _ -> -1)
-          retained
-      in
-      Alcotest.(check (list int)) "payloads survive" [ 12; 13; 14; 15; 16; 17; 18; 19 ]
-        pages;
-      Trace.clear ();
-      check_int "clear empties the ring" 0 (List.length (Trace.dump ())))
+      check_int "store keeps its capacity" 64 (List.length (Span.traces ()));
+      check_bool "fast publishes evicted the slow trace from the store" true
+        (Span.find slow_id = None);
+      (match Span.slow () with
+       | [ (id, [ sp ]) ] ->
+         check_bool "slow list kept it" true (id = slow_id && sp.Span.sp_name = "statement")
+       | l -> Alcotest.failf "expected one slow trace, got %d" (List.length l));
+      Span.clear ();
+      check_int "clear empties the store" 0 (List.length (Span.traces ()));
+      check_int "clear keeps the slow list" 1 (List.length (Span.slow ())))
 
 let test_trace_statement_events () =
   with_library (fun db ->
       let s = Sedna_db.Session.connect db in
-      Trace.clear ();
+      Span.clear ();
       ignore (Sedna_db.Session.execute_string s {|count(doc("lib")//book)|});
-      let events = List.map (fun (e : Trace.entry) -> e.Trace.event) (Trace.dump ()) in
-      let has p = List.exists p events in
-      check_bool "statement.start emitted" true
-        (has (function Trace.Statement_start _ -> true | _ -> false));
-      check_bool "plan cache miss emitted" true
-        (has (function Trace.Plan_cache { hit = false; _ } -> true | _ -> false));
-      check_bool "txn begin emitted" true
-        (has (function Trace.Txn_begin { read_only = true; _ } -> true | _ -> false));
-      check_bool "statement.end with sane phases" true
-        (has (function
-          | Trace.Statement_end { kind = "query"; ok = true; cached = false; total_ms; _ }
-            ->
-            total_ms >= 0.
-          | _ -> false)))
+      ignore
+        (Sedna_db.Session.execute_string s
+           {|UPDATE insert <book><price>1</price></book> into doc("lib")/library|});
+      let spans_of (_, spans) = spans in
+      let annot name key spans =
+        List.find_map
+          (fun sp ->
+            if sp.Span.sp_name = name then List.assoc_opt key sp.Span.sp_annots else None)
+          spans
+      in
+      match List.map spans_of (Span.traces ()) with
+      | [ update; query ] ->
+        check_bool "statement span annotated query/ok" true
+          (annot "statement" "kind" query = Some (Metrics.Str "query")
+          && annot "statement" "ok" query = Some (Metrics.Bool true));
+        check_bool "compile cached=false" true
+          (annot "compile" "cached" query = Some (Metrics.Bool false));
+        check_bool "query took no document lock" true (annot "lock.wait" "outcome" query = None);
+        check_bool "statement span closed" true
+          (List.for_all (fun sp -> sp.Span.sp_dur >= 0.) query);
+        check_bool "lock.wait outcome=granted" true
+          (annot "lock.wait" "outcome" update = Some (Metrics.Str "granted"));
+        check_bool "commit.fsync under the update" true
+          (List.exists (fun sp -> sp.Span.sp_name = "commit.fsync") update)
+      | l -> Alcotest.failf "expected two traces, got %d" (List.length l))
 
 (* ---- profiled plans -------------------------------------------------- *)
 
@@ -237,19 +219,18 @@ let test_governor_report () =
   let report = Sedna_db.Governor.observability_report g in
   check_bool "report lists the session" true (contains_sub report "plan cache");
   check_bool "report lists counters" true (contains_sub report "global counters:");
-  check_bool "report lists trace section" true (contains_sub report "trace:");
+  check_bool "report lists recent traces" true (contains_sub report "recent traces");
   Sedna_db.Governor.shutdown g
 
 let suite =
   [
-    Alcotest.test_case "scoped sets" `Quick test_scoped_sets;
-    Alcotest.test_case "global set backs Counters" `Quick test_global_shares_counters;
     Alcotest.test_case "diff" `Quick test_diff;
     Alcotest.test_case "snapshot filters zero cells" `Quick
       test_counters_snapshot_zero_filter;
     Alcotest.test_case "session metric isolation" `Quick test_session_isolation;
     Alcotest.test_case "histogram bucket edges" `Quick test_histogram_edges;
-    Alcotest.test_case "trace ring wraparound" `Quick test_trace_wraparound;
+    Alcotest.test_case "slow trace survives store wraparound" `Quick
+      test_slow_survives_wraparound;
     Alcotest.test_case "statement trace events" `Quick test_trace_statement_events;
     Alcotest.test_case "profiled plan row counts" `Quick test_profile_row_counts;
     Alcotest.test_case "profile rejects updates" `Quick test_profile_rejects_updates;

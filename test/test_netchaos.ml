@@ -153,7 +153,6 @@ let test_torn_statement_port () =
             (fun () ->
               ignore (Client.open_db c "main");
               Alcotest.(check int) "one session" 1 (G.session_count g);
-              Trace.clear ();
               (* the very next frame sent anywhere is torn: that is this
                  client's write request *)
               Netfault.arm_spec "net.send:torn@1";
@@ -168,17 +167,6 @@ let test_torn_statement_port () =
               (* the server noticed the mid-frame EOF, closed the
                  connection and freed the session slot (the client then
                  reconnected and re-opened, so the count returns to 1) *)
-              Alcotest.(check bool) "server emitted conn.close" true
-                (poll (fun () ->
-                     let contains hay needle =
-                       let nh = String.length hay and nn = String.length needle in
-                       let rec go i =
-                         i + nn <= nh
-                         && (String.sub hay i nn = needle || go (i + 1))
-                       in
-                       go 0
-                     in
-                     contains (Trace.to_json_lines ()) "conn.close"));
               Alcotest.(check bool) "session slot recycled" true
                 (poll (fun () -> G.session_count g = 1));
               (* the reconnected session still works *)

@@ -1,7 +1,7 @@
 (* Observability: request-scoped span trees over TCP (with standby
    apply lag), the slow-statement log, the monotonic clock, the
-   thread-safe trace ring, the Prometheus metrics endpoint, and the
-   deadline-preempts-lock-wait regression. *)
+   thread-safe span store, the Prometheus metrics endpoint and its
+   gauges, and the deadline-preempts-lock-wait regression. *)
 
 open Sedna_util
 open Sedna_core
@@ -70,32 +70,30 @@ let test_disabled_is_free () =
       Span.with_span "x" (fun sp ->
           Alcotest.(check bool) "no ambient span when disabled" true (sp = None)))
 
-(* ---- trace ring under concurrent writers (satellite 2) ----------------- *)
+(* ---- span store under concurrent publishers ---------------------------- *)
 
-let test_trace_ring_concurrent () =
-  let before = Trace.capacity () in
-  Trace.set_capacity 64;
+let test_store_concurrent () =
+  Span.set_capacity 64;
   Fun.protect
-    ~finally:(fun () -> Trace.set_capacity before)
+    ~finally:(fun () ->
+      Span.set_capacity 256;
+      Span.clear ())
     (fun () ->
-      let writer i () =
-        for j = 1 to 200 do
-          Trace.emit (Trace.Plan_cache { session = i; hit = j mod 2 = 0 })
+      Span.clear ();
+      let publisher () =
+        for _ = 1 to 200 do
+          let cx = Option.get (Span.make ()) in
+          Span.finish cx (Span.start cx "statement");
+          Span.publish cx
         done
       in
-      let threads = List.init 4 (fun i -> Thread.create (writer i) ()) in
+      let threads = List.init 4 (fun _ -> Thread.create publisher ()) in
       List.iter Thread.join threads;
-      Alcotest.(check int) "all emits counted" 800 (Trace.emitted ());
-      let entries = Trace.dump () in
-      Alcotest.(check int) "ring holds exactly its capacity" 64
-        (List.length entries);
-      let seqs = List.map (fun e -> e.Trace.seq) entries in
-      Alcotest.(check int) "sequence numbers unique" (List.length seqs)
-        (List.length (List.sort_uniq compare seqs));
-      Alcotest.(check bool) "sequence numbers increasing" true
-        (List.for_all2 ( < )
-           (List.filteri (fun i _ -> i < List.length seqs - 1) seqs)
-           (List.tl seqs)))
+      let ids = List.map fst (Span.traces ()) in
+      Alcotest.(check int) "store holds exactly its capacity" 64 (List.length ids);
+      Alcotest.(check int) "trace ids unique" 64 (List.length (List.sort_uniq compare ids));
+      Alcotest.(check bool) "every retained trace is findable" true
+        (List.for_all (fun id -> Span.find id <> None) ids))
 
 (* ---- end-to-end: one statement, one trace, spans from every layer ------ *)
 
@@ -201,42 +199,69 @@ let test_span_tree_over_tcp () =
 
 let test_slow_log_threshold () =
   let file = Filename.temp_file "sedna_slow" ".jsonl" in
-  Slow_log.clear ();
-  Slow_log.set_threshold 0.;
-  Slow_log.set_file (Some file);
+  Span.clear_slow ();
+  Span.set_slow_threshold 0.;
+  Span.set_slow_file (Some file);
   Fun.protect
     ~finally:(fun () ->
-      Slow_log.set_threshold 1.0;
-      Slow_log.set_file None;
-      Slow_log.clear ();
+      Span.set_slow_threshold 1.0;
+      Span.set_slow_file None;
+      Span.clear_slow ();
       Sys.remove file)
     (fun () ->
       Test_util.with_db (fun db ->
           ignore (Test_util.load db "d" "<r><x/></r>");
           ignore (Test_util.exec db {|count(doc("d")//x)|}));
-      let entries = Slow_log.dump () in
+      let slow = Span.slow () in
       Alcotest.(check bool) "threshold 0 records every statement" true
-        (List.length entries >= 1);
-      let e = List.hd (List.rev entries) in
-      Alcotest.(check bool) "entry carries a trace id" true
-        (String.length e.Slow_log.sl_trace > 0);
+        (List.length slow >= 1);
+      let id, spans = List.hd slow in
+      Alcotest.(check bool) "entry carries a trace id" true (String.length id > 0);
       Alcotest.(check bool) "entry has a span breakdown" true
-        (e.Slow_log.sl_spans <> []);
+        (List.exists (fun sp -> sp.Span.sp_name = "eval") spans);
       Alcotest.(check bool) "entry keeps the statement text" true
-        (e.Slow_log.sl_text <> "");
+        (List.exists
+           (fun sp ->
+             match List.assoc_opt "text" sp.Span.sp_annots with
+             | Some (Metrics.Str t) -> t <> ""
+             | _ -> false)
+           spans);
       let ic = open_in file in
       let line = input_line ic in
       close_in ic;
-      Alcotest.(check bool) "file sink got a JSON line" true
-        (String.length line > 2 && line.[0] = '{');
+      Alcotest.(check bool) "file sink got a JSON line with its trace" true
+        (String.length line > 10 && String.sub line 0 10 = {|{"trace":"|});
       (* above the threshold nothing is recorded *)
-      Slow_log.clear ();
-      Slow_log.set_threshold 3600.;
+      Span.clear_slow ();
+      Span.set_slow_threshold 3600.;
       Test_util.with_db (fun db ->
           ignore (Test_util.load db "d" "<r/>");
           ignore (Test_util.exec db {|count(doc("d"))|}));
-      Alcotest.(check int) "fast statements stay out" 0
-        (List.length (Slow_log.dump ())))
+      Alcotest.(check int) "fast statements stay out" 0 (List.length (Span.slow ())))
+
+(* ---- gauges survive a counter reset ----------------------------------- *)
+
+let test_reset_keeps_gauges () =
+  Test_util.with_db (fun db ->
+      Database.enter_degraded db "test: disk full";
+      Fun.protect
+        ~finally:(fun () -> Database.exit_degraded db)
+        (fun () ->
+          Counters.reset_all ();
+          Alcotest.(check int) "still degraded after reset" 1
+            (Counters.get Counters.degraded_state);
+          let body = Mh.render_metrics [] in
+          let has sub =
+            let n = String.length body and m = String.length sub in
+            let rec at i = i + m <= n && (String.sub body i m = sub || at (i + 1)) in
+            at 0
+          in
+          Alcotest.(check bool) "degraded gauge exported as 1" true
+            (has "# TYPE sedna_degraded_state gauge\nsedna_degraded_state 1\n");
+          Alcotest.(check bool) "standby gauges typed as gauges" true
+            (has "# TYPE sedna_repl_standby_connected gauge\n"
+            && has "# TYPE sedna_repl_standby_epoch gauge\n"
+            && not (has "# TYPE sedna_repl_standby_connected counter"))))
 
 (* ---- metrics endpoint -------------------------------------------------- *)
 
@@ -397,12 +422,13 @@ let suite =
     Alcotest.test_case "nested spans become a tree" `Quick test_span_tree_local;
     Alcotest.test_case "disabled tracing creates nothing" `Quick
       test_disabled_is_free;
-    Alcotest.test_case "trace ring survives 4 concurrent writers" `Quick
-      test_trace_ring_concurrent;
+    Alcotest.test_case "span store under concurrent publish" `Quick
+      test_store_concurrent;
     Alcotest.test_case "one statement, one trace, spans from every layer"
       `Quick test_span_tree_over_tcp;
     Alcotest.test_case "slow-statement log honors its threshold" `Quick
       test_slow_log_threshold;
+    Alcotest.test_case "counter reset keeps gauges" `Quick test_reset_keeps_gauges;
     Alcotest.test_case "metrics endpoint speaks Prometheus" `Quick
       test_metrics_endpoint;
     Alcotest.test_case "prometheus name sanitation" `Quick test_prom_name;

@@ -47,7 +47,7 @@ let test_counters_concurrent () =
 (* Every record is flushed as it is written: a tail of the sink file
    must show the statement immediately, not after some later close. *)
 let test_slow_log_tail_visible () =
-  let saved = Slow_log.threshold () in
+  let saved = Span.slow_threshold () in
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "sedna-slowlog-%d.jsonl" (Unix.getpid ()))
@@ -55,15 +55,19 @@ let test_slow_log_tail_visible () =
   if Sys.file_exists path then Sys.remove path;
   Fun.protect
     ~finally:(fun () ->
-      Slow_log.set_file None;
-      Slow_log.set_threshold saved;
+      Span.set_slow_file None;
+      Span.set_slow_threshold saved;
+      Span.clear_slow ();
       if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      Slow_log.set_threshold 0.;
-      Slow_log.set_file (Some path);
+      Span.set_slow_threshold 0.;
+      Span.set_slow_file (Some path);
       let observe text =
-        Slow_log.observe ~trace:"" ~session:1 ~text ~kind:"query" ~ok:true
-          ~cached:false ~total_s:0.5 ~spans:[ ("eval", 480.) ]
+        let cx = Option.get (Span.make ()) in
+        let sp = Span.start cx "statement" in
+        Span.finish cx ~annots:[ ("text", Metrics.Str text) ] sp;
+        Span.mark_slow cx;
+        Span.publish cx
       in
       let read_all () =
         let ic = open_in_bin path in
