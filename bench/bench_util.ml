@@ -49,7 +49,7 @@ let fresh_db ?(buffer_frames = 1024) () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "sedna-bench-%d-%f" (Unix.getpid ()) (Unix.gettimeofday ()))
   in
-  if Sys.file_exists dir then ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+  Sedna_util.Sysutil.rm_rf dir;
   Sedna_core.Database.create ~buffer_frames dir
 
 let load_events db name events =

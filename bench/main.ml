@@ -620,7 +620,7 @@ let e12 () =
           (Printf.sprintf "sedna-rec-%d-%d" (Unix.getpid ()) updates)
       in
       if Sys.file_exists dir then
-        ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+        Sedna_util.Sysutil.rm_rf dir;
       let db2 = Sedna_core.Database.create dir in
       ignore (load_events db2 "b" (Sedna_workloads.Generators.library ~books:50 ()));
       Sedna_core.Database.checkpoint db2;
@@ -771,7 +771,7 @@ let e14 () =
       (Printf.sprintf "sedna-bench-srv-%d-%f" (Unix.getpid ())
          (Unix.gettimeofday ()))
   in
-  if Sys.file_exists dir then ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+  Sedna_util.Sysutil.rm_rf dir;
   let g = G.create () in
   ignore (G.create_database g ~name:"main" ~dir);
   let srv =
@@ -958,7 +958,7 @@ let e15 () =
       (Printf.sprintf "sedna-bench-repl-%d-%f" (Unix.getpid ())
          (Unix.gettimeofday ()))
   in
-  if Sys.file_exists base then ignore (Sys.command ("rm -rf " ^ Filename.quote base));
+  Sedna_util.Sysutil.rm_rf base;
   Unix.mkdir base 0o755;
   let gov_p = G.create () and gov_s = G.create () in
   let db =
@@ -1184,7 +1184,7 @@ let e15 () =
   end;
   Server.stop srv_s;
   Recv.stop recv;
-  ignore (Sys.command ("rm -rf " ^ Filename.quote base))
+  Sedna_util.Sysutil.rm_rf base
 
 (* ------------------------------------------------------------------ *)
 (* E17 — group commit: write throughput vs writer concurrency         *)
@@ -1212,7 +1212,7 @@ let e17 () =
            writers (Unix.gettimeofday ()))
     in
     if Sys.file_exists dir then
-      ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+      Sedna_util.Sysutil.rm_rf dir;
     let g = G.create () in
     let db = G.create_database g ~name:"main" ~dir in
     let doc w = Printf.sprintf "log%d" w in
@@ -1252,7 +1252,7 @@ let e17 () =
     in
     let syncs = Sedna_util.Counters.get Sedna_util.Counters.wal_syncs - syncs0 in
     G.shutdown g;
-    ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+    Sedna_util.Sysutil.rm_rf dir;
     if !failures > 0 then begin
       pf "  E17 FAILED: %d writers errored\n" !failures;
       exit 1
@@ -1284,38 +1284,29 @@ let e17 () =
 (* CRASH — crash-recovery matrix (crash-safety hardening)              *)
 (* ------------------------------------------------------------------ *)
 
-(* Drives the Crashkit workload once per fault spec and exits nonzero
-   on any durability/integrity failure, so CI can gate on it.  With
-   SEDNA_FAULT set ("<site>:<policy>[,...]") only those specs run;
-   otherwise every registered site is crossed with crash/torn/fail. *)
+(* One Drill run per fault spec; exits nonzero on any durability or
+   integrity failure, so CI can gate on it.  With SEDNA_FAULT set
+   ("<site>:<policy>[,...]") only those specs run; otherwise every
+   registered site is crossed with crash/torn/fail/enospc.  [repl.*]
+   specs run on a primary/standby pair, the rest on a single node. *)
 let crash () =
   header "CRASH  crash-recovery matrix"
     "acked commits survive an injected crash at every fault site; \
      injected I/O failures abort cleanly";
-  let dir_prefix =
+  let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "sedna-crash-%d" (Unix.getpid ()))
   in
   let ops = if quick () then 8 else 24 in
-  (* repl.* sites need a live primary/standby pair, not the single-node
-     workload: dispatch them to the replication harness *)
-  let dispatch spec =
-    if String.starts_with ~prefix:"repl." spec then
-      Sedna_replication.Repl_crashkit.run_spec ~dir:(dir_prefix ^ "-repl-env") spec
-    else Sedna_db.Crashkit.run_spec ~ops ~dir:(dir_prefix ^ "-env") spec
-  in
-  let outcomes =
+  let specs =
     match Sys.getenv_opt Sedna_util.Fault.env_var with
     | Some specs when String.trim specs <> "" ->
-      List.map (fun spec -> dispatch (String.trim spec))
-        (String.split_on_char ',' specs)
-    | _ ->
-      Sedna_db.Crashkit.run_matrix ~ops ~dir_prefix ()
-      @ Sedna_replication.Repl_crashkit.run_matrix
-          ~dir_prefix:(dir_prefix ^ "-repl") ()
+      List.map String.trim (String.split_on_char ',' specs)
+    | _ -> Sedna_replication.Drill.specs ()
   in
-  List.iter (fun o -> pf "  %s\n" (Sedna_db.Crashkit.render o)) outcomes;
-  let failed = List.filter (fun o -> not (Sedna_db.Crashkit.ok o)) outcomes in
+  let outcomes = List.map (Sedna_replication.Drill.run ~ops ~dir) specs in
+  List.iter (fun o -> pf "  %s\n" (Sedna_replication.Drill.render o)) outcomes;
+  let failed = List.filter (fun o -> not (Sedna_replication.Drill.ok o)) outcomes in
   pf "\n  %d/%d specs passed\n"
     (List.length outcomes - List.length failed)
     (List.length outcomes);
@@ -1330,16 +1321,17 @@ let crash () =
 (* CHAOS — network chaos drills (robustness hardening)                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The Chaoskit matrix: concurrent wire clients under one seeded
-   network fault flavor per cell, a mid-run promotion in every cell,
-   and a hard exit on any invariant violation so CI can gate on it.
-   SEDNA_CHAOS_SEED replays a different (or a failed) schedule;
-   SEDNA_NETFAULT restricts the run to the named cells/specs. *)
+(* The chaos cells: concurrent wire clients under one seeded network
+   fault flavor per cell, a mid-run promotion in every cell, and a hard
+   exit on any invariant violation so CI can gate on it.
+   SEDNA_CHAOS_SEED replays a different (or a failed) schedule; cell k
+   runs with seed + k.  SEDNA_NETFAULT restricts the run to the named
+   cells/specs. *)
 let chaos () =
   header "CHAOS network chaos drills — fencing and acked-commit safety"
     "concurrent clients under seeded network faults with a mid-run \
      promotion: no acked commit lost, no write acked past the fence";
-  let dir_prefix =
+  let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "sedna-chaos-%d" (Unix.getpid ()))
   in
@@ -1355,14 +1347,17 @@ let chaos () =
     match Sys.getenv_opt Sedna_util.Netfault.env_var with
     | Some specs when String.trim specs <> "" ->
       List.map String.trim (String.split_on_char ',' specs)
-    | _ -> Sedna_replication.Chaoskit.default_cells
+    | _ -> Sedna_replication.Drill.cells
   in
   let outcomes =
-    Sedna_replication.Chaoskit.run_matrix ~clients ~ops ~seed ~cells ~dir_prefix ()
+    List.mapi
+      (fun k cell ->
+        Sedna_replication.Drill.run ~clients ~ops ~seed:(seed + k) ~dir cell)
+      cells
   in
-  List.iter (fun o -> pf "  %s\n" (Sedna_replication.Chaoskit.render o)) outcomes;
+  List.iter (fun o -> pf "  %s\n" (Sedna_replication.Drill.render o)) outcomes;
   let failed =
-    List.filter (fun o -> not (Sedna_replication.Chaoskit.ok o)) outcomes
+    List.filter (fun o -> not (Sedna_replication.Drill.ok o)) outcomes
   in
   pf "\n  %d/%d cells passed\n"
     (List.length outcomes - List.length failed)
@@ -1405,7 +1400,7 @@ let heal () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "sedna-heal-%d" (Unix.getpid ()))
   in
-  ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+  Sedna_util.Sysutil.rm_rf dir;
   Unix.mkdir dir 0o755;
   Sedna_util.Fault.disarm_all ();
   let failures = ref [] in
@@ -1413,8 +1408,6 @@ let heal () =
   (* small pool: the victims must be evicted (absent) when corrupted,
      so their repair cannot come from a resident frame *)
   let db = D.create ~buffer_frames:16 (Filename.concat dir "primary") in
-  let gov_p = G.create () and gov_s = G.create () in
-  G.register_database gov_p ~name:"db" db;
   let s0 = Sedna_db.Session.connect db in
   let run q = ignore (Sedna_db.Session.execute s0 q) in
   List.iter
@@ -1445,22 +1438,13 @@ let heal () =
          i pad)
   done;
   (* ---- replication pair; the standby also serves page fetches ------ *)
-  let sender = Sedna_replication.Repl_sender.start ~gov:gov_p db in
-  let recv =
-    Sedna_replication.Repl_receiver.start ~poll_s:0.005 ~gov:gov_s ~name:"db"
-      ~dir:(Filename.concat dir "standby") ~host:"127.0.0.1"
-      ~port:(Sedna_replication.Repl_sender.port sender) ()
-  in
-  let epoch0 = Sedna_core.Wal.epoch (D.wal db)
-  and pos0 = Sedna_core.Wal.size (D.wal db) in
-  if
-    not
-      (Sedna_replication.Repl_receiver.wait_caught_up recv ~epoch:epoch0
-         ~pos:pos0)
-  then fail "standby never caught up";
+  let pair = Sedna_replication.Drill.start_pair ~dir db in
+  let gov_p = pair.gov_p in
+  if not (Sedna_replication.Drill.caught_up pair) then
+    fail "standby never caught up";
   let page_srv =
-    Sedna_replication.Repl_sender.start_source ~gov:gov_s (fun () ->
-        Sedna_replication.Repl_receiver.database recv)
+    Sedna_replication.Repl_sender.start_source ~gov:pair.gov_s (fun () ->
+        Sedna_replication.Repl_receiver.database pair.standby)
   in
   (* ---- pick the victims -------------------------------------------- *)
   (* warm the hot document first so every page the client mix can touch
@@ -1469,22 +1453,13 @@ let heal () =
   run {|count(doc("hot")/hot)|};
   let fs = Sedna_core.Buffer_mgr.store (D.buffer db) in
   let wal_pids =
-    let tbl = Hashtbl.create 32 and committed = Hashtbl.create 32 in
-    let records =
-      Sedna_core.Wal.read_all (Filename.concat (D.directory db) "wal.sdb")
-    in
+    let tbl = Hashtbl.create 32 in
     List.iter
       (function
-        | Sedna_core.Wal.Commit (t, _) -> Hashtbl.replace committed t true
-        | Sedna_core.Wal.Abort t -> Hashtbl.remove committed t
+        | Sedna_core.Wal.Image (_, pid, _) -> Hashtbl.replace tbl pid ()
         | _ -> ())
-      records;
-    List.iter
-      (function
-        | Sedna_core.Wal.Image (t, pid, _) when Hashtbl.mem committed t ->
-          Hashtbl.replace tbl pid true
-        | _ -> ())
-      records;
+      (Sedna_core.Wal.committed
+         (Sedna_core.Wal.read_all (Filename.concat (D.directory db) "wal.sdb")));
     tbl
   in
   let npages = Sedna_core.File_store.page_count fs in
@@ -1504,27 +1479,14 @@ let heal () =
         ( pick (fun pid -> Hashtbl.mem wal_pids pid),
           pick (fun pid -> not (Hashtbl.mem wal_pids pid)) ))
   in
-  let flip pid =
-    let fd = Unix.openfile (Sedna_core.File_store.path fs) [ Unix.O_RDWR ] 0 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        let off = (pid * Sedna_core.Page.page_size) + 256 in
-        ignore (Unix.lseek fd off Unix.SEEK_SET);
-        let b = Bytes.create 1 in
-        ignore (Unix.read fd b 0 1);
-        Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-        ignore (Unix.lseek fd off Unix.SEEK_SET);
-        ignore (Unix.write fd b 0 1))
-  in
   let wal0 = C.get C.scrub_repaired_wal
   and sb0 = C.get C.scrub_repaired_standby in
   (match (victim_wal, victim_sb) with
    | Some a, Some b ->
      pf "  victims: page %d (WAL repair), page %d (standby repair); %d pages total\n"
        a b npages;
-     flip a;
-     flip b
+     Sedna_replication.Drill.flip_byte db a;
+     Sedna_replication.Drill.flip_byte db b
    | _ ->
      fail "no victim pages found (wal=%b standby=%b)" (victim_wal <> None)
        (victim_sb <> None));
@@ -1687,12 +1649,9 @@ let heal () =
   Sedna_util.Fault.disarm_all ();
   Sedna_core.Watchdog.stop wd;
   Server.stop ~shutdown_governor:false srv;
-  Sedna_replication.Repl_receiver.stop recv;
   Sedna_replication.Repl_sender.stop page_srv;
-  Sedna_replication.Repl_sender.stop sender;
-  (try G.shutdown gov_s with _ -> ());
-  (try G.shutdown gov_p with _ -> ());
-  ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+  Sedna_replication.Drill.stop_pair pair;
+  Sedna_util.Sysutil.rm_rf dir;
   record_int "heal.failures" (List.length !failures + !client_failures);
   if !failures <> [] || !client_failures > 0 then begin
     List.iter (fun m -> pf "  - %s\n" m) (List.rev !failures);

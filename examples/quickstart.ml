@@ -17,7 +17,7 @@ let figure2 =
 
 let () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "sedna-quickstart" in
-  if Sys.file_exists dir then ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+  Sedna_util.Sysutil.rm_rf dir;
 
   (* 1. create a database and connect a session *)
   let db = Database.create dir in

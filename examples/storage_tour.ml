@@ -8,7 +8,7 @@ open Sedna_core
 
 let () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "sedna-tour" in
-  if Sys.file_exists dir then ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+  Sedna_util.Sysutil.rm_rf dir;
   let db = Database.create dir in
   let session = Sedna_db.Session.connect db in
   let exec q = Sedna_db.Session.execute_string session q in

@@ -15,10 +15,7 @@ let () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "sedna-bank" in
   let backup = dir ^ "-backup" in
   let restored = dir ^ "-restored" in
-  List.iter
-    (fun d ->
-      if Sys.file_exists d then ignore (Sys.command ("rm -rf " ^ Filename.quote d)))
-    [ dir; backup; restored ];
+  List.iter Sedna_util.Sysutil.rm_rf [ dir; backup; restored ];
 
   let db = Database.create dir in
   let session = Sedna_db.Session.connect db in
@@ -63,7 +60,7 @@ let () =
   Printf.printf "after rollback: %s\n" (exec balance_query);
 
   (* --- hot backup while running -------------------------------------- *)
-  Backup.full db ~dest:backup;
+  ignore (Backup.full db ~dest:backup);
 
   (* --- crash and recover --------------------------------------------- *)
   ignore

@@ -43,7 +43,8 @@ let ensure_dir d = if not (Sys.file_exists d) then Unix.mkdir d 0o755
 
 (* Full hot backup into [dest].  The WAL epoch at backup time is
    recorded alongside the copied log: increments are only meaningful
-   while the live log is still the same one the base copy fixated. *)
+   while the live log is still the same one the base copy fixated.
+   Returns the (epoch, position) the copied log ends at. *)
 let full db ~dest =
   ensure_dir dest;
   let dir = Database.directory db in
@@ -53,13 +54,17 @@ let full db ~dest =
     (Filename.concat dir "data.sdb.cksum")
     (Filename.concat dest "data.sdb.cksum");
   (* 2. fixate and copy the log *)
-  copy_file (Filename.concat dir "wal.sdb") (Filename.concat dest "wal.sdb");
+  let ((epoch, _) as tip) =
+    Wal.fixate (Database.wal db) (fun () ->
+        copy_file (Filename.concat dir "wal.sdb") (Filename.concat dest "wal.sdb"))
+  in
   Sysutil.write_file_durable
     (Filename.concat dest "wal.sdb.epoch")
-    (string_of_int (Wal.epoch (Database.wal db)));
+    (string_of_int epoch);
   (* 3. additional files: the checkpointed catalog *)
   copy_file (Filename.concat dir "catalog.sdb")
-    (Filename.concat dest "catalog.sdb")
+    (Filename.concat dest "catalog.sdb");
+  tip
 
 (* Incremental hot backup: only the log (and catalog) since the base
    backup.  Increment [n] is stored as wal.<n>.sdb in the backup dir. *)

@@ -9,7 +9,10 @@
     Increments are valid until the next checkpoint truncates the log;
     take a fresh full backup after checkpointing. *)
 
-val full : Database.t -> dest:string -> unit
+val full : Database.t -> dest:string -> int * int
+(** Returns the [(epoch, position)] the copied log ends at: the log is
+    copied under its writer cursor ({!Wal.fixate}), so the copy holds
+    exactly the frames below that position. *)
 
 val incremental : Database.t -> dest:string -> seq:int -> unit
 (** Adds [wal.<seq>.sdb] / [catalog.<seq>.sdb] to an existing full

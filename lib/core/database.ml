@@ -291,23 +291,12 @@ let create ?(buffer_frames = 256) dir =
    and adopts the last committed catalog. *)
 let recover db =
   let records = Wal.read_all (wal_path db.dir) in
-  (* find committed transaction ids.  An Abort *after* a Commit undoes
-     it: that sequence appears when the commit's fsync failed and the
-     engine rolled the transaction back — it was never acknowledged, so
-     replaying it would resurrect aborted state. *)
-  let committed = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Wal.Commit (txn, _) -> Hashtbl.replace committed txn true
-      | Wal.Abort txn -> Hashtbl.remove committed txn
-      | _ -> ())
-    records;
+  let committed = Wal.committed records in
   let replayed = ref 0 in
-  let skipped = ref 0 in
   let last_catalog = ref None in
   List.iter
     (function
-      | Wal.Image (txn, pid, img) when Hashtbl.mem committed txn ->
+      | Wal.Image (_, pid, img) ->
         (* the data file may be shorter than the replayed page set *)
         while File_store.page_count db.fs <= pid do
           ignore (File_store.allocate db.fs)
@@ -319,11 +308,13 @@ let recover db =
            replays them again. *)
         Buffer_mgr.overwrite_page db.bm pid img;
         incr replayed
-      | Wal.Image (_, _, _) -> incr skipped
-      | Wal.Commit (txn, Some blob) when Hashtbl.mem committed txn ->
-        last_catalog := Some blob
+      | Wal.Commit (_, Some blob) -> last_catalog := Some blob
       | _ -> ())
-    records;
+    committed;
+  let skipped =
+    List.length (List.filter (function Wal.Image _ -> true | _ -> false) records)
+    - !replayed
+  in
   (match !last_catalog with
    | Some blob ->
      let p = Catalog.deserialize blob in
@@ -332,7 +323,7 @@ let recover db =
      File_store.set_free_list db.fs p.Catalog.p_free_pages
    | None -> ());
   Counters.bump ~n:!replayed Counters.recovery_redo;
-  Counters.bump ~n:!skipped Counters.recovery_skip;
+  Counters.bump ~n:skipped Counters.recovery_skip;
   !replayed
 
 let open_existing ?(buffer_frames = 256) dir =

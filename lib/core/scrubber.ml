@@ -66,26 +66,16 @@ type t = {
 let create ?(pages_per_sec = 0) ?fetch ?(lock = fun f -> f ()) db =
   { db; lock; fetch; pages_per_sec; stop_flag = false; thread = None }
 
-(* Latest committed after-image for [pid] still present in the WAL.
-   Same commit/abort discipline as recovery: an Abort *after* a Commit
-   undoes it (unacked commit whose fsync failed), so its images must
-   not be used as a repair source. *)
+(* Latest committed after-image for [pid] still present in the WAL —
+   the images recovery would replay ({!Wal.committed}), so an unacked
+   commit whose fsync failed is never used as a repair source. *)
 let wal_image db pid =
-  let records = Wal.read_all (Filename.concat (Database.directory db) "wal.sdb") in
-  let committed = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Wal.Commit (txn, _) -> Hashtbl.replace committed txn true
-      | Wal.Abort txn -> Hashtbl.remove committed txn
-      | _ -> ())
-    records;
   List.fold_left
     (fun acc r ->
-      match r with
-      | Wal.Image (txn, p, img) when p = pid && Hashtbl.mem committed txn ->
-        Some img
-      | _ -> acc)
-    None records
+      match r with Wal.Image (_, p, img) when p = pid -> Some img | _ -> acc)
+    None
+    (Wal.committed
+       (Wal.read_all (Filename.concat (Database.directory db) "wal.sdb")))
 
 (* Lock-free suspicion scan of one page through the scrubber's own
    descriptor.  [true] = worth confirming under the lock.  A short read

@@ -182,17 +182,18 @@ let append_group t records =
       List.iter (append_unlocked t) records;
       t.size)
 
-(* The log tip as of a moment when no append is mid-frame: [size] is
-   only advanced after a frame's bytes are fully written, so every byte
-   at or below the returned position is in the file (though not
-   necessarily fsynced).  A file copy taken *after* this read therefore
-   contains every frame the position covers.  The seed path records
-   this as the standby's resume position *before* copying: a commit
-   racing the copy can only leave the copy ahead of the recorded
-   position — harmless, since the standby replays its local log and
-   re-pulls idempotently — never behind it, which would lose the
-   commit on the standby forever. *)
-let stable_tip t = with_writer t (fun () -> (t.epoch, t.size))
+(* Run [f] with the log fixated: the writer cursor is held, so no
+   append can start or be mid-frame and the file holds exactly [size]
+   bytes while [f] copies it.  Returns the [(epoch, size)] the copy
+   ends at.  The seed path resumes a standby from exactly that
+   position: a copy that ended earlier would lose the frames between
+   its end and the position, and one that ended later would make the
+   standby replay those frames locally and then apply them again from
+   the stream. *)
+let fixate t f =
+  with_writer t (fun () ->
+      f ();
+      (t.epoch, t.size))
 
 let sync t =
   Fault.check sync_site;
@@ -240,6 +241,25 @@ let scan path =
 
 (* Read all well-formed records from the log file at [path]. *)
 let read_all path = fst (scan path)
+
+(* The Image and Commit records of committed transactions, in log
+   order.  An Abort *after* a Commit undoes it: that sequence appears
+   when the commit's fsync failed and the engine rolled the transaction
+   back — it was never acknowledged, so replaying it would resurrect
+   aborted state. *)
+let committed records =
+  let ok = Hashtbl.create 16 in
+  List.iter
+    (function
+      | Commit (txn, _) -> Hashtbl.replace ok txn ()
+      | Abort txn -> Hashtbl.remove ok txn
+      | _ -> ())
+    records;
+  List.filter
+    (function
+      | Image (txn, _, _) | Commit (txn, _) -> Hashtbl.mem ok txn
+      | _ -> false)
+    records
 
 (* Streaming cursor: decoded records from the frame boundary [pos]
    onward, each paired with the position just past its frame — the

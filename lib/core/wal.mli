@@ -37,6 +37,11 @@ val read_all : string -> record list
 (** All well-formed records from the start of the file; a torn tail is
     silently dropped. *)
 
+val committed : record list -> record list
+(** The [Image] and [Commit] records of committed transactions, in log
+    order.  An [Abort] after a [Commit] undoes it (the commit's fsync
+    failed and the engine rolled back): that transaction is dropped. *)
+
 val reset : t -> unit
 (** Truncate after a checkpoint made the log redundant.  Bumps the
     {!epoch}: positions handed out before the reset are invalid and a
@@ -58,13 +63,12 @@ val close : t -> unit
 val epoch : t -> int
 (** Generation id of the open log. *)
 
-val stable_tip : t -> int * int
-(** [(epoch, size)] read under the writer cursor, so no append is
-    mid-frame: every byte at or below the returned position is fully
-    written to the log file (though not necessarily fsynced).  The
-    backup/seed path records this as the resume position {e before}
-    copying the log, so a commit racing the copy can only leave the
-    copy ahead of the recorded position, never behind it. *)
+val fixate : t -> (unit -> unit) -> int * int
+(** [fixate t f] runs [f] under the writer cursor — no append can start
+    or be mid-frame, so the log file holds exactly [size] bytes while
+    [f] runs — and returns [(epoch, size)].  The backup/seed path copies
+    the log inside [f], so the copy ends exactly at the returned
+    position. *)
 
 val read_epoch : string -> int
 (** Epoch recorded in the sidecar file next to the log at this path;

@@ -110,10 +110,6 @@ type t = {
   mutable apply_thread : Thread.t option;
 }
 
-let rm_rf dir =
-  if Sys.file_exists dir then
-    ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
-
 let state_path dir = Filename.concat dir "repl.state"
 
 (* third field (cluster epoch) added later: absent in state files
@@ -178,7 +174,7 @@ let read_response_timed t fd =
    design), and a rename moves the stage into place. *)
 let install_seed t files =
   let stage = t.dir ^ ".seed" in
-  rm_rf stage;
+  Sysutil.rm_rf stage;
   Unix.mkdir stage 0o755;
   List.iter
     (fun (name, data) ->
@@ -189,7 +185,7 @@ let install_seed t files =
   (match t.db with
    | Some old -> ( try Database.crash old with _ -> ())
    | None -> ());
-  rm_rf t.dir;
+  Sysutil.rm_rf t.dir;
   Unix.rename stage t.dir;
   Sysutil.fsync_dir (Filename.dirname t.dir);
   (* opening replays the shipped WAL, giving the exact state the
@@ -219,6 +215,15 @@ let seed t fd =
   Counters.bump Counters.repl_reseeds;
   Hashtbl.reset t.pending;
   Hashtbl.reset t.shipped_open;
+  (* the seed position can fall inside a transaction: its Begin is in
+     the seeded log, its images and Commit are still to be shipped, so
+     it is open as far as the durable boundary is concerned *)
+  List.iter
+    (function
+      | Wal.Begin id -> Hashtbl.replace t.shipped_open id ()
+      | Wal.Commit (id, _) | Wal.Abort id -> Hashtbl.remove t.shipped_open id
+      | _ -> ())
+    (Wal.read_all (Wal.path (Database.wal (Option.get t.db))));
   t.epoch <- epoch;
   Counters.set Counters.repl_standby_epoch epoch;
   t.pos <- pos;
@@ -227,15 +232,19 @@ let seed t fd =
 
 (* ---- continuous apply (stage 2: the apply thread) --------------------- *)
 
+(* The pending entry opens on a transaction's first image, not on its
+   Begin: a seed whose position falls inside a transaction ships the
+   Begin in the seed's log and the images in the stream.  A Begin still
+   clears any stale entry under its id. *)
 let apply_batch t db records =
   List.iter
     (fun (r, _end_off) ->
       match r with
-      | Wal.Begin id -> Hashtbl.replace t.pending id (ref [])
+      | Wal.Begin id -> Hashtbl.remove t.pending id
       | Wal.Image (id, pid, img) -> (
         match Hashtbl.find_opt t.pending id with
         | Some l -> l := (pid, img) :: !l
-        | None -> ())
+        | None -> Hashtbl.replace t.pending id (ref [ (pid, img) ]))
       | Wal.Logical _ -> ()
       | Wal.Commit (id, catalog_blob) ->
         let images =

@@ -13,9 +13,8 @@
 
    Re-seeding ships a full hot backup over the same connection
    (Seed_file per file, then Seed_done with the (epoch, position)
-   streaming resumes from).  The resume position is captured under the
-   WAL writer cursor *before* the files are copied, so the shipped log
-   always covers it — see the ordering argument at {!serve_seed}.
+   streaming resumes from).  The resume position is the exact end of
+   the shipped log — see {!serve_seed}.
 
    Reading the live WAL file concurrently with appends is safe without
    the engine lock: only whole checksum-valid frames are shipped, so a
@@ -50,10 +49,6 @@ type t = {
 
 let port t = t.bound_port
 
-let rm_rf dir =
-  if Sys.file_exists dir then
-    ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
-
 let read_file path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
@@ -63,25 +58,27 @@ let read_file path =
 
 (* Ship a transaction-consistent full backup.
 
-   The resume position is captured *before* the files are copied — the
-   copy order, not a lock, is what makes the seed safe.  Embedded
-   sessions commit without holding the engine lock, so a commit can
-   always land during the copy; with position-first ordering the copied
-   log can only be *ahead* of the recorded position (the standby
-   replays its local log on open and re-pulls from the position — apply
-   is idempotent, so being ahead is harmless).  The reverse order loses
-   the slid commit on the standby forever: the position covers it but
-   the shipped log does not, so it is never pulled and never applied.
-   A checkpoint truncating the log mid-copy invalidates the captured
-   position; the epoch re-check catches that and retries. *)
+   The resume position is the exact end of the shipped log: Backup.full
+   copies the log under the WAL writer cursor ({!Wal.fixate}), so no
+   frame sits on both sides of it.  A log copy that ran past the
+   position would be replayed on open and then pulled and applied again
+   (a transaction applied twice); one that stopped short would lose
+   the frames in between forever.  A seed position can still fall
+   inside a transaction (its Begin shipped, its images not yet): the
+   receiver opens the pending entry on the first image for that.  A
+   checkpoint truncating the log between the data-file copy and the
+   log copy would pair old data with a new log; the epoch re-check
+   catches that and retries. *)
 let serve_seed t db conn_id fd =
   Logs.info (fun m -> m "replication sender: seeding standby (conn %d)" conn_id);
   let tmp = Database.directory db ^ Printf.sprintf ".seed%d" conn_id in
   let rec consistent_backup attempts =
-    rm_rf tmp;
-    let epoch, pos = Wal.stable_tip (Database.wal db) in
-    Governor.with_engine t.gov (fun () -> Backup.full db ~dest:tmp);
-    if Wal.epoch (Database.wal db) = epoch then (epoch, pos)
+    Sysutil.rm_rf tmp;
+    let epoch0 = Wal.epoch (Database.wal db) in
+    let ((epoch, _) as tip) =
+      Governor.with_engine t.gov (fun () -> Backup.full db ~dest:tmp)
+    in
+    if epoch = epoch0 && Wal.epoch (Database.wal db) = epoch then tip
     else if attempts <= 1 then
       Error.raise_error Error.Recovery_failure
         "seed backup kept racing checkpoint log truncations; giving up"
@@ -89,7 +86,7 @@ let serve_seed t db conn_id fd =
   in
   let epoch, pos = consistent_backup 5 in
   Fun.protect
-    ~finally:(fun () -> rm_rf tmp)
+    ~finally:(fun () -> Sysutil.rm_rf tmp)
     (fun () ->
       List.iter
         (fun name ->

@@ -68,3 +68,16 @@ let write_file_durable path data =
   Unix.close fd;
   Sys.rename tmp path;
   fsync_dir (Filename.dirname path)
+
+(* Remove a file or directory tree; a missing path is not an error.
+   Symlinks are removed, never followed. *)
+let rm_rf path =
+  let rec go p =
+    match (Unix.lstat p).Unix.st_kind with
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+    | Unix.S_DIR ->
+      Array.iter (fun n -> go (Filename.concat p n)) (Sys.readdir p);
+      Unix.rmdir p
+    | _ -> Unix.unlink p
+  in
+  go path

@@ -22,3 +22,7 @@ val is_resource_exhaustion : exn -> bool
 val write_file_durable : string -> string -> unit
 (** Write a file via tmp + fsync + rename + directory fsync, so a crash
     leaves either the old content or the new, never a torn mix. *)
+
+val rm_rf : string -> unit
+(** Remove a file or directory tree ([rm -rf]); a missing path is not
+    an error and symlinks are not followed. *)

@@ -3,7 +3,7 @@
 
 open Sedna_util
 open Sedna_core
-module Crashkit = Sedna_db.Crashkit
+module Drill = Sedna_replication.Drill
 
 (* Every storage layer registers its sites at module init, so the
    harness (and the CLI's \faults) can enumerate them. *)
@@ -128,43 +128,72 @@ let test_checksum_detects_flip () =
 (* Deterministic single-spec runs with sharper assertions than the
    matrix makes. *)
 let check_outcome o =
-  if not (Crashkit.ok o) then Alcotest.failf "%s" (Crashkit.render o)
+  if not (Drill.ok o) then Alcotest.failf "%s" (Drill.render o)
+
+let drill spec = Drill.run ~dir:(Test_util.fresh_dir ()) spec
 
 let test_crash_during_commit () =
-  let o = Crashkit.run_spec ~dir:(Test_util.fresh_dir ()) "wal.append:crash@5" in
+  let o = drill "wal.append:crash@5" in
   check_outcome o;
-  Alcotest.(check bool) "fired" true o.Crashkit.fired;
-  Alcotest.(check bool) "crashed" true (o.Crashkit.crashes >= 1);
-  Alcotest.(check int) "every acked commit recovered" o.Crashkit.acked
-    o.Crashkit.recovered
+  Alcotest.(check bool) "fired" true o.Drill.fired;
+  Alcotest.(check bool) "crashed" true (o.Drill.crashes >= 1);
+  Alcotest.(check int) "every acked commit recovered" 0 o.Drill.lost;
+  Alcotest.(check bool) "acked some work" true (o.Drill.acked > 0)
 
 let test_torn_page_write () =
-  let o =
-    Crashkit.run_spec ~dir:(Test_util.fresh_dir ()) "file_store.write:torn@2"
-  in
+  let o = drill "file_store.write:torn@2" in
   check_outcome o;
-  Alcotest.(check bool) "fired" true o.Crashkit.fired;
-  Alcotest.(check int) "every acked commit recovered" o.Crashkit.acked
-    o.Crashkit.recovered
+  Alcotest.(check bool) "fired" true o.Drill.fired;
+  Alcotest.(check int) "every acked commit recovered" 0 o.Drill.lost
 
 let test_crash_during_checkpoint () =
-  let o = Crashkit.run_spec ~dir:(Test_util.fresh_dir ()) "wal.reset:crash@1" in
+  let o = drill "wal.reset:crash@1" in
   check_outcome o;
-  Alcotest.(check bool) "fired" true o.Crashkit.fired
+  Alcotest.(check bool) "fired" true o.Drill.fired
 
 let test_crash_during_backup () =
-  let o = Crashkit.run_spec ~dir:(Test_util.fresh_dir ()) "backup.copy:crash@3" in
+  let o = drill "backup.copy:crash@3" in
   check_outcome o;
-  Alcotest.(check bool) "fired" true o.Crashkit.fired
+  Alcotest.(check bool) "fired" true o.Drill.fired
 
-(* The full matrix: every registered site crossed with crash/torn/fail
-   policies.  Durability and integrity must hold for every cell. *)
+(* A [repl.*] spec runs the primary/standby pair: the standby dies
+   mid-apply after the batch is acked, recovers in place, and the
+   promoted standby still holds every acked entry. *)
+let test_repl_spec () =
+  let o = drill "repl.batch_apply:crash@2" in
+  check_outcome o;
+  Alcotest.(check bool) "pair topology" true (o.Drill.kind = Drill.Pair);
+  Alcotest.(check bool) "fired" true o.Drill.fired;
+  Alcotest.(check bool) "re-seeded mid-run" true (o.Drill.reseeds >= 2);
+  Alcotest.(check int) "every acked commit on the promoted standby" 0
+    o.Drill.lost
+
+(* [Fault.arm] registers any name, so a misspelled spec would arm a site
+   nothing ever hits and pass without testing anything. *)
+let test_unknown_site () =
+  let o = drill "wal.apend:crash@2" in
+  Alcotest.(check bool) "refused" false (Drill.ok o);
+  Alcotest.(check bool) "names the unknown site" true
+    (List.exists
+       (fun f -> String.starts_with ~prefix:"unknown fault site" f)
+       o.Drill.failures);
+  Alcotest.(check int) "nothing ran" 0 o.Drill.attempted
+
+(* The full single-node matrix: every registered non-replication site
+   crossed with the crash/torn/fail/enospc policies.  Durability and
+   integrity must hold for every cell. *)
 let test_crash_matrix () =
-  let outcomes = Crashkit.run_matrix ~dir_prefix:(Test_util.fresh_dir ()) () in
-  Alcotest.(check bool) "matrix ran" true (List.length outcomes > 0);
+  let outcomes =
+    List.filter_map
+      (fun spec ->
+        if String.starts_with ~prefix:"repl." spec then None
+        else Some (drill spec))
+      (Drill.specs ())
+  in
+  Alcotest.(check bool) "matrix ran" true (List.length outcomes >= 48);
   List.iter check_outcome outcomes;
   Alcotest.(check bool) "policies fired" true
-    (List.exists (fun o -> o.Crashkit.fired) outcomes)
+    (List.exists (fun o -> o.Drill.fired) outcomes)
 
 let suite =
   [
@@ -182,5 +211,7 @@ let suite =
     Alcotest.test_case "crash during checkpoint" `Quick
       test_crash_during_checkpoint;
     Alcotest.test_case "crash during backup" `Quick test_crash_during_backup;
+    Alcotest.test_case "repl spec through the drill" `Quick test_repl_spec;
+    Alcotest.test_case "unknown fault site refused" `Quick test_unknown_site;
     Alcotest.test_case "crash matrix" `Slow test_crash_matrix;
   ]

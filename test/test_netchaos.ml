@@ -2,8 +2,8 @@
    grammar and its seeded triggers, the unified Retry backoff, torn
    mid-frame connections on both the statement and replication ports,
    cluster-epoch fencing at the database and over the wire, the
-   health endpoint's fenced/draining refusal, and one full Chaoskit
-   drill (partition + mid-run promotion). *)
+   health endpoint's fenced/draining refusal, and one full chaos drill
+   (partition + mid-run promotion). *)
 
 open Sedna_util
 open Sedna_core
@@ -14,6 +14,7 @@ module Mh = Sedna_server.Metrics_http
 module Sender = Sedna_replication.Repl_sender
 module Recv = Sedna_replication.Repl_receiver
 module G = Sedna_db.Governor
+module Drill = Sedna_replication.Drill
 
 let clean f =
   Fault.disarm_all ();
@@ -390,15 +391,11 @@ let test_chaos_partition_drill () =
         Filename.concat (Filename.get_temp_dir_name ())
           (Printf.sprintf "sedna-netchaos-%d" (Unix.getpid ()))
       in
-      let o =
-        Sedna_replication.Chaoskit.run_spec ~clients:2 ~ops:8 ~seed:11 ~dir
-          "partition"
-      in
-      if not (Sedna_replication.Chaoskit.ok o) then
-        Alcotest.fail (Sedna_replication.Chaoskit.render o);
-      Alcotest.(check bool) "acked some work" true (o.Sedna_replication.Chaoskit.acked > 0);
+      let o = Drill.run ~clients:2 ~ops:8 ~seed:11 ~dir "partition" in
+      if not (Drill.ok o) then Alcotest.fail (Drill.render o);
+      Alcotest.(check bool) "acked some work" true (o.Drill.acked > 0);
       Alcotest.(check bool) "failed over to the promoted standby" true
-        (o.Sedna_replication.Chaoskit.new_primary_acked > 0))
+        (o.Drill.new_primary_acked > 0))
 
 let suite =
   [

@@ -118,7 +118,7 @@ let test_backup_full_and_incremental () =
   let r2 = dir ^ "-restore2" in
   let db = Database.create dir in
   ignore (Test_util.load db "d" "<a><v>base</v></a>");
-  Backup.full db ~dest:bdir;
+  ignore (Backup.full db ~dest:bdir);
   ignore (Test_util.exec db {|UPDATE replace $v in doc("d")/a/v with <v>after1</v>|});
   Backup.incremental db ~dest:bdir ~seq:1;
   ignore (Test_util.exec db {|UPDATE replace $v in doc("d")/a/v with <v>after2</v>|});
@@ -143,7 +143,7 @@ let test_backup_pit_every_increment () =
   let increments = 4 in
   let db = Database.create dir in
   ignore (Test_util.load db "d" "<a><v>s0</v></a>");
-  Backup.full db ~dest:bdir;
+  ignore (Backup.full db ~dest:bdir);
   for i = 1 to increments do
     ignore
       (Test_util.exec db
@@ -176,7 +176,7 @@ let test_backup_incremental_refused_after_checkpoint () =
   let bdir = dir ^ "-bak" in
   let db = Database.create dir in
   ignore (Test_util.load db "d" "<a><v>base</v></a>");
-  Backup.full db ~dest:bdir;
+  ignore (Backup.full db ~dest:bdir);
   ignore (Test_util.exec db {|UPDATE replace $v in doc("d")/a/v with <v>x</v>|});
   Backup.incremental db ~dest:bdir ~seq:1;
   Database.checkpoint db;
@@ -194,7 +194,7 @@ let test_backup_incremental_refused_after_checkpoint () =
   Database.close dbr;
   (* a fresh full backup restarts the chain under the new epoch *)
   let bdir2 = dir ^ "-bak2" in
-  Backup.full db ~dest:bdir2;
+  ignore (Backup.full db ~dest:bdir2);
   ignore (Test_util.exec db {|UPDATE replace $v in doc("d")/a/v with <v>z</v>|});
   Backup.incremental db ~dest:bdir2 ~seq:1;
   let dbr2 = Backup.restore ~src:bdir2 ~dest:(dir ^ "-pit2") () in

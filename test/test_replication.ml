@@ -24,6 +24,7 @@ let with_pair ?(port = 0) ?max_batch f =
   Fault.disarm_all ();
   let pdir = Test_util.fresh_dir () in
   let sdir = pdir ^ "-standby" in
+  Sysutil.rm_rf sdir;
   let gov_p = Governor.create () in
   let gov_s = Governor.create () in
   let db = Governor.create_database gov_p ~name:"db" ~dir:pdir in
@@ -230,6 +231,45 @@ let test_promotion_idempotent () =
        | [] -> ()
        | es -> Alcotest.fail (String.concat "; " es)))
 
+(* A standby seeded while a write transaction is open: its Begin lies
+   before the seed's resume position, its images and Commit after it.
+   The standby must still receive those images — adopting the commit's
+   catalog without them leaves it pointing at pages it never got. *)
+let test_seed_mid_transaction () =
+  Fault.disarm_all ();
+  let pdir = Test_util.fresh_dir () in
+  let sdir = pdir ^ "-standby" in
+  Sysutil.rm_rf sdir;
+  let gov_p = Governor.create () and gov_s = Governor.create () in
+  let db = Governor.create_database gov_p ~name:"db" ~dir:pdir in
+  ignore (Test_util.load db "d" "<r/>");
+  insert db "before";
+  let sender = Sender.start ~gov:gov_p db in
+  let s = Session.connect db in
+  Session.begin_txn s;
+  let recv =
+    Recv.start ~poll_s:0.005 ~heartbeat_timeout_s:1.0 ~gov:gov_s ~name:"db"
+      ~dir:sdir ~host:"127.0.0.1" ~port:(Sender.port sender) ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Recv.stop recv;
+      Sender.stop sender;
+      (try Governor.shutdown gov_s with _ -> ());
+      try Governor.shutdown gov_p with _ -> ())
+    (fun () ->
+      (* the seed lands while the transaction is still open *)
+      caught_up db recv;
+      ignore (Session.execute s {|UPDATE insert <e>open</e> into doc("d")/r|});
+      Session.commit s;
+      caught_up db recv;
+      ignore (Recv.promote recv);
+      let sdb = standby_db recv in
+      Alcotest.(check string) "both commits, once each" "2" (count sdb);
+      match Integrity.check_document (Database.store sdb) "d" with
+      | [] -> ()
+      | es -> Alcotest.fail (String.concat "; " es))
+
 (* ---- heartbeat timeout ------------------------------------------------ *)
 
 let test_heartbeat_timeout_detection () =
@@ -398,6 +438,8 @@ let suite =
       test_snapshot_consistent_during_apply;
     Alcotest.test_case "promotion is idempotent" `Quick
       test_promotion_idempotent;
+    Alcotest.test_case "seed during an open transaction" `Quick
+      test_seed_mid_transaction;
     Alcotest.test_case "heartbeat timeout detection" `Quick
       test_heartbeat_timeout_detection;
     Alcotest.test_case "repl faults cost lag, not loss" `Quick

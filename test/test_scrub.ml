@@ -55,22 +55,11 @@ let find_page db pred =
   go 0
 
 let committed_wal_pids db =
-  let tbl = Hashtbl.create 32 and committed = Hashtbl.create 32 in
-  let records =
-    Wal.read_all (Filename.concat (Database.directory db) "wal.sdb")
-  in
+  let tbl = Hashtbl.create 32 in
   List.iter
-    (function
-      | Wal.Commit (t, _) -> Hashtbl.replace committed t true
-      | Wal.Abort t -> Hashtbl.remove committed t
-      | _ -> ())
-    records;
-  List.iter
-    (function
-      | Wal.Image (t, pid, _) when Hashtbl.mem committed t ->
-        Hashtbl.replace tbl pid true
-      | _ -> ())
-    records;
+    (function Wal.Image (_, pid, _) -> Hashtbl.replace tbl pid true | _ -> ())
+    (Wal.committed
+       (Wal.read_all (Filename.concat (Database.directory db) "wal.sdb")));
   tbl
 
 let verify db pid =

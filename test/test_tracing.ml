@@ -111,6 +111,12 @@ let with_repl_server f =
     Recv.start ~poll_s:0.005 ~heartbeat_timeout_s:2.0 ~gov:gov_s ~name:"main"
       ~dir:sdir ~host:"127.0.0.1" ~port:(Sender.port sender) ()
   in
+  (* attach the standby before any traced statement runs: a commit that
+     lands inside the initial seed reaches the standby as part of the
+     seeded log, not as a shipped batch, and gets no apply span *)
+  let wal = Database.wal db in
+  if not (Recv.wait_caught_up recv ~epoch:(Wal.epoch wal) ~pos:(Wal.size wal))
+  then Alcotest.fail "standby never finished its initial seed";
   let srv = Server.start gov_p in
   Fun.protect
     ~finally:(fun () ->

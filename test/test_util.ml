@@ -12,7 +12,7 @@ let fresh_dir () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "sedna-test-%d-%d" (Unix.getpid ()) !counter)
   in
-  if Sys.file_exists dir then ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+  Sedna_util.Sysutil.rm_rf dir;
   dir
 
 let with_db ?buffer_frames f =

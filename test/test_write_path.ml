@@ -6,11 +6,7 @@ open Sedna_util
 open Sedna_core
 module Governor = Sedna_db.Governor
 module Session = Sedna_db.Session
-module Crashkit = Sedna_db.Crashkit
-
-let rm_rf dir =
-  if Sys.file_exists dir then
-    ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
+module Drill = Sedna_replication.Drill
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -112,7 +108,7 @@ let with_cluster f =
   Fun.protect
     ~finally:(fun () ->
       (try Governor.shutdown gov with _ -> ());
-      rm_rf dir)
+      Sysutil.rm_rf dir)
     (fun () -> f gov db)
 
 (* N committers racing through the engine lock, each writing its own
@@ -271,9 +267,9 @@ let test_group_commit_across_checkpoint () =
    commit must still be there after recovery. *)
 let test_crash_at_group_sync () =
   let dir = Test_util.fresh_dir () in
-  let o = Crashkit.run_spec ~dir "wal.group_sync:crash@2" in
-  if not (Crashkit.ok o) then Alcotest.fail (Crashkit.render o);
-  Alcotest.(check bool) "fault fired" true o.Crashkit.fired
+  let o = Drill.run ~dir "wal.group_sync:crash@2" in
+  if not (Drill.ok o) then Alcotest.fail (Drill.render o);
+  Alcotest.(check bool) "fault fired" true o.Drill.fired
 
 let test_group_commit_toggle () =
   with_cluster (fun gov db ->
