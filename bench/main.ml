@@ -460,18 +460,45 @@ let e7 () =
   (* a swizzling-table baseline chasing the same number of hops *)
   let sw, start = Sedna_baselines.Swizzle.build n_cells in
   let t_sw = time_median (fun () -> Sedna_baselines.Swizzle.chase sw start hops) in
+  (* where queries run: the same chase inside a read-only transaction,
+     first with nothing newer than its snapshot (no overlay), then with
+     an open updater holding a dirty page of the chain (every page
+     decision goes through the snapshot overlay) *)
+  let in_snapshot () =
+    let reader = Sedna_core.Database.begin_txn ~read_only:true db in
+    let t = time_median (fun () -> Sedna_core.Database.run db reader chase) in
+    let view = Sedna_core.Database.snapshot_view db in
+    Sedna_core.Database.commit db reader;
+    (t, view)
+  in
+  let t_snap, view_snap = in_snapshot () in
+  let writer = Sedna_core.Database.begin_txn db in
+  Sedna_core.Database.run db writer (fun () ->
+      Sedna_core.Buffer_mgr.write_u8 bm pages.(0) 1);
+  let t_dirty, view_dirty = in_snapshot () in
+  Sedna_core.Database.abort db writer;
   row3 (Printf.sprintf "dereference kernel (%d hops)" hops) "time" "ns/hop";
   let ns_per t = t *. 1e9 /. float_of_int hops in
   record "e7.vas_ns_per_hop" (Sedna_util.Metrics.Float (ns_per t_vas));
   record "e7.hash_ns_per_hop" (Sedna_util.Metrics.Float (ns_per t_hash));
   record "e7.swizzle_ns_per_hop" (Sedna_util.Metrics.Float (ns_per t_sw));
+  record "e7.snapshot_ns_per_hop" (Sedna_util.Metrics.Float (ns_per t_snap));
+  record "e7.snapshot_dirty_ns_per_hop" (Sedna_util.Metrics.Float (ns_per t_dirty));
   let per t = Printf.sprintf "%.1f ns" (ns_per t) in
+  let view = function
+    | `Current -> "no overlay"
+    | `Overlay n -> Printf.sprintf "overlay, %d page decisions" n
+  in
   row3 "  VAS equality mapping (sedna)" (Printf.sprintf "%.2f ms" (ms t_vas)) (per t_vas);
   row3 "  per-deref translation (hash)" (Printf.sprintf "%.2f ms" (ms t_hash)) (per t_hash);
   row3 "  bare table chase (floor)" (Printf.sprintf "%.2f ms" (ms t_sw)) (per t_sw);
+  row3 "  VAS in a read-only txn" (Printf.sprintf "%.2f ms" (ms t_snap)) (per t_snap);
+  row3 "  same, updater holds a dirty page" (Printf.sprintf "%.2f ms" (ms t_dirty))
+    (per t_dirty);
   pf "  (VAS fast hits during one chase: %d of %d; rows 1-2 run the same\n" fast hops;
   pf "   engine code path, row 3 is an idealized lower bound without the\n";
-  pf "   page-accessor plumbing)\n";
+  pf "   page-accessor plumbing; rows 4-5 read through Database.run:\n";
+  pf "   %s, then %s)\n" (view view_snap) (view view_dirty);
   Sedna_core.Database.close db
 
 let e7b () =

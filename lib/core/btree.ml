@@ -62,7 +62,7 @@ let init_page bm ~is_leaf =
   Buffer_mgr.write_u8 bm (Xptr.add page off_is_leaf) (if is_leaf then 1 else 0);
   Buffer_mgr.write_u16 bm (Xptr.add page off_count) 0;
   Buffer_mgr.write_u16 bm (Xptr.add page off_data_start) Page.page_size;
-  Buffer_mgr.write_i64 bm (Xptr.add page off_extra) 0L;
+  Buffer_mgr.write_xptr bm (Xptr.add page off_extra) Xptr.null;
   page
 
 let is_leaf bm page = Buffer_mgr.read_u8 bm (Xptr.add page off_is_leaf) = 1
@@ -248,8 +248,7 @@ let rec insert_rec t page key ptr : (string * Xptr.t) option =
         if need_room bm page sep then begin
           let psep, pright = split t page in
           let target = if String.compare sep psep < 0 then page else pright in
-          insert_at bm target (lower_bound bm target sep) sep
-            (Xptr.of_int64 (Xptr.to_int64 right));
+          insert_at bm target (lower_bound bm target sep) sep right;
           Some (psep, pright)
         end
         else begin

@@ -22,7 +22,7 @@ open Sedna_util
 
 type frame = {
   mutable pid : int; (* global page id; -1 when frame is empty *)
-  bytes : Bytes.t;
+  mutable bytes : Bytes.t; (* empty until the frame first holds a page *)
   mutable dirty : bool;
   mutable pins : int;
   mutable referenced : bool; (* clock bit *)
@@ -43,7 +43,7 @@ type t = {
 }
 
 let make_frame () =
-  { pid = -1; bytes = Bytes.make Page.page_size '\000'; dirty = false; pins = 0; referenced = false }
+  { pid = -1; bytes = Bytes.empty; dirty = false; pins = 0; referenced = false }
 
 (* fault-injection sites (crash-safety harness) *)
 let flush_site = Fault.site "buffer.flush"
@@ -145,6 +145,9 @@ let install t pid ~load =
   f.pid <- pid;
   f.dirty <- false;
   f.referenced <- true;
+  (* a pool larger than the data never pays for the frames it does not
+     use: peak memory follows the working set, not the pool size *)
+  if Bytes.length f.bytes = 0 then f.bytes <- Bytes.create Page.page_size;
   if load then File_store.read_page t.store pid f.bytes
   else Bytes.fill f.bytes 0 Page.page_size '\000';
   Hashtbl.replace t.table pid fi;
@@ -208,7 +211,7 @@ let read_u16 t p = Bytes_util.get_u16 (read_bytes t p) (Xptr.page_offset p)
 let read_i32 t p = Bytes_util.get_i32 (read_bytes t p) (Xptr.page_offset p)
 let read_i64 t p = Bytes_util.get_i64 (read_bytes t p) (Xptr.page_offset p)
 
-let read_xptr t p : Xptr.t = Xptr.of_int64 (read_i64 t p)
+let read_xptr t p : Xptr.t = Xptr.get (read_bytes t p) (Xptr.page_offset p)
 
 let read_string t p len =
   Bytes_util.get_string (read_bytes t p) (Xptr.page_offset p) len
@@ -236,7 +239,9 @@ let write_i64 t p v =
   let fi = touch_for_write t p in
   Bytes_util.set_i64 t.frames.(fi).bytes (Xptr.page_offset p) v
 
-let write_xptr t p (v : Xptr.t) = write_i64 t p (Xptr.to_int64 v)
+let write_xptr t p (v : Xptr.t) =
+  let fi = touch_for_write t p in
+  Xptr.set t.frames.(fi).bytes (Xptr.page_offset p) v
 
 let write_string t p s =
   let fi = touch_for_write t p in

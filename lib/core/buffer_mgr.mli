@@ -13,7 +13,8 @@
 type t
 
 val create : ?frames:int -> File_store.t -> t
-(** [frames] is the pool size (default 256 pages). *)
+(** [frames] is the pool size (default 256 pages).  A frame's page
+    buffer is allocated when the frame first holds a page. *)
 
 val store : t -> File_store.t
 val frame_count : t -> int

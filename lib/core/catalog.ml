@@ -64,6 +64,18 @@ type doc = {
   mutable doc_indir : Xptr.t; (* indirection cell of the document node *)
 }
 
+(* Text-store free map, keyed by page address.  The hash is that of the
+   page's 64-bit on-page value, which fixes the table's iteration order
+   and hence which page [text_space_find] offers: texts land on the
+   same pages, and the data file gets the same bytes, whatever the
+   in-memory representation of [Xptr.t]. *)
+module Text_space = Hashtbl.Make (struct
+  type t = Xptr.t
+
+  let equal = Xptr.equal
+  let hash p = Hashtbl.hash (Xptr.to_int64 p)
+end)
+
 type t = {
   mutable next_snode_id : int;
   snodes : (int, snode) Hashtbl.t;
@@ -72,10 +84,10 @@ type t = {
   collections : (string, string list) Hashtbl.t;
   indexes : (string, index_def) Hashtbl.t;
   (* text store allocation state: pages with known free bytes *)
-  text_space : (int64, int) Hashtbl.t; (* xptr bits -> free bytes *)
+  text_space : int Text_space.t; (* page -> free bytes *)
   (* indirection table allocation state *)
   mutable indir_free_head : Xptr.t; (* first free cell, chained in-page *)
-  mutable indir_pages : int64 list;
+  mutable indir_pages : Xptr.t list;
   mutable dirty : bool; (* changed since last persisted *)
   mutable epoch : int;
     (* bumped by every DDL-visible change (documents, collections,
@@ -91,7 +103,7 @@ let create () =
     doc_roots = Hashtbl.create 16;
     collections = Hashtbl.create 8;
     indexes = Hashtbl.create 8;
-    text_space = Hashtbl.create 64;
+    text_space = Text_space.create 64;
     indir_free_head = Xptr.null;
     indir_pages = [];
     dirty = false;
@@ -309,16 +321,16 @@ let index_target_snodes t (def : index_def) : snode list =
 (* ---- text / indirection allocation state ----------------------------- *)
 
 let text_space_set t (p : Xptr.t) free =
-  if free <= 0 then Hashtbl.remove t.text_space (Xptr.to_int64 p)
-  else Hashtbl.replace t.text_space (Xptr.to_int64 p) free
+  if free <= 0 then Text_space.remove t.text_space p
+  else Text_space.replace t.text_space p free
 
 let text_space_find t ~need =
   let found = ref None in
   (try
-     Hashtbl.iter
+     Text_space.iter
        (fun p free ->
          if free >= need then begin
-           found := Some (Xptr.of_int64 p);
+           found := Some p;
            raise Exit
          end)
        t.text_space
@@ -333,9 +345,22 @@ type persistent = {
   p_free_pages : int list;
 }
 
-let serialize t ~page_count ~free_pages =
-  Marshal.to_string
-    { p_catalog = t; p_page_count = page_count; p_free_pages = free_pages }
-    []
+(* The blob is a Marshal image of in-memory records, so it is only
+   readable by a build with the same layout of every catalog field.  The
+   format tag names that layout; bump it whenever a marshaled type
+   changes (version 2: [Xptr.t] fields are immediate ints). *)
+let format_tag = "sedna-catalog/2\n"
 
-let deserialize (s : string) : persistent = Marshal.from_string s 0
+let serialize t ~page_count ~free_pages =
+  format_tag
+  ^ Marshal.to_string
+      { p_catalog = t; p_page_count = page_count; p_free_pages = free_pages }
+      []
+
+let deserialize (s : string) : persistent =
+  if not (String.starts_with ~prefix:format_tag s) then
+    Error.raise_error Error.Storage_corruption
+      "catalog blob has no %S format tag: written by an incompatible \
+       version, or damaged"
+      (String.trim format_tag);
+  Marshal.from_string s (String.length format_tag)

@@ -51,6 +51,11 @@ type doc = {
   mutable doc_indir : Xptr.t;  (** the document node's handle *)
 }
 
+module Text_space : Hashtbl.S with type key = Xptr.t
+(** The text store's free map.  Iterates in the same order as a table
+    keyed by the pages' 64-bit on-page values, so text placement does
+    not depend on the in-memory pointer representation. *)
+
 type t = {
   mutable next_snode_id : int;
   snodes : (int, snode) Hashtbl.t;
@@ -60,9 +65,9 @@ type t = {
           {!remove_document} *)
   collections : (string, string list) Hashtbl.t;
   indexes : (string, index_def) Hashtbl.t;
-  text_space : (int64, int) Hashtbl.t;
+  text_space : int Text_space.t;  (** text page -> free bytes *)
   mutable indir_free_head : Xptr.t;
-  mutable indir_pages : int64 list;
+  mutable indir_pages : Xptr.t list;
   mutable dirty : bool;
   mutable epoch : int;
 }
@@ -162,5 +167,13 @@ type persistent = {
   p_free_pages : int list;
 }
 
+val format_tag : string
+(** Prefix of every serialized catalog: names the in-memory layout the
+    Marshal image after it was written with. *)
+
 val serialize : t -> page_count:int -> free_pages:int list -> string
+
 val deserialize : string -> persistent
+(** Raises [Storage_corruption] (SE-STORAGE-CORRUPTION) on a blob that
+    does not start with {!format_tag} — a [catalog.sdb] or WAL commit
+    record from an incompatible version — instead of unmarshaling it. *)

@@ -33,6 +33,9 @@ type t = {
   mutable next_txn_id : int;
   active : (int, Txn.t) Hashtbl.t;
   mutable current : Txn.t option; (* transaction executing right now *)
+  mutable overlay_lookups : int;
+    (* page decisions the newest read-only statement's snapshot overlay
+       computed (memo misses); -1 when it ran without an overlay *)
   mutable standby : bool; (* hot standby: continuous redo, writes refused *)
   (* Fencing (split-brain protection): the cluster epoch is the
      promotion generation of the replication group — distinct from the
@@ -185,24 +188,62 @@ let install_hooks db =
           "write attempted by read-only transaction %d" txn.Txn.id
       | _ -> () (* internal maintenance outside any transaction *))
 
-(* Snapshot view for a read-only transaction: pages dirtied by an
-   active updater are served from that updater's before-image; pages
-   with newer committed versions come from the version store. *)
-let overlay_for db (reader : Txn.t) pid : Bytes.t option =
-  let uncommitted_before () =
-    Hashtbl.fold
-      (fun _ (txn : Txn.t) acc ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          if (not txn.Txn.read_only) && Txn.is_active txn then
-            Txn.before_image txn pid
-          else None)
-      db.active None
-  in
+(* Active updaters holding before-images, in [db.active]'s iteration
+   order (the first one with an image of a page serves it). *)
+let shadowing_writers db =
+  Hashtbl.fold
+    (fun _ (txn : Txn.t) acc ->
+      if (not txn.Txn.read_only) && Txn.is_active txn
+         && Hashtbl.length txn.Txn.dirty > 0
+      then txn :: acc
+      else acc)
+    db.active []
+  |> List.rev
+
+(* Snapshot view for a read-only statement: pages with newer committed
+   versions come from the version store; pages dirtied by an active
+   updater are served from that updater's before-image. *)
+let overlay_for db (reader : Txn.t) ~writers pid : Bytes.t option =
   match Versions.read_for_snapshot db.versions ~snapshot_ts:reader.Txn.snapshot_ts pid with
-  | Some img -> Some img
-  | None -> uncommitted_before ()
+  | Some _ as img -> img
+  | None -> List.find_map (fun txn -> Txn.before_image txn pid) writers
+
+(* The overlay one read-only statement reads through, or [None] when no
+   page can differ from the reader's snapshot.  That test is exact, not
+   a heuristic: only [Versions.install_commit] moves a page's version
+   past a snapshot, and it raises [last_commit_ts] to at least every
+   timestamp it writes; only an updater's before-images shadow a page.
+
+   The overlay remembers the decision for the last page asked about, so
+   consecutive dereferences within one block cost a comparison.  Only
+   the decision is kept, never a frame's bytes: a [None] still reads the
+   frame through the buffer manager, which may evict and refill it.
+
+   Both the test and the memo rely on the engine lock: while a statement
+   holds it, no commit installs and no updater writes, so nothing they
+   looked at changes before the statement ends. *)
+let statement_overlay db (reader : Txn.t) =
+  let writers = shadowing_writers db in
+  if Versions.last_commit_ts db.versions <= reader.Txn.snapshot_ts && writers = []
+  then begin
+    db.overlay_lookups <- -1;
+    None
+  end
+  else begin
+    db.overlay_lookups <- 0;
+    let last_pid = ref (-1) and last = ref None in
+    Some
+      (fun pid ->
+        if pid <> !last_pid then begin
+          db.overlay_lookups <- db.overlay_lookups + 1;
+          last := overlay_for db reader ~writers pid;
+          last_pid := pid
+        end;
+        !last)
+  end
+
+let snapshot_view db =
+  if db.overlay_lookups < 0 then `Current else `Overlay db.overlay_lookups
 
 (* ---- lifecycle ----------------------------------------------------------- *)
 
@@ -272,6 +313,7 @@ let create ?(buffer_frames = 256) dir =
       next_txn_id = 1;
       active = Hashtbl.create 8;
       current = None;
+      overlay_lookups = -1;
       standby = false;
       cluster_epoch = read_cluster_file dir;
       fenced = false;
@@ -347,6 +389,7 @@ let open_existing ?(buffer_frames = 256) dir =
       next_txn_id = 1;
       active = Hashtbl.create 8;
       current = None;
+      overlay_lookups = -1;
       standby = false;
       cluster_epoch = read_cluster_file dir;
       fenced = false;
@@ -424,19 +467,22 @@ let begin_txn ?(read_only = false) db : Txn.t =
   txn
 
 (* Route execution through a transaction: installs the write hook
-   target (updaters) or the snapshot overlay (readers). *)
+   target (updaters) or, for a reader whose snapshot some page differs
+   from, the snapshot overlay.  A reader no commit or updater has
+   overtaken reads the buffer directly: every dereference stays the
+   bare VAS check. *)
 let run db (txn : Txn.t) f =
   if not (Txn.is_active txn) then
     Error.raise_error Error.Txn_not_active "transaction %d is not active"
       txn.Txn.id;
   let prev = db.current in
   db.current <- Some txn;
-  if txn.Txn.read_only then
-    Buffer_mgr.set_read_overlay db.bm (overlay_for db txn);
+  let overlay = if txn.Txn.read_only then statement_overlay db txn else None in
+  Option.iter (Buffer_mgr.set_read_overlay db.bm) overlay;
   Fun.protect
     ~finally:(fun () ->
       db.current <- prev;
-      if txn.Txn.read_only then Buffer_mgr.clear_read_overlay db.bm)
+      if Option.is_some overlay then Buffer_mgr.clear_read_overlay db.bm)
     f
 
 (* The store a transaction should execute against: readers get their

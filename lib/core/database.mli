@@ -103,7 +103,15 @@ val begin_txn : ?read_only:bool -> t -> Txn.t
 
 val run : t -> Txn.t -> (unit -> 'a) -> 'a
 (** Route execution through the transaction: installs the write hook
-    (updaters) or the snapshot read overlay (readers). *)
+    (updaters) or the snapshot read overlay (readers).  A reader gets
+    the overlay only when some page can differ from its snapshot: a
+    commit after its snapshot, or an active updater holding dirty
+    pages.  Otherwise it reads the buffer directly. *)
+
+val snapshot_view : t -> [ `Current | `Overlay of int ]
+(** How the newest read-only [run] read pages: [`Current] without an
+    overlay, [`Overlay n] through one that computed [n] page decisions
+    (the rest were served by its one-page memo).  Tests and benches. *)
 
 val txn_store : t -> Txn.t -> Store.t
 (** The store a transaction must execute against (readers get their

@@ -20,9 +20,14 @@ let cells_per_page = (Page.page_size - header_size) / cell_size
 
 let cell_addr page i = Xptr.add page (header_size + (i * cell_size))
 
-let tag (p : Xptr.t) = Int64.logor (Xptr.to_int64 p) 1L
-let untag (v : int64) = Xptr.of_int64 (Int64.logand v (Int64.lognot 1L))
-let is_tagged (v : int64) = Int64.logand v 1L = 1L
+(* a cell value is read and written as an [Xptr.t] either way; the tag
+   is the low bit of the in-layer address *)
+let is_tagged (v : Xptr.t) = Xptr.addr v land 1 = 1
+let tag (p : Xptr.t) = if is_tagged p then p else Xptr.add p 1
+let untag (v : Xptr.t) = if is_tagged v then Xptr.add v (-1) else v
+
+(* the free-list link stored in a cell: [tag null] ends the list *)
+let free_link (cat : Catalog.t) = tag cat.Catalog.indir_free_head
 
 (* Allocate a fresh indirection page and thread its cells onto the free
    list. *)
@@ -34,49 +39,41 @@ let grow bm (cat : Catalog.t) =
   (* chain cells: cell i -> cell i+1, last -> previous free head *)
   for i = 0 to cells_per_page - 1 do
     let next =
-      if i = cells_per_page - 1 then
-        if Xptr.is_null cat.Catalog.indir_free_head then 1L
-        else tag cat.Catalog.indir_free_head
+      if i = cells_per_page - 1 then free_link cat
       else tag (cell_addr page (i + 1))
     in
-    Buffer_mgr.write_i64 bm (cell_addr page i) next
+    Buffer_mgr.write_xptr bm (cell_addr page i) next
   done;
   cat.Catalog.indir_free_head <- cell_addr page 0;
-  cat.Catalog.indir_pages <- Xptr.to_int64 page :: cat.Catalog.indir_pages;
+  cat.Catalog.indir_pages <- page :: cat.Catalog.indir_pages;
   Catalog.mark_dirty cat
 
 let alloc bm (cat : Catalog.t) : Xptr.t =
   if Xptr.is_null cat.Catalog.indir_free_head then grow bm cat;
   let cell = cat.Catalog.indir_free_head in
-  let v = Buffer_mgr.read_i64 bm cell in
+  let v = Buffer_mgr.read_xptr bm cell in
   if not (is_tagged v) then
     Error.raise_error Error.Storage_corruption
       "indirection free list corrupted at %a" Xptr.pp cell;
-  let next = untag v in
-  cat.Catalog.indir_free_head <-
-    (if Xptr.equal next Xptr.null then Xptr.null else next);
+  cat.Catalog.indir_free_head <- untag v;
   Catalog.mark_dirty cat;
-  Buffer_mgr.write_i64 bm cell 0L;
+  Buffer_mgr.write_xptr bm cell Xptr.null;
   cell
 
 let free bm (cat : Catalog.t) (cell : Xptr.t) =
-  let next =
-    if Xptr.is_null cat.Catalog.indir_free_head then 1L
-    else tag cat.Catalog.indir_free_head
-  in
-  Buffer_mgr.write_i64 bm cell next;
+  Buffer_mgr.write_xptr bm cell (free_link cat);
   cat.Catalog.indir_free_head <- cell;
   Catalog.mark_dirty cat
 
 (* Dereference a node handle to the current descriptor address. *)
 let get bm (cell : Xptr.t) : Xptr.t =
-  let v = Buffer_mgr.read_i64 bm cell in
+  let v = Buffer_mgr.read_xptr bm cell in
   if is_tagged v then
     Error.raise_error Error.Storage_corruption
       "dangling node handle %a" Xptr.pp cell;
-  Xptr.of_int64 v
+  v
 
 (* Point the handle at a (possibly new) descriptor address: the single
    write that re-parents every child of a moved node. *)
 let set bm (cell : Xptr.t) (desc : Xptr.t) =
-  Buffer_mgr.write_i64 bm cell (Xptr.to_int64 desc)
+  Buffer_mgr.write_xptr bm cell desc

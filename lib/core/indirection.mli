@@ -21,3 +21,13 @@ val set : Buffer_mgr.t -> Xptr.t -> Xptr.t -> unit
     that re-parents every child of a moved node. *)
 
 val cells_per_page : int
+
+(** {1 Free-list tagging}
+
+    A free cell holds the next free cell's address with the low bit
+    set; descriptors are 8-aligned, so a tagged value is never a
+    descriptor address.  Exposed for tests. *)
+
+val tag : Xptr.t -> Xptr.t
+val untag : Xptr.t -> Xptr.t
+val is_tagged : Xptr.t -> bool

@@ -317,7 +317,7 @@ let last_desc bm (snode : Catalog.snode) =
 (* successor in document order among nodes of the same schema node *)
 let next_desc bm (d : Xptr.t) =
   let block = block_of_desc d in
-  Counters.bump Counters.block_touch;
+  incr Counters.block_touch_cell;
   match next_in_block bm d with
   | Some s -> Some (desc_addr bm block s)
   | None -> first_desc_from bm (next_block bm block)

@@ -75,7 +75,7 @@ let write_overflow_chain bm (s : string) =
         (Page.block_kind_code Page.Text_block);
       Buffer_mgr.write_u16 bm (Xptr.add page 4) chunk;
       let next = go (pos + chunk) in
-      Buffer_mgr.write_i64 bm (Xptr.add page 8) (Xptr.to_int64 next);
+      Buffer_mgr.write_xptr bm (Xptr.add page 8) next;
       Buffer_mgr.write_string bm (Xptr.add page overflow_header)
         (String.sub s pos chunk);
       page
@@ -90,7 +90,7 @@ let read_overflow_chain bm first total =
       let used = Buffer_mgr.read_u16 bm (Xptr.add page 4) in
       Buffer.add_string buf
         (Buffer_mgr.read_string bm (Xptr.add page overflow_header) used);
-      go (Xptr.of_int64 (Buffer_mgr.read_i64 bm (Xptr.add page 8)))
+      go (Buffer_mgr.read_xptr bm (Xptr.add page 8))
     end
   in
   go first;
@@ -99,7 +99,7 @@ let read_overflow_chain bm first total =
 let free_overflow_chain bm first =
   let rec go page =
     if not (Xptr.is_null page) then begin
-      let next = Xptr.of_int64 (Buffer_mgr.read_i64 bm (Xptr.add page 8)) in
+      let next = Buffer_mgr.read_xptr bm (Xptr.add page 8) in
       Buffer_mgr.free_page bm page;
       go next
     end
@@ -170,7 +170,7 @@ let insert bm cat (s : string) : Xptr.t =
       let chain = write_overflow_chain bm s in
       let b = Bytes.create long_desc_size in
       Bytes_util.set_i32 b 0 (String.length s);
-      Bytes_util.set_i64 b 4 (Xptr.to_int64 chain);
+      Xptr.set b 4 chain;
       (Bytes.to_string b, true, chain)
     end
   in
@@ -203,7 +203,7 @@ let read bm (sa : Xptr.t) : string =
     Error.raise_error Error.Storage_corruption "read of deleted text value";
   if len = long_sentinel then begin
     let total = Buffer_mgr.read_i32 bm (Xptr.add page off) in
-    let first = Xptr.of_int64 (Buffer_mgr.read_i64 bm (Xptr.add page (off + 4))) in
+    let first = Buffer_mgr.read_xptr bm (Xptr.add page (off + 4)) in
     read_overflow_chain bm first total
   end
   else Buffer_mgr.read_string bm (Xptr.add page off) len
@@ -222,9 +222,7 @@ let delete bm cat (sa : Xptr.t) =
   let len = Buffer_mgr.read_u16 bm (Xptr.add sa 2) in
   if off <> tombstone then begin
     if len = long_sentinel then begin
-      let first =
-        Xptr.of_int64 (Buffer_mgr.read_i64 bm (Xptr.add page (off + 4)))
-      in
+      let first = Buffer_mgr.read_xptr bm (Xptr.add page (off + 4)) in
       free_overflow_chain bm first
     end;
     Buffer_mgr.write_u16 bm sa tombstone;

@@ -123,7 +123,7 @@ let locate_predecessor (st : Store.t) (snode : Catalog.snode) (lbl : Sedna_nid.N
   let rec scan_blocks block best =
     if Xptr.is_null block then best
     else begin
-      Counters.bump Counters.block_touch;
+      incr Counters.block_touch_cell;
       match Node_block.first_slot bm block with
       | None -> scan_blocks (Node_block.next_block bm block) best
       | Some s0 ->

@@ -12,17 +12,20 @@
 
 type saved = { version_ts : int; image : Bytes.t }
 
+(* keyed by page id: monomorphic lookups on the snapshot read path *)
+module Pages = Hashtbl.Make (Int)
+
 type t = {
-  versions : (int, saved list) Hashtbl.t; (* pid -> newest first *)
-  mutable current_ts : (int, int) Hashtbl.t; (* pid -> commit ts of current image *)
+  versions : saved list Pages.t; (* pid -> newest first *)
+  current_ts : int Pages.t; (* pid -> commit ts of current image *)
   mutable snapshots : (int * int ref) list; (* (ts, refcount), any order *)
   mutable last_commit_ts : int;
 }
 
 let create () =
   {
-    versions = Hashtbl.create 256;
-    current_ts = Hashtbl.create 256;
+    versions = Pages.create 256;
+    current_ts = Pages.create 256;
     snapshots = [];
     last_commit_ts = 0;
   }
@@ -63,7 +66,7 @@ let release_snapshot t ts =
               match newer_kept with
               | newer :: _ -> newer.version_ts
               | [] -> (
-                match Hashtbl.find_opt t.current_ts pid with
+                match Pages.find_opt t.current_ts pid with
                 | Some c -> c
                 | None -> max_int)
             in
@@ -73,12 +76,12 @@ let release_snapshot t ts =
         (* input and output are newest-first *)
         keep [] lst |> List.rev
       in
-      Hashtbl.iter
-        (fun pid lst -> Hashtbl.replace t.versions pid (prune pid lst))
-        (Hashtbl.copy t.versions);
-      Hashtbl.iter
-        (fun pid lst -> if lst = [] then Hashtbl.remove t.versions pid)
-        (Hashtbl.copy t.versions)
+      Pages.iter
+        (fun pid lst -> Pages.replace t.versions pid (prune pid lst))
+        (Pages.copy t.versions);
+      Pages.iter
+        (fun pid lst -> if lst = [] then Pages.remove t.versions pid)
+        (Pages.copy t.versions)
     end
   | None -> ()
 
@@ -95,7 +98,7 @@ let install_commit t ~commit_ts pages =
   List.iter
     (fun (pid, before_image) ->
       let version_ts =
-        match Hashtbl.find_opt t.current_ts pid with Some c -> c | None -> 0
+        match Pages.find_opt t.current_ts pid with Some c -> c | None -> 0
       in
       let needed =
         List.exists
@@ -104,12 +107,12 @@ let install_commit t ~commit_ts pages =
       in
       if needed then begin
         let existing =
-          Option.value (Hashtbl.find_opt t.versions pid) ~default:[]
+          Option.value (Pages.find_opt t.versions pid) ~default:[]
         in
-        Hashtbl.replace t.versions pid
+        Pages.replace t.versions pid
           ({ version_ts; image = before_image } :: existing)
       end;
-      Hashtbl.replace t.current_ts pid commit_ts)
+      Pages.replace t.current_ts pid commit_ts)
     pages;
   t.last_commit_ts <- max t.last_commit_ts commit_ts
 
@@ -119,11 +122,11 @@ let install_commit t ~commit_ts pages =
    is the right version; [Some img] is an older saved image. *)
 let read_for_snapshot t ~snapshot_ts pid =
   let current =
-    match Hashtbl.find_opt t.current_ts pid with Some c -> c | None -> 0
+    match Pages.find_opt t.current_ts pid with Some c -> c | None -> 0
   in
   if current <= snapshot_ts then None
   else
-    let saved = Option.value (Hashtbl.find_opt t.versions pid) ~default:[] in
+    let saved = Option.value (Pages.find_opt t.versions pid) ~default:[] in
     (* newest first; pick the newest with version_ts <= snapshot *)
     let rec pick = function
       | [] -> None
@@ -132,9 +135,9 @@ let read_for_snapshot t ~snapshot_ts pid =
     pick saved
 
 let version_count t =
-  Hashtbl.fold (fun _ l acc -> acc + List.length l) t.versions 0
+  Pages.fold (fun _ l acc -> acc + List.length l) t.versions 0
 
 let clear t =
-  Hashtbl.reset t.versions;
-  Hashtbl.reset t.current_ts;
+  Pages.reset t.versions;
+  Pages.reset t.current_ts;
   t.snapshots <- []

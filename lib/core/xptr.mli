@@ -2,9 +2,13 @@
     (paper §4.2).  The high 32 bits are the layer number, the low 32
     bits the byte address within the layer.  The same representation is
     used in main and in secondary memory — the property that eliminates
-    pointer swizzling. *)
+    pointer swizzling.
 
-type t
+    In memory a pointer is an immediate 63-bit [int], so layers must stay
+    below 2^31; on a page it occupies the same 8 little-endian bytes as
+    the 64-bit value (see {!get} and {!set}). *)
+
+type t [@@immediate]
 
 val null : t
 (** The reserved null pointer (layer 0, offset 0 — the master page is
@@ -38,8 +42,15 @@ val compare : t -> t -> int
 val hash : t -> int
 
 val to_int64 : t -> int64
-(** The on-page representation (little-endian when stored). *)
+(** The 64-bit value with the layer in the high half: what {!set}
+    writes to a page. *)
 
 val of_int64 : int64 -> t
+
+val get : Bytes.t -> int -> t
+(** [get b off] decodes the 8 little-endian bytes at [off]. *)
+
+val set : Bytes.t -> int -> t -> unit
+(** [set b off p] encodes [p] as 8 little-endian bytes at [off]. *)
 
 val pp : Format.formatter -> t -> unit

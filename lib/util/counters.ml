@@ -6,12 +6,14 @@
    corrupt the table mid-resize, and [r := !r + n] loses increments
    when two threads interleave the read and the write.
 
-   The pre-resolved [*_cell] bindings at the bottom stay plain [int
-   ref]s bumped with an unguarded [incr]: those cells are only ever
-   incremented from storage-layer hot paths that run under the
-   governor's engine lock (statement execution, recovery, the
-   standby's apply step), so they are already serialized and the
-   mutex would only distort the measurements they exist for. *)
+   The pre-resolved [*_cell] bindings at the bottom ([vas_fast_hit_cell],
+   [buffer_hit_cell], [buffer_fault_cell], [deref_cell],
+   [block_touch_cell]) stay plain [int ref]s bumped with an unguarded
+   [incr]: those cells are only ever incremented from storage-layer hot
+   paths that run under the governor's engine lock (statement
+   execution, recovery, the standby's apply step), so they are already
+   serialized and the mutex would only distort the measurements they
+   exist for. *)
 
 type t = (string, int ref) Hashtbl.t
 
@@ -171,3 +173,4 @@ let vas_fast_hit_cell = cell vas_fast_hit
 let buffer_hit_cell = cell buffer_hit
 let buffer_fault_cell = cell buffer_fault
 let deref_cell = cell deref
+let block_touch_cell = cell block_touch

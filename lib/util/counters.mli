@@ -238,3 +238,4 @@ val vas_fast_hit_cell : int ref
 val buffer_hit_cell : int ref
 val buffer_fault_cell : int ref
 val deref_cell : int ref
+val block_touch_cell : int ref

@@ -23,6 +23,66 @@ let with_bm ?(frames = 8) f =
   let bm = Buffer_mgr.create ~frames fs in
   Fun.protect ~finally:(fun () -> File_store.close fs) (fun () -> f fs bm)
 
+(* property: the immediate representation agrees with the 64-bit one
+   (layer in the high half) over the whole address range, in memory and
+   on the page *)
+let max_addr = 0xFFFF_FFFF
+let max_layer = (1 lsl 31) - 1
+
+let arb_xptrs =
+  let open QCheck.Gen in
+  let layer = oneof [ return 0; return max_layer; int_range 0 max_layer; int_range 0 16 ] in
+  let addr = oneof [ return 0; return max_addr; int_range 0 max_addr; int_range 0 Page.layer_size ] in
+  QCheck.make
+    ~print:(fun l ->
+      String.concat " " (List.map (fun (l, a, n) -> Printf.sprintf "(%d,%x,%d)" l a n) l))
+    (list_size (int_range 1 40) (triple layer addr (int_range 0 4096)))
+
+let reference_bits ~layer ~addr =
+  Int64.logor (Int64.shift_left (Int64.of_int layer) 32) (Int64.of_int addr)
+
+let prop_xptr_roundtrip cases =
+  with_bm (fun _fs bm ->
+      let page = Buffer_mgr.allocate_page bm in
+      List.for_all
+        (fun (layer, addr, n) ->
+          let p = Xptr.make ~layer ~addr in
+          let bits = reference_bits ~layer ~addr in
+          let ps = Page.page_size in
+          let in_memory =
+            Xptr.layer p = layer
+            && Xptr.addr p = addr
+            && Xptr.page_offset p = addr mod ps
+            && Xptr.page_id p = (layer * Page.pages_per_layer) + (addr / ps)
+            && Xptr.equal (Xptr.page_start p) (Xptr.make ~layer ~addr:(addr - (addr mod ps)))
+            && (addr >= Page.layer_size
+               || Xptr.equal (Xptr.of_page_id (Xptr.page_id p)) (Xptr.page_start p))
+            && (addr + n > max_addr || Xptr.equal (Xptr.add p n) (Xptr.make ~layer ~addr:(addr + n)))
+            && Int64.equal (Xptr.to_int64 p) bits
+            && Xptr.equal (Xptr.of_int64 bits) p
+            && Xptr.compare p Xptr.null = Int64.compare bits 0L
+            && Xptr.compare (Xptr.make ~layer:1 ~addr:0) p = Int64.compare 0x1_0000_0000L bits
+          in
+          (* on the page: read back the value, and the same 8 bytes as the
+             int64 encoding *)
+          let at = Xptr.add page (8 * (n mod (ps / 8))) in
+          Buffer_mgr.write_xptr bm at p;
+          let on_page =
+            Xptr.equal (Buffer_mgr.read_xptr bm at) p
+            && Int64.equal (Buffer_mgr.read_i64 bm at) bits
+          in
+          (* indirection free-list tagging of an 8-aligned address *)
+          let d = Xptr.make ~layer ~addr:(addr land lnot 7) in
+          let tagged = Indirection.tag d in
+          let tagging =
+            Indirection.is_tagged tagged
+            && (not (Indirection.is_tagged d))
+            && Xptr.equal (Indirection.untag tagged) d
+            && Int64.equal (Xptr.to_int64 tagged) (Int64.logor (Xptr.to_int64 d) 1L)
+          in
+          in_memory && on_page && tagging)
+        cases)
+
 let test_file_store () =
   with_bm (fun fs _bm ->
       let a = File_store.allocate fs in
@@ -245,6 +305,29 @@ let test_indirection () =
 (* Carriage returns survive store -> serialize -> parse: the serializer
    must emit &#13; (a literal CR in an attribute would re-parse as a
    space under XML attribute-value normalization). *)
+(* ---- catalog blobs ------------------------------------------------------- *)
+
+(* a blob without the current format tag (an older catalog.sdb or WAL
+   commit record) is refused with a typed error, never unmarshaled *)
+let test_catalog_format_tag () =
+  let cat = Catalog.create () in
+  Catalog.text_space_set cat (Xptr.make ~layer:2 ~addr:Page.page_size) 100;
+  let blob = Catalog.serialize cat ~page_count:7 ~free_pages:[ 3 ] in
+  let p = Catalog.deserialize blob in
+  Alcotest.(check int) "page count" 7 p.Catalog.p_page_count;
+  Alcotest.(check bool) "text space kept" true
+    (Catalog.text_space_find p.Catalog.p_catalog ~need:50
+    = Some (Xptr.make ~layer:2 ~addr:Page.page_size));
+  let refused what s =
+    match Catalog.deserialize s with
+    | exception Sedna_util.Error.Sedna_error (Sedna_util.Error.Storage_corruption, _) -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  let n = String.length Catalog.format_tag in
+  refused "untagged blob" (String.sub blob n (String.length blob - n));
+  refused "other tag" ("sedna-catalog/1\n" ^ String.sub blob n (String.length blob - n));
+  refused "empty blob" ""
+
 let test_cr_roundtrip () =
   Test_util.with_db (fun db ->
       ignore (Test_util.load db "d" "<r a=\"x&#13;y\">p&#13;q</r>");
@@ -285,5 +368,8 @@ let suite =
     Test_util.qcheck_case ~count:40 "text store matches reference"
       arb_text_ops prop_text_store_matches_reference;
     Alcotest.test_case "indirection" `Quick test_indirection;
+    Test_util.qcheck_case ~count:100 "xptr immediate = int64 encoding" arb_xptrs
+      prop_xptr_roundtrip;
+    Alcotest.test_case "catalog format tag" `Quick test_catalog_format_tag;
     Alcotest.test_case "carriage-return round trip" `Quick test_cr_roundtrip;
   ]

@@ -235,6 +235,93 @@ let test_version_purge_on_creation () =
       Alcotest.(check int) "no stale versions" 0
         (Versions.version_count (Database.versions db)))
 
+(* ---- when a reader reads through the snapshot overlay --------------- *)
+
+let view_name = function
+  | `Current -> "current"
+  | `Overlay _ -> "overlay"
+
+let check_view db want =
+  Alcotest.(check string) "snapshot view" want (view_name (Database.snapshot_view db))
+
+(* a commit after the snapshot: the overlay is installed and serves the
+   displaced version *)
+let test_overlay_for_older_snapshot () =
+  Test_util.with_db (fun db ->
+      ignore (Test_util.load db "d" "<a><v>old</v></a>");
+      let s = Sedna_db.Session.connect db in
+      Sedna_db.Session.begin_txn ~read_only:true s;
+      ignore (Test_util.exec db {|UPDATE replace $v in doc("d")/a/v with <v>new</v>|});
+      Alcotest.(check string) "reader keeps its snapshot" "old"
+        (Sedna_db.Session.execute_string s {|string(doc("d")/a/v)|});
+      check_view db "overlay";
+      Sedna_db.Session.commit s)
+
+(* no newer commit, but an open updater holds dirty pages: an
+   auto-commit reader gets the overlay and reads the committed value *)
+let test_overlay_for_dirty_pages () =
+  Test_util.with_db (fun db ->
+      ignore (Test_util.load db "d" "<a><v>1</v></a>");
+      let w = Sedna_db.Session.connect db in
+      Sedna_db.Session.begin_txn w;
+      ignore (Sedna_db.Session.execute w {|UPDATE replace $v in doc("d")/a/v with <v>dirty</v>|});
+      Alcotest.(check string) "committed value" "1"
+        (Test_util.exec db {|string(doc("d")/a/v)|});
+      check_view db "overlay";
+      Sedna_db.Session.commit w;
+      Alcotest.(check string) "after commit" "dirty"
+        (Test_util.exec db {|string(doc("d")/a/v)|});
+      check_view db "current")
+
+(* nothing newer than the snapshot and no updater: no overlay *)
+let test_overlay_skipped () =
+  Test_util.with_db (fun db ->
+      ignore (Test_util.load db "d" "<a><v>1</v></a>");
+      ignore (Test_util.exec db {|UPDATE replace $v in doc("d")/a/v with <v>2</v>|});
+      Alcotest.(check string) "auto-commit reader" "2"
+        (Test_util.exec db {|string(doc("d")/a/v)|});
+      check_view db "current";
+      (* an explicit reader stays on the current pages until a commit
+         overtakes its snapshot *)
+      let s = Sedna_db.Session.connect db in
+      Sedna_db.Session.begin_txn ~read_only:true s;
+      Alcotest.(check string) "explicit reader" "2"
+        (Sedna_db.Session.execute_string s {|string(doc("d")/a/v)|});
+      check_view db "current";
+      (* an updater that has written nothing shadows no page *)
+      let w = Sedna_db.Session.connect db in
+      Sedna_db.Session.begin_txn w;
+      Alcotest.(check string) "idle updater" "2"
+        (Sedna_db.Session.execute_string s {|string(doc("d")/a/v)|});
+      check_view db "current";
+      Sedna_db.Session.commit w;
+      Sedna_db.Session.commit s)
+
+(* a scan over many descriptors of one block under an installed overlay:
+   the one-page memo answers most dereferences, and the answer is the
+   snapshot's *)
+let test_overlay_memo_scan () =
+  Test_util.with_db (fun db ->
+      let items = List.init 300 (fun i -> Printf.sprintf "<i>%d</i>" i) in
+      ignore (Test_util.load db "d" ("<a>" ^ String.concat "" items ^ "</a>"));
+      let s = Sedna_db.Session.connect db in
+      Sedna_db.Session.begin_txn ~read_only:true s;
+      ignore (Test_util.exec db {|UPDATE insert <i>300</i> into doc("d")/a|});
+      ignore (Test_util.exec db {|UPDATE delete doc("d")/a/i[1]|});
+      Alcotest.(check string) "current answer" "300"
+        (Test_util.exec db {|count(doc("d")/a/i)|});
+      let d0 = Sedna_util.Counters.get Sedna_util.Counters.deref in
+      Alcotest.(check string) "snapshot answer" "300 44850"
+        (Sedna_db.Session.execute_string s
+           {|concat(count(doc("d")/a/i), " ", sum(doc("d")/a/i))|});
+      let derefs = Sedna_util.Counters.get Sedna_util.Counters.deref - d0 in
+      (match Database.snapshot_view db with
+       | `Current -> Alcotest.fail "overlay not installed"
+       | `Overlay lookups ->
+         if lookups = 0 || lookups * 4 > derefs then
+           Alcotest.failf "%d page decisions for %d dereferences" lookups derefs);
+      Sedna_db.Session.commit s)
+
 let suite =
   [
     Alcotest.test_case "commit visible" `Quick test_commit_visible;
@@ -253,4 +340,9 @@ let suite =
     Alcotest.test_case "read-only rejects writes" `Quick test_readonly_cannot_write;
     Alcotest.test_case "writers serialize" `Quick test_two_writers_serialize;
     Alcotest.test_case "version purge" `Quick test_version_purge_on_creation;
+    Alcotest.test_case "overlay for an older snapshot" `Quick
+      test_overlay_for_older_snapshot;
+    Alcotest.test_case "overlay for dirty pages" `Quick test_overlay_for_dirty_pages;
+    Alcotest.test_case "overlay skipped when current" `Quick test_overlay_skipped;
+    Alcotest.test_case "overlay memo over one block" `Quick test_overlay_memo_scan;
   ]
