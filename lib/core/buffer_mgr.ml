@@ -213,8 +213,11 @@ let read_i64 t p = Bytes_util.get_i64 (read_bytes t p) (Xptr.page_offset p)
 
 let read_xptr t p : Xptr.t = Xptr.get (read_bytes t p) (Xptr.page_offset p)
 
+(* An empty string touches no page: its address may be the end of a
+   page, which names the next one (a B-tree's first key of "" is stored
+   there). *)
 let read_string t p len =
-  Bytes_util.get_string (read_bytes t p) (Xptr.page_offset p) len
+  if len = 0 then "" else Bytes_util.get_string (read_bytes t p) (Xptr.page_offset p) len
 
 let touch_for_write t p =
   let pid = Xptr.page_id p in
@@ -244,8 +247,10 @@ let write_xptr t p (v : Xptr.t) =
   Xptr.set t.frames.(fi).bytes (Xptr.page_offset p) v
 
 let write_string t p s =
-  let fi = touch_for_write t p in
-  Bytes_util.set_string t.frames.(fi).bytes (Xptr.page_offset p) s
+  if s <> "" then begin
+    let fi = touch_for_write t p in
+    Bytes_util.set_string t.frames.(fi).bytes (Xptr.page_offset p) s
+  end
 
 (* Bulk access under a pin.  [rw] marks the page dirty. *)
 let with_page ?(rw = false) t (p : Xptr.t) f =

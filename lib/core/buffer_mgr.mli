@@ -47,6 +47,7 @@ val read_i32 : t -> Xptr.t -> int
 val read_i64 : t -> Xptr.t -> int64
 val read_xptr : t -> Xptr.t -> Xptr.t
 val read_string : t -> Xptr.t -> int -> string
+(** A zero-length read touches no page. *)
 
 val write_u8 : t -> Xptr.t -> int -> unit
 val write_u16 : t -> Xptr.t -> int -> unit
@@ -54,6 +55,7 @@ val write_i32 : t -> Xptr.t -> int -> unit
 val write_i64 : t -> Xptr.t -> int64 -> unit
 val write_xptr : t -> Xptr.t -> Xptr.t -> unit
 val write_string : t -> Xptr.t -> string -> unit
+(** Writing [""] touches no page. *)
 
 val with_page : ?rw:bool -> t -> Xptr.t -> (Bytes.t -> 'a) -> 'a
 (** Bulk access to the page containing the pointer, pinned for the

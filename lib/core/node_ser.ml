@@ -44,8 +44,34 @@ let to_string ?options (st : Store.t) (d : Node.desc) =
 
 (* typed string value of a node: concatenation of descendant text *)
 let rec string_value (st : Store.t) (d : Node.desc) : string =
-  match Node.kind st d with
+  string_value_in st (Node.snode st d) d
+
+and string_value_in st (s : Catalog.snode) d =
+  match s.Catalog.kind with
   | Catalog.Text | Catalog.Attribute | Catalog.Comment | Catalog.Pi ->
     Node.text_value st d
-  | Catalog.Element | Catalog.Document ->
-    String.concat "" (List.map (string_value st) (Node.children st d))
+  | Catalog.Element when List.for_all is_leaf_child s.Catalog.children ->
+    leaf_value st s d
+  | Catalog.Element | Catalog.Document -> children_value st d
+
+and children_value st d =
+  String.concat "" (List.map (string_value st) (Node.children st d))
+
+(* A leaf element — whose schema children are text and attributes only —
+   has at most one text child schema node, reached through its per-schema
+   child slot.  A lone text child is the whole value; a text with a right
+   sibling (a second text) takes the general path.  The slot and the
+   sibling field are read where the general path reads them too, so no
+   block it would not touch is fetched. *)
+and leaf_value st s d =
+  match List.find_opt (fun c -> c.Catalog.kind = Catalog.Text) s.Catalog.children with
+  | None -> ""
+  | Some t -> (
+    match Node.first_child_of_schema st d t with
+    | None -> ""
+    | Some x ->
+      if Node.right_sibling st x = None then Node.text_value st x
+      else children_value st d)
+
+and is_leaf_child (c : Catalog.snode) =
+  c.Catalog.kind = Catalog.Text || c.Catalog.kind = Catalog.Attribute

@@ -6,4 +6,9 @@ val to_string :
   ?options:Sedna_xml.Serializer.options -> Store.t -> Node.desc -> string
 
 val string_value : Store.t -> Node.desc -> string
-(** The XDM typed string value: concatenation of descendant text. *)
+(** The XDM typed string value: concatenation of descendant text.  A
+    leaf element (text and attribute children only) reads its text
+    child through its per-schema child slot. *)
+
+val string_value_in : Store.t -> Catalog.snode -> Node.desc -> string
+(** [string_value] of a node whose schema node the caller knows. *)

@@ -197,8 +197,9 @@ let page_of_slot (sa : Xptr.t) = Xptr.page_start sa
 let read bm (sa : Xptr.t) : string =
   let page = page_of_slot sa in
   check_page bm page;
-  let off = Buffer_mgr.read_u16 bm sa in
-  let len = Buffer_mgr.read_u16 bm (Xptr.add sa 2) in
+  (* the slot's two u16 fields, offset then length, in one read *)
+  let slot = Buffer_mgr.read_i32 bm sa in
+  let off = slot land 0xffff and len = (slot asr 16) land 0xffff in
   if off = tombstone then
     Error.raise_error Error.Storage_corruption "read of deleted text value";
   if len = long_sentinel then begin

@@ -102,6 +102,18 @@ let rec pp ?(indent = 0) buf (e : expr) =
             (fun (a, n) ->
               Printf.sprintf "%s::%s" (axis_name a) (Sedna_util.Xname.to_string n))
             steps))
+  | Chain_filter c ->
+    let steps l =
+      String.concat "/"
+        (List.map
+           (fun (a, n) ->
+             Printf.sprintf "%s::%s" (axis_name a) (Sedna_util.Xname.to_string n))
+           l)
+    in
+    line "CHAIN-FILTER doc(%S) %s  [%s %s value]  (key chain scan)" c.cf_doc
+      (steps c.cf_path) (steps c.cf_key) (binop_name c.cf_op);
+    line "  value";
+    pp ~indent:(indent + 2) buf c.cf_value
   | Index_probe p ->
     line "INDEX-PROBE %S mode=%s  (automatic index selection, doc %S)"
       p.ip_index

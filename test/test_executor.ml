@@ -177,6 +177,41 @@ let test_dynamic_errors () =
       | exception Sedna_util.Error.Sedna_error (Sedna_util.Error.Xquery_type, _) -> ()
       | r -> Alcotest.failf "multi-item arith returned %s" r)
 
+(* Constant positional predicates take their input lazily: [k[N]] reads
+   the first N [k] and stops, where it used to walk every sibling. *)
+let buckets =
+  "<r>"
+  ^ String.concat ""
+      (List.init 256 (fun i -> Printf.sprintf {|<k n="%d"><e/><e/><e/><e/></k>|} i))
+  ^ "</r>"
+
+let test_positional_stops_early () =
+  Test_util.with_doc buckets (fun _db run ->
+      List.iter
+        (fun n ->
+          let t0 = Sedna_util.Counters.get Sedna_util.Counters.block_touch in
+          let got = run (Printf.sprintf {|string(doc("d")/r/k[%d]/@n)|} n) in
+          let touches = Sedna_util.Counters.get Sedna_util.Counters.block_touch - t0 in
+          Alcotest.(check string)
+            (Printf.sprintf "k[%d] is the same node" n)
+            (run (Printf.sprintf {|string(doc("d")/r/k[position() = %d]/@n)|} n))
+            got;
+          if touches > n + 2 then
+            Alcotest.failf "k[%d] made %d block touches" n touches)
+        [ 1; 3; 40; 256 ];
+      Alcotest.(check string) "last()" "255" (run {|string(doc("d")/r/k[last()]/@n)|});
+      Alcotest.(check string) "position() <= 2" "0 1"
+        (run {|for $k in doc("d")/r/k[position() <= 2] return string($k/@n)|});
+      Alcotest.(check string) "position() < 3" "0 1"
+        (run {|for $k in doc("d")/r/k[position() < 3] return string($k/@n)|});
+      Alcotest.(check string) "[0]" "0" (run {|count(doc("d")/r/k[0])|});
+      Alcotest.(check string) "[2.5]" "0" (run {|count(doc("d")/r/k[2.5])|});
+      Alcotest.(check string) "past the end" "0" (run {|count(doc("d")/r/k[257])|});
+      Alcotest.(check string) "(expr)[3]" "2" (run {|string((doc("d")/r/k)[3]/@n)|});
+      Alcotest.(check string) "filter of atomics" "30" (run {|(10, 20, 30, 40)[3]|});
+      Alcotest.(check string) "positional after a value predicate" "7"
+        (run {|string(doc("d")/r/k[@n > 5][2]/@n)|}))
+
 let suite =
   [
     Alcotest.test_case "query table (optimized)" `Quick runner;
@@ -184,4 +219,5 @@ let suite =
     Alcotest.test_case "virtual constructors" `Quick test_virtual_constructor_avoids_copies;
     Alcotest.test_case "schema path equivalence" `Quick test_schema_path_results;
     Alcotest.test_case "dynamic errors" `Quick test_dynamic_errors;
+    Alcotest.test_case "constant positions stop early" `Quick test_positional_stops_early;
   ]

@@ -78,6 +78,72 @@ let test_plan_printer_total () =
       {|(//a, .//b)[1]|};
     ]
 
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+(* Rule 4 on value predicates: which shapes become chain filters. *)
+let test_explain_chain_filter () =
+  let shows q = contains ~needle:"CHAIN-FILTER" (Sedna_xquery.Xq_pp.explain q) in
+  List.iter
+    (fun q -> Alcotest.(check bool) q true (shows q))
+    [
+      {|count(doc("a")/site/regions/namerica/item[quantity > 2])|};
+      {|for $p in doc("a")/site/people/person[address/city = "City5"] return string($p/@id)|};
+      {|doc("a")//person[@id != "person1"]/name|};
+      {|doc("a")/site/people/person["City5" = address/city]|};
+    ];
+  List.iter
+    (fun q -> Alcotest.(check bool) q false (shows q))
+    [
+      {|count(doc("a")/site/regions/namerica/item[quantity eq 2])|};
+      {|count(doc("a")/site/regions/namerica/item[quantity lt 2])|};
+      {|count(doc("a")/site/regions/namerica/item[quantity > ../x])|};
+      {|count(doc("a")/site/regions/namerica/item[quantity > position()])|};
+      {|count(doc("a")/site/regions/namerica/item[quantity > 2][1])|};
+      {|count(doc("a")/site/regions/namerica/item[*/quantity > 2])|};
+    ];
+  (* an index covering the path wins over the chain scan *)
+  Test_util.with_db (fun db ->
+      let people =
+        String.concat ""
+          (List.init 40 (fun i -> Printf.sprintf {|<person id="p%d"><name>n%d</name></person>|} i i))
+      in
+      ignore (Test_util.load db "a" ("<site><people>" ^ people ^ "</people></site>"));
+      ignore
+        (Test_util.exec db
+           {|CREATE INDEX "pid" ON doc("a")/site/people/person BY @id AS xs:string|});
+      let out =
+        Sedna_xquery.Xq_pp.explain ~catalog:(Sedna_core.Database.catalog db)
+          {|doc("a")/site/people/person[@id = "p7"]/name|}
+      in
+      Alcotest.(check bool) "probe chosen" true (contains ~needle:"INDEX-PROBE" out);
+      Alcotest.(check bool) "no chain filter" false (contains ~needle:"CHAIN-FILTER" out))
+
+(* \profile gives the chain filter its own operator row *)
+let test_profile_chain_filter () =
+  Test_util.with_db (fun db ->
+      ignore (Test_util.load db "a" {|<r><p><k>1</k></p><p><k>5</k></p><p><k>7</k></p></r>|});
+      let s = Sedna_db.Session.connect db in
+      let out =
+        Sedna_db.Session.render_profile
+          (Sedna_db.Session.profile s {|doc("a")/r/p[k > 2]|})
+      in
+      let row =
+        List.find_opt
+          (fun l -> contains ~needle:"chain-filter" l)
+          (String.split_on_char '\n' out)
+      in
+      match row with
+      | None -> Alcotest.failf "no chain-filter row in\n%s" out
+      | Some l -> (
+        match List.filter (( <> ) "") (String.split_on_char ' ' l) |> List.rev with
+        | _probes :: derefs :: _faults :: _hits :: _ms :: rows :: _ ->
+          Alcotest.(check string) "rows" "2" rows;
+          Alcotest.(check bool) "derefs counted" true (int_of_string derefs > 0)
+        | _ -> Alcotest.failf "unexpected row %S" l))
+
 let suite =
   [
     Alcotest.test_case "schema()" `Quick test_schema_function;
@@ -86,4 +152,6 @@ let suite =
     Alcotest.test_case "explain keeps needed DDO" `Quick
       test_explain_keeps_ddo_when_needed;
     Alcotest.test_case "plan printer total" `Quick test_plan_printer_total;
+    Alcotest.test_case "explain chain filter" `Quick test_explain_chain_filter;
+    Alcotest.test_case "profile chain filter" `Quick test_profile_chain_filter;
   ]
