@@ -92,8 +92,11 @@ let check bm block =
     Error.raise_error Error.Storage_corruption "not a node block at %a"
       Xptr.pp block
 
-let desc_addr bm block slot =
-  Xptr.add block (header_size + (slot * desc_size bm block))
+(* [dsz] is the block's descriptor size, for walks that read it once
+   per block *)
+let desc_addr_sized block dsz slot = Xptr.add block (header_size + (slot * dsz))
+
+let desc_addr bm block slot = desc_addr_sized block (desc_size bm block) slot
 
 let slot_of_desc bm (d : Xptr.t) =
   let block = block_of_desc d in
@@ -122,7 +125,7 @@ let create_block bm (cat : Catalog.t) (snode : Catalog.snode) ~child_slots:cs
   Buffer_mgr.write_u16 bm (Xptr.add block h_free_head) 0;
   for i = 0 to cap - 1 do
     let next = if i = cap - 1 then nil_slot else i + 1 in
-    Buffer_mgr.write_u16 bm (Xptr.add block (header_size + (i * dsz))) next
+    Buffer_mgr.write_u16 bm (desc_addr_sized block dsz i) next
   done;
   (* link into the chain *)
   let prev, next =
@@ -160,7 +163,7 @@ let alloc_slot bm block : int =
   if free = nil_slot then
     Error.raise_error Error.Block_full "node block %a is full" Xptr.pp block;
   let dsz = desc_size bm block in
-  let next = Buffer_mgr.read_u16 bm (Xptr.add block (header_size + (free * dsz))) in
+  let next = Buffer_mgr.read_u16 bm (desc_addr_sized block dsz free) in
   Buffer_mgr.write_u16 bm (Xptr.add block h_free_head) next;
   Buffer_mgr.write_u16 bm (Xptr.add block h_count) (count bm block + 1);
   (* zero the descriptor *)
@@ -174,7 +177,7 @@ let alloc_slot bm block : int =
 let free_slot bm block slot =
   let dsz = desc_size bm block in
   let head = Buffer_mgr.read_u16 bm (Xptr.add block h_free_head) in
-  Buffer_mgr.write_u16 bm (Xptr.add block (header_size + (slot * dsz))) head;
+  Buffer_mgr.write_u16 bm (desc_addr_sized block dsz slot) head;
   Buffer_mgr.write_u16 bm (Xptr.add block h_free_head) slot;
   Buffer_mgr.write_u16 bm (Xptr.add block h_count) (count bm block - 1)
 
@@ -293,13 +296,19 @@ let set_text_len bm d v = Buffer_mgr.write_i32 bm (Xptr.add d (d_payload + 8)) v
 
 (* ---- document-order iteration within one schema node ------------------ *)
 
-(* first descriptor of the schema node's block chain *)
-let rec first_desc_from bm block =
+(* A chain walk that reads each block's descriptor size once, on
+   entering the block: a descriptor paired with that size. *)
+let rec first_sized_from bm block =
   if Xptr.is_null block then None
   else
     match first_slot bm block with
-    | Some s -> Some (desc_addr bm block s)
-    | None -> first_desc_from bm (next_block bm block)
+    | Some s ->
+      let dsz = desc_size bm block in
+      Some (desc_addr_sized block dsz s, dsz)
+    | None -> first_sized_from bm (next_block bm block)
+
+(* first descriptor of the schema node's block chain *)
+let first_desc_from bm block = Option.map fst (first_sized_from bm block)
 
 let rec last_desc_from bm block =
   if Xptr.is_null block then None
@@ -313,6 +322,13 @@ let first_desc bm (snode : Catalog.snode) =
 
 let last_desc bm (snode : Catalog.snode) =
   last_desc_from bm snode.Catalog.last_block
+
+let next_sized bm ((d, dsz) : Xptr.t * int) =
+  let block = block_of_desc d in
+  incr Counters.block_touch_cell;
+  match next_in_block bm d with
+  | Some s -> Some (desc_addr_sized block dsz s, dsz)
+  | None -> first_sized_from bm (next_block bm block)
 
 (* successor in document order among nodes of the same schema node *)
 let next_desc bm (d : Xptr.t) =
