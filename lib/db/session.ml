@@ -86,107 +86,40 @@ let clear_plan_cache t = Hashtbl.reset t.plans
 
 (* ---- lock-set inference ----------------------------------------------- *)
 
-(* Documents and collections a statement touches, from doc()/collection()
-   calls in its tree.  Locking granularity is the document (paper §6.2). *)
-let rec doc_refs (e : Ast.expr) : string list =
-  match e with
-  | Ast.Call (n, [ Ast.Str_lit d ])
-    when let l = Xname.local n in
-         l = "doc" || l = "document" -> [ d ]
-  | Ast.Call (n, [ Ast.Str_lit _c ]) when Xname.local n = "collection" ->
-    [] (* collections resolved to documents at lock time, below *)
-  | Ast.Schema_path (d, _) -> [ d ]
-  | Ast.Index_probe p ->
-    (p.Ast.ip_doc :: doc_refs p.Ast.ip_key)
-    @ doc_refs p.Ast.ip_residual @ doc_refs p.Ast.ip_fallback
-  | Ast.Chain_filter c -> c.Ast.cf_doc :: doc_refs c.Ast.cf_value
-  | Ast.Int_lit _ | Ast.Dbl_lit _ | Ast.Str_lit _ | Ast.Empty_seq
-  | Ast.Context_item | Ast.Var _ -> []
-  | Ast.Sequence es -> List.concat_map doc_refs es
-  | Ast.Range (a, b)
-  | Ast.Binop (_, a, b)
-  | Ast.And (a, b)
-  | Ast.Or (a, b)
-  | Ast.Comp_elem (a, b)
-  | Ast.Comp_attr (a, b)
-  | Ast.Comp_pi (a, b) -> doc_refs a @ doc_refs b
-  | Ast.Neg a | Ast.Not a | Ast.Ddo a | Ast.Ordered a | Ast.Unordered a
-  | Ast.Comp_text a | Ast.Comp_comment a | Ast.Virtual_constr a
-  | Ast.Castable (a, _) | Ast.Cast (a, _) | Ast.Instance_of (a, _)
-  | Ast.Treat_as (a, _) -> doc_refs a
-  | Ast.If (c, t, f) -> doc_refs c @ doc_refs t @ doc_refs f
-  | Ast.Call (_, args) -> List.concat_map doc_refs args
-  | Ast.Filter (p, preds) -> doc_refs p @ List.concat_map doc_refs preds
-  | Ast.Path (p, steps) ->
-    doc_refs p
-    @ List.concat_map (fun (s : Ast.step) -> List.concat_map doc_refs s.Ast.preds) steps
-  | Ast.Elem_constr (_, atts, content) ->
-    List.concat_map
-      (fun (a : Ast.attr_constr) -> List.concat_map doc_refs a.Ast.attr_value)
-      atts
-    @ List.concat_map doc_refs content
-  | Ast.Quantified (_, binds, cond) ->
-    List.concat_map (fun (_, e') -> doc_refs e') binds @ doc_refs cond
-  | Ast.Flwor (clauses, ret) ->
-    List.concat_map
-      (function
-        | Ast.For binds -> List.concat_map (fun (_, _, e') -> doc_refs e') binds
-        | Ast.Let binds -> List.concat_map (fun (_, e') -> doc_refs e') binds
-        | Ast.Where c -> doc_refs c
-        | Ast.Order_by keys -> List.concat_map (fun (k, _) -> doc_refs k) keys)
-      clauses
-    @ doc_refs ret
-
-let rec collection_refs (e : Ast.expr) : string list =
-  match e with
-  | Ast.Call (n, [ Ast.Str_lit c ]) when Xname.local n = "collection" -> [ c ]
-  | Ast.Sequence es -> List.concat_map collection_refs es
-  | Ast.Path (p, _) | Ast.Filter (p, _) -> collection_refs p
-  | Ast.Flwor (clauses, ret) ->
-    List.concat_map
-      (function
-        | Ast.For binds ->
-          List.concat_map (fun (_, _, e') -> collection_refs e') binds
-        | Ast.Let binds -> List.concat_map (fun (_, e') -> collection_refs e') binds
-        | _ -> [])
-      clauses
-    @ collection_refs ret
-  | _ -> []
-
+(* Documents a statement touches: doc() calls and plan nodes anywhere in
+   its tree, plus the current members of every collection() it names.
+   Locking granularity is the document (paper §6.2). *)
 let statement_locks (db : Database.t) (s : Ast.statement) :
     (string * Lock_mgr.mode) list =
-  let docs_of_expr e =
-    let direct = doc_refs e in
-    let colls = collection_refs e in
-    let from_colls =
-      List.concat_map
-        (fun c ->
-          match Hashtbl.find_opt (Database.catalog db).Catalog.collections c with
-          | Some docs -> docs
-          | None -> [])
-        colls
-    in
-    List.sort_uniq compare (direct @ from_colls)
+  let collections = (Database.catalog db).Catalog.collections in
+  let rec refs acc (e : Ast.expr) =
+    match e with
+    | Ast.Call (n, [ Ast.Str_lit name ]) -> (
+      match Xname.local n with
+      | "doc" | "document" -> name :: acc
+      | "collection" -> (
+        match Hashtbl.find_opt collections name with
+        | Some docs -> List.rev_append docs acc
+        | None -> acc)
+      | _ -> acc)
+    | Ast.Schema_path (d, _) -> d :: acc
+    | Ast.Index_probe { Ast.ip_doc = d; _ } | Ast.Chain_filter { Ast.cf_doc = d; _ } ->
+      Ast.fold refs (d :: acc) e
+    | e -> Ast.fold refs acc e
   in
+  let lock mode acc = List.map (fun d -> (d, mode)) (List.sort_uniq compare acc) in
   match s with
   | Ast.Query (prolog, e) ->
-    let var_docs = List.concat_map (fun (_, e') -> doc_refs e') prolog.Ast.variables in
-    List.map
-      (fun d -> (d, Lock_mgr.Shared))
-      (List.sort_uniq compare (docs_of_expr e @ var_docs))
+    lock Lock_mgr.Shared
+      (List.fold_left (fun acc (_, e') -> refs acc e') (refs [] e) prolog.Ast.variables)
   | Ast.Update (_, u) ->
-    let exprs =
-      match u with
-      | Ast.Insert_into (a, b)
-      | Ast.Insert_preceding (a, b)
-      | Ast.Insert_following (a, b) -> [ a; b ]
-      | Ast.Delete a | Ast.Delete_undeep a -> [ a ]
-      | Ast.Replace (_, a, b) -> [ a; b ]
-      | Ast.Rename (a, _) -> [ a ]
-    in
-    List.map
-      (fun d -> (d, Lock_mgr.Exclusive))
-      (List.sort_uniq compare (List.concat_map docs_of_expr exprs))
+    lock Lock_mgr.Exclusive
+      (match u with
+       | Ast.Insert_into (a, b)
+       | Ast.Insert_preceding (a, b)
+       | Ast.Insert_following (a, b)
+       | Ast.Replace (_, a, b) -> refs (refs [] a) b
+       | Ast.Delete a | Ast.Delete_undeep a | Ast.Rename (a, _) -> refs [] a)
   | Ast.Ddl d -> (
     match d with
     | Ast.Create_document n | Ast.Drop_document n

@@ -132,53 +132,6 @@ let label_of (e : Ast.expr) : string option =
   | Ast.If _ -> Some "if"
   | _ -> None
 
-let subexprs (e : Ast.expr) : Ast.expr list =
-  match e with
-  | Ast.Int_lit _ | Ast.Dbl_lit _ | Ast.Str_lit _ | Ast.Empty_seq
-  | Ast.Context_item | Ast.Var _ | Ast.Schema_path _ ->
-    []
-  | Ast.Sequence es -> es
-  | Ast.Range (a, b)
-  | Ast.Binop (_, a, b)
-  | Ast.And (a, b)
-  | Ast.Or (a, b)
-  | Ast.Comp_elem (a, b)
-  | Ast.Comp_attr (a, b)
-  | Ast.Comp_pi (a, b) ->
-    [ a; b ]
-  | Ast.Neg a
-  | Ast.Not a
-  | Ast.Ddo a
-  | Ast.Ordered a
-  | Ast.Unordered a
-  | Ast.Comp_text a
-  | Ast.Comp_comment a
-  | Ast.Virtual_constr a
-  | Ast.Castable (a, _)
-  | Ast.Cast (a, _)
-  | Ast.Instance_of (a, _)
-  | Ast.Treat_as (a, _) ->
-    [ a ]
-  | Ast.If (c, t, f) -> [ c; t; f ]
-  | Ast.Index_probe p -> [ p.Ast.ip_key; p.Ast.ip_residual; p.Ast.ip_fallback ]
-  | Ast.Chain_filter c -> [ c.Ast.cf_value ]
-  | Ast.Path (init, steps) ->
-    init :: List.concat_map (fun (s : Ast.step) -> s.Ast.preds) steps
-  | Ast.Filter (p, preds) -> p :: preds
-  | Ast.Call (_, args) -> args
-  | Ast.Quantified (_, binds, cond) -> List.map snd binds @ [ cond ]
-  | Ast.Elem_constr (_, atts, content) ->
-    List.concat_map (fun (a : Ast.attr_constr) -> a.Ast.attr_value) atts @ content
-  | Ast.Flwor (clauses, ret) ->
-    List.concat_map
-      (function
-        | Ast.For binds -> List.map (fun (_, _, e) -> e) binds
-        | Ast.Let binds -> List.map snd binds
-        | Ast.Where c -> [ c ]
-        | Ast.Order_by keys -> List.map fst keys)
-      clauses
-    @ [ ret ]
-
 (* Returns the labelled roots of [e]'s subtree at this nesting level,
    registering every labelled node (and every path step) on the way. *)
 let rec build p (e : Ast.expr) : op list =
@@ -203,7 +156,7 @@ and build_children p (e : Ast.expr) : op list =
           node.children <- List.concat_map (build p) s.Ast.preds;
           node)
         steps
-  | e -> List.concat_map (build p) (subexprs e)
+  | e -> List.rev (Ast.fold (fun acc sub -> List.rev_append (build p sub) acc) [] e)
 
 let instrument (e : Ast.expr) : t * op =
   let p =

@@ -37,39 +37,7 @@ let rec positional ~numeric (e : expr) : bool =
     let l = Sedna_util.Xname.local n in
     l = "position" || l = "last"
   | Int_lit _ | Dbl_lit _ -> numeric (* numeric predicate = positional *)
-  | Str_lit _ | Empty_seq | Context_item | Var _ | Schema_path _ -> false
-  | Index_probe p ->
-    positional ~numeric p.ip_key || positional ~numeric p.ip_residual
-    || positional ~numeric p.ip_fallback
-  | Chain_filter c -> positional ~numeric c.cf_value
-  | Sequence es -> List.exists (positional ~numeric) es
-  | Range (a, b) | Binop (_, a, b) | And (a, b) | Or (a, b)
-  | Comp_elem (a, b) | Comp_attr (a, b) | Comp_pi (a, b) ->
-    positional ~numeric a || positional ~numeric b
-  | Neg a | Not a | Ddo a | Ordered a | Unordered a | Comp_text a
-  | Comp_comment a | Virtual_constr a
-  | Castable (a, _) | Cast (a, _) | Instance_of (a, _) | Treat_as (a, _) ->
-    positional ~numeric a
-  | If (c, t, f) -> positional ~numeric c || positional ~numeric t || positional ~numeric f
-  | Call (_, args) -> List.exists (positional ~numeric) args
-  | Filter (p, preds) -> positional ~numeric p || List.exists (positional ~numeric) preds
-  | Path (p, steps) ->
-    positional ~numeric p
-    || List.exists (fun s -> List.exists (positional ~numeric) s.preds) steps
-  | Elem_constr (_, atts, content) ->
-    List.exists (fun a -> List.exists (positional ~numeric) a.attr_value) atts
-    || List.exists (positional ~numeric) content
-  | Quantified (_, binds, cond) ->
-    List.exists (fun (_, e') -> positional ~numeric e') binds || positional ~numeric cond
-  | Flwor (clauses, ret) ->
-    List.exists
-      (function
-        | For binds -> List.exists (fun (_, _, e') -> positional ~numeric e') binds
-        | Let binds -> List.exists (fun (_, e') -> positional ~numeric e') binds
-        | Where c -> positional ~numeric c
-        | Order_by keys -> List.exists (fun (k, _) -> positional ~numeric k) keys)
-      clauses
-    || positional ~numeric ret
+  | e -> exists (positional ~numeric) e
 
 let uses_position = positional ~numeric:true
 
@@ -214,40 +182,15 @@ let rec props_of (env : venv) (e : expr) : props =
 
 type need = Full | Ebv (* effective boolean value: order and dups ignored *)
 
+(* Does [e] read the focus it is evaluated in?  Predicates, the steps
+   of a path and an index probe's residual rebind the focus, so only
+   their input counts. *)
 let rec contains_context (e : expr) : bool =
   match e with
   | Context_item -> true
-  | Int_lit _ | Dbl_lit _ | Str_lit _ | Empty_seq | Var _ | Schema_path _ ->
-    false
-  | Index_probe p ->
-    (* the residual rebinds the context like a predicate does *)
-    contains_context p.ip_key || contains_context p.ip_fallback
-  | Chain_filter c -> contains_context c.cf_value
-  | Sequence es -> List.exists contains_context es
-  | Range (a, b) | Binop (_, a, b) | And (a, b) | Or (a, b)
-  | Comp_elem (a, b) | Comp_attr (a, b) | Comp_pi (a, b) ->
-    contains_context a || contains_context b
-  | Neg a | Not a | Ddo a | Ordered a | Unordered a | Comp_text a
-  | Comp_comment a | Virtual_constr a
-  | Castable (a, _) | Cast (a, _) | Instance_of (a, _) | Treat_as (a, _) ->
-    contains_context a
-  | If (c, t, f) -> contains_context c || contains_context t || contains_context f
-  | Call (_, args) -> List.exists contains_context args
-  | Filter (p, _) -> contains_context p (* predicates rebind context *)
-  | Path (p, _) -> contains_context p
-  | Elem_constr (_, atts, content) ->
-    List.exists (fun a -> List.exists contains_context a.attr_value) atts
-    || List.exists contains_context content
-  | Quantified (_, binds, _) ->
-    List.exists (fun (_, e') -> contains_context e') binds
-  | Flwor (clauses, _) ->
-    List.exists
-      (function
-        | For binds -> List.exists (fun (_, _, e') -> contains_context e') binds
-        | Let binds -> List.exists (fun (_, e') -> contains_context e') binds
-        | Where c -> contains_context c
-        | Order_by keys -> List.exists (fun (k, _) -> contains_context k) keys)
-      clauses
+  | Filter (p, _) | Path (p, _) -> contains_context p
+  | Index_probe p -> contains_context p.ip_key || contains_context p.ip_fallback
+  | e -> exists contains_context e
 
 let is_worth_hoisting (e : expr) : bool =
   (* hoisting a literal or a variable buys nothing *)
@@ -258,57 +201,8 @@ let is_worth_hoisting (e : expr) : bool =
 (* ---- normalization: insert DDO over paths -------------------------------- *)
 
 let rec normalize (e : expr) : expr =
-  match e with
-  | Int_lit _ | Dbl_lit _ | Str_lit _ | Empty_seq | Context_item | Var _
-  | Schema_path _ | Index_probe _ | Chain_filter _ -> e
-  | Path (init, steps) ->
-    let steps' =
-      List.map (fun s -> { s with preds = List.map normalize s.preds }) steps
-    in
-    if steps = [] then Path (normalize init, [])
-    else Ddo (Path (normalize init, steps'))
-  | Filter (p, preds) -> Filter (normalize p, List.map normalize preds)
-  | Sequence es -> Sequence (List.map normalize es)
-  | Range (a, b) -> Range (normalize a, normalize b)
-  | Binop (op, a, b) -> Binop (op, normalize a, normalize b)
-  | Neg a -> Neg (normalize a)
-  | And (a, b) -> And (normalize a, normalize b)
-  | Or (a, b) -> Or (normalize a, normalize b)
-  | Not a -> Not (normalize a)
-  | If (c, t, f) -> If (normalize c, normalize t, normalize f)
-  | Call (n, args) -> Call (n, List.map normalize args)
-  | Quantified (q, binds, cond) ->
-    Quantified (q, List.map (fun (v, e') -> (v, normalize e')) binds, normalize cond)
-  | Flwor (clauses, ret) ->
-    Flwor
-      ( List.map
-          (function
-            | For binds ->
-              For (List.map (fun (v, p, e') -> (v, p, normalize e')) binds)
-            | Let binds -> Let (List.map (fun (v, e') -> (v, normalize e')) binds)
-            | Where c -> Where (normalize c)
-            | Order_by keys ->
-              Order_by (List.map (fun (k, d) -> (normalize k, d)) keys))
-          clauses,
-        normalize ret )
-  | Elem_constr (n, atts, content) ->
-    Elem_constr
-      ( n,
-        List.map (fun a -> { a with attr_value = List.map normalize a.attr_value }) atts,
-        List.map normalize content )
-  | Comp_elem (a, b) -> Comp_elem (normalize a, normalize b)
-  | Comp_attr (a, b) -> Comp_attr (normalize a, normalize b)
-  | Comp_text a -> Comp_text (normalize a)
-  | Comp_comment a -> Comp_comment (normalize a)
-  | Comp_pi (a, b) -> Comp_pi (normalize a, normalize b)
-  | Ddo a -> Ddo (normalize a)
-  | Ordered a -> Ordered (normalize a)
-  | Unordered a -> Unordered (normalize a)
-  | Virtual_constr a -> Virtual_constr (normalize a)
-  | Castable (a, t) -> Castable (normalize a, t)
-  | Cast (a, t) -> Cast (normalize a, t)
-  | Instance_of (a, t) -> Instance_of (normalize a, t)
-  | Treat_as (a, t) -> Treat_as (normalize a, t)
+  let e' = map normalize e in
+  match e with Path (_, _ :: _) -> Ddo e' | _ -> e'
 
 (* ---- rule 5: virtual constructor marking ---------------------------------- *)
 
@@ -339,76 +233,13 @@ let rec mark_virtual ~in_output (e : expr) : expr =
    context item are excluded (a function body has no context item, but
    an inlined copy would capture the caller's). *)
 
-let map_expr (f : expr -> expr) (e : expr) : expr =
-  (* one-level structural map *)
-  match e with
-  | Int_lit _ | Dbl_lit _ | Str_lit _ | Empty_seq | Context_item | Var _
-  | Schema_path _ -> e
-  | Index_probe p ->
-    Index_probe
-      {
-        p with
-        ip_key = f p.ip_key;
-        ip_residual = f p.ip_residual;
-        ip_fallback = f p.ip_fallback;
-      }
-  | Chain_filter c -> Chain_filter { c with cf_value = f c.cf_value }
-  | Sequence es -> Sequence (List.map f es)
-  | Range (a, b) -> Range (f a, f b)
-  | Binop (op, a, b) -> Binop (op, f a, f b)
-  | Neg a -> Neg (f a)
-  | And (a, b) -> And (f a, f b)
-  | Or (a, b) -> Or (f a, f b)
-  | Not a -> Not (f a)
-  | If (c, t, e') -> If (f c, f t, f e')
-  | Call (n, args) -> Call (n, List.map f args)
-  | Filter (p, preds) -> Filter (f p, List.map f preds)
-  | Path (p, steps) ->
-    Path (f p, List.map (fun s -> { s with preds = List.map f s.preds }) steps)
-  | Elem_constr (n, atts, content) ->
-    Elem_constr
-      ( n,
-        List.map (fun a -> { a with attr_value = List.map f a.attr_value }) atts,
-        List.map f content )
-  | Comp_elem (a, b) -> Comp_elem (f a, f b)
-  | Comp_attr (a, b) -> Comp_attr (f a, f b)
-  | Comp_text a -> Comp_text (f a)
-  | Comp_comment a -> Comp_comment (f a)
-  | Comp_pi (a, b) -> Comp_pi (f a, f b)
-  | Ddo a -> Ddo (f a)
-  | Ordered a -> Ordered (f a)
-  | Unordered a -> Unordered (f a)
-  | Virtual_constr a -> Virtual_constr (f a)
-  | Castable (a, t) -> Castable (f a, t)
-  | Cast (a, t) -> Cast (f a, t)
-  | Instance_of (a, t) -> Instance_of (f a, t)
-  | Treat_as (a, t) -> Treat_as (f a, t)
-  | Quantified (q, binds, cond) ->
-    Quantified (q, List.map (fun (v, e') -> (v, f e')) binds, f cond)
-  | Flwor (clauses, ret) ->
-    Flwor
-      ( List.map
-          (function
-            | For binds -> For (List.map (fun (v, p, e') -> (v, p, f e')) binds)
-            | Let binds -> Let (List.map (fun (v, e') -> (v, f e')) binds)
-            | Where c -> Where (f c)
-            | Order_by keys -> Order_by (List.map (fun (k, d) -> (f k, d)) keys))
-          clauses,
-        f ret )
-
-let rec calls_of (e : expr) : string list =
-  match e with
-  | Call (n, args) ->
-    Sedna_util.Xname.local n :: List.concat_map calls_of args
-  | e ->
-    let acc = ref [] in
-    ignore
-      (map_expr
-         (fun sub ->
-           acc := calls_of sub @ !acc;
-           sub)
-         e);
-    !acc
+let rec calls_of acc (e : expr) : string list =
+  let acc =
+    match e with
+    | Call (n, _) -> Sedna_util.Xname.local n :: acc
+    | _ -> acc
+  in
+  fold calls_of acc e
 
 let inline_functions (funs : fun_def list) (e : expr) : expr =
   (* a function is inlinable when it never reaches itself through the
@@ -426,7 +257,7 @@ let inline_functions (funs : fun_def list) (e : expr) : expr =
          (calls_from from)
   and calls_from name =
     match List.assoc_opt name by_name with
-    | Some f -> calls_of f.fn_body
+    | Some f -> calls_of [] f.fn_body
     | None -> []
   in
   let inlinable name =
@@ -445,7 +276,7 @@ let inline_functions (funs : fun_def list) (e : expr) : expr =
         let body = go (depth - 1) f.fn_body in
         if f.fn_params = [] then body
         else Flwor ([ Let (List.combine f.fn_params args) ], body)
-      | e -> map_expr (go depth) e
+      | e -> map (go depth) e
   in
   go 8 e
 
@@ -860,60 +691,8 @@ let optimize e = rewrite_with default_options e
 
 (* count the nodes of a tree that satisfy [is_x] (tests, benches, \explain) *)
 let rec count_nodes (is_x : expr -> bool) (e : expr) : int =
-  let acc = ref (if is_x e then 1 else 0) in
-  ignore
-    (map_expr
-       (fun sub ->
-         acc := !acc + count_nodes is_x sub;
-         sub)
-       e);
-  !acc
+  fold (fun n sub -> n + count_nodes is_x sub) (if is_x e then 1 else 0) e
 
+let count_ddo = count_nodes (function Ddo _ -> true | _ -> false)
 let count_index_probes = count_nodes (function Index_probe _ -> true | _ -> false)
 let count_chain_filters = count_nodes (function Chain_filter _ -> true | _ -> false)
-
-(* count DDO operations remaining in a tree (tests, benches) *)
-let rec count_ddo (e : expr) : int =
-  match e with
-  | Ddo a -> 1 + count_ddo a
-  | Int_lit _ | Dbl_lit _ | Str_lit _ | Empty_seq | Context_item | Var _
-  | Schema_path _ -> 0
-  | Index_probe p ->
-    count_ddo p.ip_key + count_ddo p.ip_residual + count_ddo p.ip_fallback
-  | Chain_filter c -> count_ddo c.cf_value
-  | Sequence es -> List.fold_left (fun a e' -> a + count_ddo e') 0 es
-  | Range (a, b) | Binop (_, a, b) | And (a, b) | Or (a, b)
-  | Comp_elem (a, b) | Comp_attr (a, b) | Comp_pi (a, b) ->
-    count_ddo a + count_ddo b
-  | Neg a | Not a | Ordered a | Unordered a | Comp_text a | Comp_comment a
-  | Virtual_constr a
-  | Castable (a, _) | Cast (a, _) | Instance_of (a, _) | Treat_as (a, _) ->
-    count_ddo a
-  | If (c, t, f) -> count_ddo c + count_ddo t + count_ddo f
-  | Call (_, args) -> List.fold_left (fun a e' -> a + count_ddo e') 0 args
-  | Filter (p, preds) ->
-    count_ddo p + List.fold_left (fun a e' -> a + count_ddo e') 0 preds
-  | Path (p, steps) ->
-    count_ddo p
-    + List.fold_left
-        (fun a s -> a + List.fold_left (fun a e' -> a + count_ddo e') 0 s.preds)
-        0 steps
-  | Elem_constr (_, atts, content) ->
-    List.fold_left
-      (fun a at -> a + List.fold_left (fun a e' -> a + count_ddo e') 0 at.attr_value)
-      0 atts
-    + List.fold_left (fun a e' -> a + count_ddo e') 0 content
-  | Quantified (_, binds, cond) ->
-    List.fold_left (fun a (_, e') -> a + count_ddo e') 0 binds + count_ddo cond
-  | Flwor (clauses, ret) ->
-    List.fold_left
-      (fun a c ->
-        a
-        +
-        match c with
-        | For binds -> List.fold_left (fun a (_, _, e') -> a + count_ddo e') 0 binds
-        | Let binds -> List.fold_left (fun a (_, e') -> a + count_ddo e') 0 binds
-        | Where c' -> count_ddo c'
-        | Order_by keys -> List.fold_left (fun a (k, _) -> a + count_ddo k) 0 keys)
-      0 clauses
-    + count_ddo ret

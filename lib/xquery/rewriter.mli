@@ -79,10 +79,10 @@ val predicate_is_positional : Xq_ast.expr -> bool
 val combine_dos_steps : Xq_ast.step list -> Xq_ast.step list
 (** Rule 2 on a raw step list. *)
 
-val map_expr : (Xq_ast.expr -> Xq_ast.expr) -> Xq_ast.expr -> Xq_ast.expr
-(** One-level structural map over immediate subexpressions. *)
-
 val contains_context : Xq_ast.expr -> bool
+(** Does the expression read the focus it is evaluated in?  Predicates,
+    path steps and an index probe's residual rebind the focus, so only
+    their input is looked at. *)
 
 val count_ddo : Xq_ast.expr -> int
 (** Number of DDO operations in a tree (tests and benches). *)

@@ -126,41 +126,12 @@ let check_function env (n : Xname.t) (arity : int) =
 (* Walk the expression, checking names and variable bindings. *)
 let rec check env (e : expr) : unit =
   match e with
-  | Int_lit _ | Dbl_lit _ | Str_lit _ | Empty_seq | Context_item
-  | Schema_path _ -> ()
-  | Index_probe p ->
-    check env p.ip_key;
-    check env p.ip_residual;
-    check env p.ip_fallback
-  | Chain_filter c -> check env c.cf_value
   | Var v ->
     if not (List.mem v env.bound_vars) then
       Error.raise_error Error.Xquery_static "unbound variable $%s" v
-  | Sequence es -> List.iter (check env) es
-  | Range (a, b) | Binop (_, a, b) | And (a, b) | Or (a, b)
-  | Comp_elem (a, b) | Comp_attr (a, b) | Comp_pi (a, b) ->
-    check env a;
-    check env b
-  | Neg a | Not a | Ddo a | Ordered a | Unordered a | Comp_text a
-  | Comp_comment a | Virtual_constr a
-  | Castable (a, _) | Cast (a, _) | Instance_of (a, _) | Treat_as (a, _) ->
-    check env a
-  | If (c, t, f) ->
-    check env c;
-    check env t;
-    check env f
   | Call (n, args) ->
     check_function env (resolve_name env ~default_fn:true n) (List.length args);
     List.iter (check env) args
-  | Filter (p, preds) ->
-    check env p;
-    List.iter (check env) preds
-  | Path (p, steps) ->
-    check env p;
-    List.iter (fun s -> List.iter (check env) s.preds) steps
-  | Elem_constr (_, atts, content) ->
-    List.iter (fun a -> List.iter (check env) a.attr_value) atts;
-    List.iter (check env) content
   | Quantified (_, binds, cond) ->
     List.iter (fun (_, e') -> check env e') binds;
     check { env with bound_vars = List.map fst binds @ env.bound_vars } cond
@@ -189,6 +160,7 @@ let rec check env (e : expr) : unit =
         env clauses
     in
     check env' ret
+  | e -> fold (fun () -> check env) () e
 
 (* Entry point: analyse prolog + body; returns the environment used by
    later phases. *)

@@ -187,84 +187,141 @@ type statement =
   | Update of prolog * update_stmt
   | Ddl of ddl_stmt
 
-(* ---- helpers used across the compiler ------------------------------- *)
+(* ---- the child structure, in one place ------------------------------ *)
 
-let rec free_vars (e : expr) : string list =
-  let ( @@@ ) a b = List.rev_append a b in
+(* Every analysis that only needs to reach subexpressions goes through
+   [map] or [fold], so a constructor's children are listed here and
+   nowhere else. *)
+
+(* One-level structural map: [f] applied to each immediate
+   subexpression, leaves returned unchanged. *)
+let map (f : expr -> expr) (e : expr) : expr =
   match e with
-  | Int_lit _ | Dbl_lit _ | Str_lit _ | Empty_seq | Context_item -> []
-  | Var v -> [ v ]
-  | Sequence es -> List.concat_map free_vars es
-  | Range (a, b)
-  | Binop (_, a, b)
-  | And (a, b)
-  | Or (a, b)
-  | Comp_elem (a, b)
-  | Comp_attr (a, b)
-  | Comp_pi (a, b) -> free_vars a @@@ free_vars b
+  | Int_lit _ | Dbl_lit _ | Str_lit _ | Empty_seq | Context_item | Var _
+  | Schema_path _ -> e
+  | Index_probe p ->
+    Index_probe
+      {
+        p with
+        ip_key = f p.ip_key;
+        ip_residual = f p.ip_residual;
+        ip_fallback = f p.ip_fallback;
+      }
+  | Chain_filter c -> Chain_filter { c with cf_value = f c.cf_value }
+  | Sequence es -> Sequence (List.map f es)
+  | Range (a, b) -> Range (f a, f b)
+  | Binop (op, a, b) -> Binop (op, f a, f b)
+  | Neg a -> Neg (f a)
+  | And (a, b) -> And (f a, f b)
+  | Or (a, b) -> Or (f a, f b)
+  | Not a -> Not (f a)
+  | If (c, t, e') -> If (f c, f t, f e')
+  | Call (n, args) -> Call (n, List.map f args)
+  | Filter (p, preds) -> Filter (f p, List.map f preds)
+  | Path (p, steps) ->
+    Path (f p, List.map (fun s -> { s with preds = List.map f s.preds }) steps)
+  | Elem_constr (n, atts, content) ->
+    Elem_constr
+      ( n,
+        List.map (fun a -> { a with attr_value = List.map f a.attr_value }) atts,
+        List.map f content )
+  | Comp_elem (a, b) -> Comp_elem (f a, f b)
+  | Comp_attr (a, b) -> Comp_attr (f a, f b)
+  | Comp_text a -> Comp_text (f a)
+  | Comp_comment a -> Comp_comment (f a)
+  | Comp_pi (a, b) -> Comp_pi (f a, f b)
+  | Ddo a -> Ddo (f a)
+  | Ordered a -> Ordered (f a)
+  | Unordered a -> Unordered (f a)
+  | Virtual_constr a -> Virtual_constr (f a)
+  | Castable (a, t) -> Castable (f a, t)
+  | Cast (a, t) -> Cast (f a, t)
+  | Instance_of (a, t) -> Instance_of (f a, t)
+  | Treat_as (a, t) -> Treat_as (f a, t)
+  | Quantified (q, binds, cond) ->
+    Quantified (q, List.map (fun (v, e') -> (v, f e')) binds, f cond)
+  | Flwor (clauses, ret) ->
+    Flwor
+      ( List.map
+          (function
+            | For binds -> For (List.map (fun (v, p, e') -> (v, p, f e')) binds)
+            | Let binds -> Let (List.map (fun (v, e') -> (v, f e')) binds)
+            | Where c -> Where (f c)
+            | Order_by keys -> Order_by (List.map (fun (k, d) -> (f k, d)) keys))
+          clauses,
+        f ret )
+
+(* Fold [f] over the immediate subexpressions in evaluation order: the
+   children [map] visits, in the same order (step predicates after the
+   path's input, attribute values before content, FLWOR clauses before
+   the return). *)
+let fold (f : 'a -> expr -> 'a) (acc : 'a) (e : expr) : 'a =
+  let all acc es = List.fold_left f acc es in
+  match e with
+  | Int_lit _ | Dbl_lit _ | Str_lit _ | Empty_seq | Context_item | Var _
+  | Schema_path _ -> acc
+  | Index_probe p -> f (f (f acc p.ip_key) p.ip_residual) p.ip_fallback
+  | Chain_filter c -> f acc c.cf_value
+  | Sequence es | Call (_, es) -> all acc es
+  | Range (a, b) | Binop (_, a, b) | And (a, b) | Or (a, b)
+  | Comp_elem (a, b) | Comp_attr (a, b) | Comp_pi (a, b) -> f (f acc a) b
   | Neg a | Not a | Ddo a | Ordered a | Unordered a | Comp_text a
   | Comp_comment a | Virtual_constr a
   | Castable (a, _) | Cast (a, _) | Instance_of (a, _) | Treat_as (a, _) ->
-    free_vars a
-  | Schema_path _ -> []
-  | Index_probe p ->
-    free_vars p.ip_key @@@ free_vars p.ip_residual @@@ free_vars p.ip_fallback
-  | Chain_filter c -> free_vars c.cf_value
-  | If (c, t, e') -> free_vars c @@@ free_vars t @@@ free_vars e'
-  | Call (_, args) -> List.concat_map free_vars args
-  | Filter (p, preds) -> free_vars p @@@ List.concat_map free_vars preds
-  | Path (p, steps) ->
-    free_vars p
-    @@@ List.concat_map (fun s -> List.concat_map free_vars s.preds) steps
+    f acc a
+  | If (c, t, e') -> f (f (f acc c) t) e'
+  | Filter (p, preds) -> all (f acc p) preds
+  | Path (p, steps) -> List.fold_left (fun acc s -> all acc s.preds) (f acc p) steps
   | Elem_constr (_, atts, content) ->
-    List.concat_map (fun a -> List.concat_map free_vars a.attr_value) atts
-    @@@ List.concat_map free_vars content
+    all (List.fold_left (fun acc a -> all acc a.attr_value) acc atts) content
   | Quantified (_, binds, cond) ->
-    let bound = List.map fst binds in
-    (List.concat_map (fun (_, e') -> free_vars e') binds
-     @@@ List.filter (fun v -> not (List.mem v bound)) (free_vars cond))
+    f (List.fold_left (fun acc (_, e') -> f acc e') acc binds) cond
   | Flwor (clauses, ret) ->
-    let rec go bound acc = function
-      | [] ->
-        acc @@@ List.filter (fun v -> not (List.mem v bound)) (free_vars ret)
-      | For binds :: rest ->
-        let acc =
-          List.fold_left
-            (fun acc (_, _, e') ->
-              acc
-              @@@ List.filter (fun v -> not (List.mem v bound)) (free_vars e'))
-            acc binds
-        in
-        let bound =
-          List.concat_map
-            (fun (v, p, _) -> v :: Option.to_list p)
-            binds
-          @ bound
-        in
-        go bound acc rest
-      | Let binds :: rest ->
-        let acc =
-          List.fold_left
-            (fun acc (_, e') ->
-              acc
-              @@@ List.filter (fun v -> not (List.mem v bound)) (free_vars e'))
-            acc binds
-        in
-        go (List.map fst binds @ bound) acc rest
-      | Where c :: rest ->
-        go bound
-          (acc @@@ List.filter (fun v -> not (List.mem v bound)) (free_vars c))
-          rest
-      | Order_by keys :: rest ->
-        go bound
-          (acc
-           @@@ List.concat_map
-                 (fun (k, _) ->
-                   List.filter (fun v -> not (List.mem v bound)) (free_vars k))
-                 keys)
-          rest
+    let clause acc = function
+      | For binds -> List.fold_left (fun acc (_, _, e') -> f acc e') acc binds
+      | Let binds -> List.fold_left (fun acc (_, e') -> f acc e') acc binds
+      | Where c -> f acc c
+      | Order_by keys -> List.fold_left (fun acc (k, _) -> f acc k) acc keys
     in
-    go [] [] clauses
+    f (List.fold_left clause acc clauses) ret
+
+(* Does [p] hold for some immediate subexpression? *)
+let exists (p : expr -> bool) (e : expr) : bool =
+  fold (fun found sub -> found || p sub) false e
+
+(* ---- helpers used across the compiler ------------------------------- *)
+
+(* Variables referenced but not bound inside [e] (with repeats). *)
+let free_vars (e : expr) : string list =
+  let rec go bound acc e =
+    match e with
+    | Var v -> if List.mem v bound then acc else v :: acc
+    | Quantified (_, binds, cond) ->
+      let acc = List.fold_left (fun acc (_, e') -> go bound acc e') acc binds in
+      go (List.map fst binds @ bound) acc cond
+    | Flwor (clauses, ret) ->
+      (* a clause's expressions see the variables of the clauses before
+         it, not its own *)
+      let bound, acc =
+        List.fold_left
+          (fun (bound, acc) c ->
+            match c with
+            | For binds ->
+              ( List.concat_map (fun (v, p, _) -> v :: Option.to_list p) binds
+                @ bound,
+                List.fold_left (fun acc (_, _, e') -> go bound acc e') acc binds )
+            | Let binds ->
+              ( List.map fst binds @ bound,
+                List.fold_left (fun acc (_, e') -> go bound acc e') acc binds )
+            | Where c' -> (bound, go bound acc c')
+            | Order_by keys ->
+              (bound, List.fold_left (fun acc (k, _) -> go bound acc k) acc keys))
+          (bound, acc) clauses
+      in
+      go bound acc ret
+    | e -> fold (go bound) acc e
+  in
+  go [] [] e
 
 let depends_on (e : expr) (vars : string list) =
   List.exists (fun v -> List.mem v vars) (free_vars e)

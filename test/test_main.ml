@@ -22,7 +22,6 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("index-maint", Test_index_maint.suite);
       ("chainfilter", Test_chain_filter.suite);
-      ("hier-lock", Test_hier_lock.suite);
       ("crash", Test_crash.suite);
       ("server", Test_server.suite);
       ("replication", Test_replication.suite);

@@ -21,6 +21,34 @@ let test_collections () =
       Alcotest.(check bool) "docs gone" true
         (Catalog.find_document (Database.catalog db) "d1" = None))
 
+(* collection() names documents wherever it sits in the tree: every one
+   of these must lock the collection's member. *)
+let test_collection_locks () =
+  Test_util.with_db (fun db ->
+      ignore (Test_util.exec db {|CREATE COLLECTION "c"|});
+      ignore (Test_util.exec db {|CREATE DOCUMENT "d1" IN COLLECTION "c"|});
+      ignore (Test_util.exec db {|UPDATE insert <r><x/><y/></r> into doc("d1")|});
+      let locks q =
+        Sedna_db.Session.statement_locks db (Sedna_xquery.Xq_parser.parse_statement q)
+      in
+      Alcotest.(check bool) "update under if" true
+        (locks {|UPDATE delete if (1 = 1) then collection("c")/r/x else ()|}
+         = [ ("d1", Lock_mgr.Exclusive) ]);
+      List.iter
+        (fun q ->
+          Alcotest.(check bool) q true (locks q = [ ("d1", Lock_mgr.Shared) ]))
+        [
+          {|count(collection("c")/r/x)|};
+          {|count(collection("c"))|};
+          {|<a>{collection("c")/r}</a>|};
+          {|some $x in (1) satisfies exists(collection("c")/r)|};
+          {|for $i in (1, 2) order by count(collection("c")/r/x) return $i|};
+          {|declare variable $v := collection("c"); count($v)|};
+        ];
+      ignore (Test_util.exec db {|UPDATE delete if (1 = 1) then collection("c")/r/x else ()|});
+      Alcotest.(check string) "update applied" "<r><y/></r>"
+        (Test_util.exec db {|doc("d1")/r|}))
+
 let test_drop_document () =
   Test_util.with_db (fun db ->
       ignore (Test_util.load db "d" "<a><b/></a>");
@@ -130,6 +158,7 @@ let suite =
   [
     Alcotest.test_case "autocommit" `Quick test_autocommit_isolation;
     Alcotest.test_case "collections" `Quick test_collections;
+    Alcotest.test_case "collection locks anywhere in the tree" `Quick test_collection_locks;
     Alcotest.test_case "drop document" `Quick test_drop_document;
     Alcotest.test_case "governor" `Quick test_governor;
     Alcotest.test_case "multi-statement txn" `Quick test_multi_statement_txn;

@@ -238,7 +238,7 @@ let test_function_inlining () =
       (match e with
        | Ast.Call (n, _) when Sedna_util.Xname.prefix n = "local" -> found := true
        | _ -> ());
-      ignore (R.map_expr (fun sub -> go sub; sub) e)
+      ignore (Ast.map (fun sub -> go sub; sub) e)
     in
     go e;
     !found
@@ -291,10 +291,92 @@ let test_inlining_preserves_results () =
       Alcotest.(check string) "and it is right" "6"
         (Sedna_db.Session.execute_string s_on q))
 
+(* A function body has no focus: inlining must not let a body that
+   reads [.] under a FLWOR return or a quantifier capture the caller's
+   context item. *)
+let test_inlining_keeps_undefined_focus () =
+  Test_util.with_db (fun db ->
+      let q =
+        {|declare function local:f() { let $x := 1 return . };
+          (1, 2, 3)[local:f() = 2]|}
+      in
+      let run inline =
+        let s = Sedna_db.Session.connect db in
+        Sedna_db.Session.set_rewriter_options s
+          { R.default_options with R.inline_functions = inline };
+        match Sedna_db.Session.execute_string s q with
+        | exception Sedna_util.Error.Sedna_error (Sedna_util.Error.Xquery_dynamic, _)
+          -> ()
+        | got -> Alcotest.failf "inline_functions=%b: expected Xquery_dynamic, got %S" inline got
+      in
+      run true;
+      run false)
+
 let test_uses_position () =
   Alcotest.(check bool) "position()" true (R.uses_position (parse "position() > 2"));
   Alcotest.(check bool) "last()" true (R.uses_position (parse "last()"));
   Alcotest.(check bool) "plain" false (R.uses_position (parse {|@x = "1"|}))
+
+(* ---- the child structure: Xq_ast.fold and Xq_ast.map agree --------- *)
+
+let fold_map_corpus =
+  List.map (fun (_, q, _) -> q) Test_executor.cases
+  @ [
+      {|for $x at $i in doc("d")//a let $y := $x/b where $y > 1 order by $i descending return <r n="{$i}">{$y}</r>|};
+      {|some $x in (1, 2), $y in (3) satisfies $x < $y|};
+      {|every $x in doc("d")//p satisfies $x/@v = "1"|};
+      {|if (doc("d")/r/p[k = 2]) then -1 to 3 else (4 idiv 2, 5 mod 2)|};
+      {|doc("d")/r/p[k >= 2]/@id|};
+      {|(doc("d")//a union doc("d")//b) intersect doc("d")//c except doc("d")//e|};
+      {|element { "e" } { attribute a { 1 }, text { "t" }, comment { "c" }, <p><?t x?></p> }|};
+      {|("1" cast as xs:integer, 2 treat as xs:integer, 3 castable as xs:string, 4 instance of xs:integer)|};
+      {|ordered{ unordered { doc("d")/r/p[1] } }|};
+      {|not(doc("d")//a and doc("d")//b or -doc("d")//c)|};
+    ]
+
+let children e = List.rev (Ast.fold (fun acc c -> c :: acc) [] e)
+
+(* Every node of a tree, the tree itself first. *)
+let rec nodes e = e :: List.concat_map nodes (children e)
+
+let test_fold_map_agree () =
+  let mark c = Ast.Ordered c in
+  let check_node e =
+    let calls = ref 0 in
+    let mapped = Ast.map (fun c -> incr calls; mark c) e in
+    let kids = children e in
+    Alcotest.(check int) "map visits the children fold visits" (List.length kids) !calls;
+    Alcotest.(check bool) "fold over the mapped node sees the marked children" true
+      (children mapped = List.map mark kids);
+    Alcotest.(check bool) "map with the identity rebuilds the node" true
+      (Ast.map Fun.id e = e)
+  in
+  let probe =
+    Ast.Index_probe
+      {
+        Ast.ip_index = "i";
+        ip_doc = "d";
+        ip_mode = Ast.Probe_eq;
+        ip_key = Ast.Int_lit 1;
+        ip_residual = parse "k = 1";
+        ip_fallback = parse {|doc("d")/r/p[k = 1]|};
+      }
+  in
+  let trees =
+    probe
+    :: List.concat_map
+         (fun q ->
+           let e = parse q in
+           [ e; R.rewrite_with R.default_options e; R.rewrite_with R.no_options e ])
+         fold_map_corpus
+  in
+  List.iter (fun t -> List.iter check_node (nodes t)) trees;
+  (* the corpus reaches the plan nodes, not only the parsed syntax *)
+  let count p = List.length (List.filter p (List.concat_map nodes trees)) in
+  Alcotest.(check bool) "corpus reaches chain filters" true
+    (count (function Ast.Chain_filter _ -> true | _ -> false) > 0);
+  Alcotest.(check bool) "corpus reaches schema paths" true
+    (count (function Ast.Schema_path _ -> true | _ -> false) > 0)
 
 (* ---- comparison-semantics regressions (XQuery F&O) ------------------- *)
 
@@ -402,7 +484,10 @@ let suite =
     Alcotest.test_case "function inlining" `Quick test_function_inlining;
     Alcotest.test_case "inlining preserves results" `Quick
       test_inlining_preserves_results;
+    Alcotest.test_case "inlining keeps an undefined focus" `Quick
+      test_inlining_keeps_undefined_focus;
     Alcotest.test_case "uses_position" `Quick test_uses_position;
+    Alcotest.test_case "fold and map agree" `Quick test_fold_map_agree;
     Alcotest.test_case "NaN comparisons" `Quick test_nan_comparisons;
     Alcotest.test_case "untyped to boolean cast" `Quick test_untyped_bool_cast;
     Alcotest.test_case "NaN index probe" `Quick test_nan_index_probe;
