@@ -363,4 +363,5 @@ let deserialize (s : string) : persistent =
       "catalog blob has no %S format tag: written by an incompatible \
        version, or damaged"
       (String.trim format_tag);
+  Counters.bump Counters.catalog_decodes;
   Marshal.from_string s (String.length format_tag)

@@ -13,6 +13,13 @@
 
 open Sedna_util
 
+(* A published committed catalog: its blob and the decoded copy that
+   every reader begun under this publication shares, decoded by the
+   first of them.  The cache is a plain option, not a [Lazy.t]: two
+   threads decoding at once both get a valid copy, where a concurrent
+   [Lazy.force] raises. *)
+type published = { blob : string; mutable decoded : Catalog.t option }
+
 type t = {
   dir : string;
   fs : File_store.t;
@@ -22,14 +29,15 @@ type t = {
   versions : Versions.t;
   locks : Lock_mgr.t;
   mutable cat : Catalog.t;
-  (* serialized catalog as of the last *completed* commit.  Readers
-     deserialize their private catalog from this, never from the live
-     [cat]: during a parked group commit the live catalog already holds
-     the committing transaction's schema changes (block-chain heads,
-     counts) while that transaction's pages are still rolled back by
-     the before-image overlay — handing a reader the live catalog over
-     overlaid pages is a mixed view whose block pointers can cycle. *)
-  mutable cat_snapshot : string;
+  (* the catalog as of the last *completed* commit.  Readers share its
+     decoded copy, never the live [cat]: during a parked group commit
+     the live catalog already holds the committing transaction's schema
+     changes (block-chain heads, counts) while that transaction's pages
+     are still rolled back by the before-image overlay — handing a
+     reader the live catalog over overlaid pages is a mixed view whose
+     block pointers can cycle.  Nobody mutates a published copy: a
+     catalog change publishes a new one. *)
+  mutable cat_snapshot : published;
   mutable next_txn_id : int;
   active : (int, Txn.t) Hashtbl.t;
   mutable current : Txn.t option; (* transaction executing right now *)
@@ -71,12 +79,26 @@ let group_commit_on () = !group_commit_enabled
 
 let store db : Store.t = Store.create db.bm db.cat
 
-(* refresh the committed-catalog snapshot; callers must only do this
-   when the live catalog holds no uncommitted changes *)
+(* make [blob] the committed catalog new readers see; its decoded copy
+   is made by the first of them *)
+let publish_catalog db blob = db.cat_snapshot <- { blob; decoded = None }
+
+(* the committed catalog as one shared, read-only decoded copy *)
+let published_catalog db =
+  let p = db.cat_snapshot in
+  match p.decoded with
+  | Some cat -> cat
+  | None ->
+    let cat = (Catalog.deserialize p.blob).Catalog.p_catalog in
+    p.decoded <- Some cat;
+    cat
+
+(* publish the live catalog; callers must only do this when it holds
+   no uncommitted changes *)
 let snapshot_catalog db =
-  db.cat_snapshot <-
-    Catalog.serialize db.cat ~page_count:(File_store.page_count db.fs)
-      ~free_pages:[]
+  publish_catalog db
+    (Catalog.serialize db.cat ~page_count:(File_store.page_count db.fs)
+       ~free_pages:[])
 
 let catalog db = db.cat
 let buffer db = db.bm
@@ -321,7 +343,7 @@ let create ?(buffer_frames = 256) dir =
       versions = Versions.create ();
       locks = Lock_mgr.create ();
       cat = Catalog.create ();
-      cat_snapshot = "";
+      cat_snapshot = { blob = ""; decoded = None };
       next_txn_id = 1;
       active = Hashtbl.create 8;
       current = None;
@@ -397,7 +419,7 @@ let open_existing ?(buffer_frames = 256) dir =
       versions = Versions.create ();
       locks = Lock_mgr.create ();
       cat = p.Catalog.p_catalog;
-      cat_snapshot = "";
+      cat_snapshot = { blob = ""; decoded = None };
       next_txn_id = 1;
       active = Hashtbl.create 8;
       current = None;
@@ -447,12 +469,12 @@ let begin_txn ?(read_only = false) db : Txn.t =
   let snapshot_ts, reader_catalog =
     if read_only then
       let ts = Versions.acquire_snapshot db.versions in
-      (* the reader's catalog is a private copy of the *last committed*
-         catalog ([cat_snapshot]), which matches the reader's page view:
-         the overlay serves active updaters' pages from their
+      (* the reader shares the *last committed* catalog
+         ([cat_snapshot]), which matches the reader's page view: the
+         overlay serves active updaters' pages from their
          before-images, so the live catalog — already carrying those
          updaters' schema pointers — must stay invisible *)
-      (ts, Some (Catalog.deserialize db.cat_snapshot).Catalog.p_catalog)
+      (ts, Some (published_catalog db))
     else (0, None)
   in
   let txn =
@@ -497,8 +519,8 @@ let run db (txn : Txn.t) f =
       if Option.is_some overlay then Buffer_mgr.clear_read_overlay db.bm)
     f
 
-(* The store a transaction should execute against: readers get their
-   private catalog. *)
+(* The store a transaction should execute against: readers get the
+   committed catalog they began with. *)
 let txn_store db (txn : Txn.t) : Store.t =
   match txn.Txn.reader_catalog with
   | Some cat -> Store.create db.bm cat
@@ -665,7 +687,7 @@ let commit ?(park = fun wait -> wait ()) db (txn : Txn.t) =
     Versions.install_commit db.versions ~commit_ts pages;
     (* the commit is durable: publish its catalog to new readers *)
     (match cat_blob with
-     | Some blob -> db.cat_snapshot <- blob
+     | Some blob -> publish_catalog db blob
      | None -> ());
     (* unpin so committed pages become evictable *)
     List.iter (fun (pid, _) -> Buffer_mgr.unpin_pid db.bm pid) pages;
@@ -758,7 +780,7 @@ let apply_txn db ~images ~catalog_blob =
    | Some blob ->
      let p = Catalog.deserialize blob in
      db.cat <- p.Catalog.p_catalog;
-     db.cat_snapshot <- blob;
+     publish_catalog db blob;
      File_store.set_page_count db.fs p.Catalog.p_page_count;
      File_store.set_free_list db.fs p.Catalog.p_free_pages
    | None -> ());

@@ -98,8 +98,9 @@ val apply_txn :
 (** {1 Transactions} *)
 
 val begin_txn : ?read_only:bool -> t -> Txn.t
-(** Read-only transactions acquire a snapshot and a private catalog
-    copy; they never lock (paper §6.3). *)
+(** Read-only transactions acquire a snapshot and share the published
+    committed catalog (decoded at most once per publication, by the
+    first reader after it); they never lock (paper §6.3). *)
 
 val run : t -> Txn.t -> (unit -> 'a) -> 'a
 (** Route execution through the transaction: installs the write hook

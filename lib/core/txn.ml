@@ -19,7 +19,7 @@ type t = {
   id : int;
   read_only : bool;
   snapshot_ts : int; (* meaningful for read-only transactions *)
-  reader_catalog : Catalog.t option; (* private catalog copy at snapshot *)
+  reader_catalog : Catalog.t option; (* shared committed catalog at snapshot *)
   mutable status : status;
   dirty : (int, Bytes.t) Hashtbl.t; (* pid -> before-image *)
   mutable logical_ops : string list; (* audit records for the WAL *)

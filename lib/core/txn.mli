@@ -10,7 +10,9 @@ type t = {
   read_only : bool;
   snapshot_ts : int;  (** the snapshot a read-only transaction reads *)
   reader_catalog : Catalog.t option;
-      (** a reader's private catalog copy, consistent with its snapshot *)
+      (** the published committed catalog a reader began with, shared
+          with every reader of that publication and never mutated;
+          consistent with its snapshot *)
   mutable status : status;
   dirty : (int, Bytes.t) Hashtbl.t;  (** page id -> before-image *)
   mutable logical_ops : string list;

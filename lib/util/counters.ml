@@ -99,6 +99,7 @@ let page_writes = "disk.write"
 let plan_hit = "plan.hit"
 let plan_miss = "plan.miss"
 let index_probe = "index.probe"
+let catalog_decodes = "catalog.decodes"
 let fault_injected = "fault.injected"
 let checksum_verify = "checksum.verify"
 let checksum_adopt = "checksum.adopt"

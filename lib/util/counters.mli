@@ -60,6 +60,10 @@ val plan_miss : string
 val index_probe : string
 (** A value predicate answered from a B-tree index instead of a scan. *)
 
+val catalog_decodes : string
+(** A catalog blob unmarshaled: open, recovery, abort, standby apply,
+    and the first reader after each catalog publication. *)
+
 val fault_injected : string
 (** An armed {!Fault} site fired (fail, crash or torn write). *)
 

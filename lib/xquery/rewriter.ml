@@ -231,7 +231,10 @@ let rec mark_virtual ~in_output (e : expr) : expr =
    [let $p1 := E1, $p2 := E2 return body].  Both evaluate the arguments
    eagerly, so the semantics are preserved; bodies that mention the
    context item are excluded (a function body has no context item, but
-   an inlined copy would capture the caller's). *)
+   an inlined copy would capture the caller's).  A let binds one
+   variable after another, so when an argument mentions an earlier
+   parameter's name (the caller's variable), the arguments are bound
+   to fresh names first. *)
 
 let rec calls_of acc (e : expr) : string list =
   let acc =
@@ -266,6 +269,16 @@ let inline_functions (funs : fun_def list) (e : expr) : expr =
       (not (reaches [ name ] name name)) && not (contains_context f.fn_body)
     | None -> false
   in
+  let fresh =
+    let c = ref 0 in
+    fun () ->
+      incr c;
+      Printf.sprintf "#arg%d" !c
+  in
+  let rec captures earlier = function
+    | [] -> false
+    | (p, arg) :: rest -> depends_on arg earlier || captures (p :: earlier) rest
+  in
   let rec go depth e =
     if depth = 0 then e
     else
@@ -274,8 +287,14 @@ let inline_functions (funs : fun_def list) (e : expr) : expr =
         let f = List.assoc (Sedna_util.Xname.local n) by_name in
         let args = List.map (go depth) args in
         let body = go (depth - 1) f.fn_body in
-        if f.fn_params = [] then body
-        else Flwor ([ Let (List.combine f.fn_params args) ], body)
+        let binds = List.combine f.fn_params args in
+        if binds = [] then body
+        else if not (captures [] binds) then Flwor ([ Let binds ], body)
+        else
+          let tmps = List.map (fun arg -> (fresh (), arg)) args in
+          Flwor
+            ( [ Let tmps; Let (List.map2 (fun p (t, _) -> (p, Var t)) f.fn_params tmps) ],
+              body )
       | e -> map (go depth) e
   in
   go 8 e
@@ -567,12 +586,15 @@ let rewrite_with ?catalog (opts : options) (e : expr) : expr =
               incr c;
               Printf.sprintf "#lazy%d" !c
           in
+          (* a binding sees the bindings before it, those of its own
+             clause included *)
           let rec hoist bound acc hoisted = function
             | [] -> (List.rev acc, List.rev hoisted)
             | For binds :: rest ->
-              let binds', new_hoists =
+              let bound, binds', new_hoists =
                 List.fold_left
-                  (fun (bs, hs) (v, p, e') ->
+                  (fun (bound, bs, hs) (v, p, e') ->
+                    let bound' = (v :: Option.to_list p) @ bound in
                     if
                       bound <> []
                       && (not (depends_on e' bound))
@@ -580,16 +602,12 @@ let rewrite_with ?catalog (opts : options) (e : expr) : expr =
                       && is_worth_hoisting e'
                     then begin
                       let tmp = fresh () in
-                      ((v, p, Var tmp) :: bs, (tmp, e') :: hs)
+                      (bound', (v, p, Var tmp) :: bs, (tmp, e') :: hs)
                     end
-                    else ((v, p, e') :: bs, hs))
-                  ([], []) binds
+                    else (bound', (v, p, e') :: bs, hs))
+                  (bound, [], []) binds
               in
-              let bound' =
-                List.concat_map (fun (v, p, _) -> v :: Option.to_list p) binds
-                @ bound
-              in
-              hoist bound'
+              hoist bound
                 (For (List.rev binds') :: acc)
                 (List.rev_append new_hoists hoisted)
                 rest
@@ -606,23 +624,24 @@ let rewrite_with ?catalog (opts : options) (e : expr) : expr =
           (fun (env, cs) c ->
             match c with
             | For binds ->
-              let binds =
-                List.map (fun (v, p, e') -> (v, p, gated env Full e')) binds
-              in
-              let env =
-                List.concat_map
-                  (fun (v, p, _) ->
-                    (v, atomic_props)
-                    :: (match p with
-                        | Some pv -> [ (pv, atomic_props) ]
-                        | None -> []))
-                  binds
-                @ env
+              let env, binds =
+                List.fold_left_map
+                  (fun env (v, p, e') ->
+                    let e' = gated env Full e' in
+                    ( List.map (fun v -> (v, atomic_props)) (v :: Option.to_list p)
+                      @ env,
+                      (v, p, e') ))
+                  env binds
               in
               (env, For binds :: cs)
             | Let binds ->
-              let binds = List.map (fun (v, e') -> (v, gated env Full e')) binds in
-              let env = List.map (fun (v, e') -> (v, props_of env e')) binds @ env in
+              let env, binds =
+                List.fold_left_map
+                  (fun env (v, e') ->
+                    let e' = gated env Full e' in
+                    ((v, props_of env e') :: env, (v, e')))
+                  env binds
+              in
               (env, Let binds :: cs)
             | Where c' -> (env, Where (gated env Ebv c') :: cs)
             | Order_by keys ->
@@ -660,8 +679,11 @@ let rewrite_with ?catalog (opts : options) (e : expr) : expr =
               if predicate_is_positional pr then k env Full pr else k env Ebv pr)
             preds )
     | Quantified (q, binds, cond) ->
-      let binds = List.map (fun (v, e') -> (v, k env Ebv e')) binds in
-      let env' = List.map (fun (v, _) -> (v, atomic_props)) binds @ env in
+      let env', binds =
+        List.fold_left_map
+          (fun env (v, e') -> ((v, atomic_props) :: env, (v, k env Ebv e')))
+          env binds
+      in
       Quantified (q, binds, k env' Ebv cond)
     | Elem_constr (n, atts, content) ->
       Elem_constr

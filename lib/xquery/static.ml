@@ -123,8 +123,14 @@ let check_function env (n : Xname.t) (arity : int) =
     Error.raise_error Error.Xquery_static
       "unknown function %s#%d" (Xname.to_string n) arity
 
-(* Walk the expression, checking names and variable bindings. *)
+(* Walk the expression, checking names and variable bindings.  The
+   comma-separated bindings of one clause or quantifier bind one after
+   another: each expression sees the variables bound before it. *)
 let rec check env (e : expr) : unit =
+  let bind env vs e' =
+    check env e';
+    { env with bound_vars = vs @ env.bound_vars }
+  in
   match e with
   | Var v ->
     if not (List.mem v env.bound_vars) then
@@ -133,24 +139,17 @@ let rec check env (e : expr) : unit =
     check_function env (resolve_name env ~default_fn:true n) (List.length args);
     List.iter (check env) args
   | Quantified (_, binds, cond) ->
-    List.iter (fun (_, e') -> check env e') binds;
-    check { env with bound_vars = List.map fst binds @ env.bound_vars } cond
+    check (List.fold_left (fun env (v, e') -> bind env [ v ] e') env binds) cond
   | Flwor (clauses, ret) ->
     let env' =
       List.fold_left
         (fun env' c ->
           match c with
           | For binds ->
-            List.iter (fun (_, _, e') -> check env' e') binds;
-            {
-              env' with
-              bound_vars =
-                List.concat_map (fun (v, p, _) -> v :: Option.to_list p) binds
-                @ env'.bound_vars;
-            }
-          | Let binds ->
-            List.iter (fun (_, e') -> check env' e') binds;
-            { env' with bound_vars = List.map fst binds @ env'.bound_vars }
+            List.fold_left
+              (fun env (v, p, e') -> bind env (v :: Option.to_list p) e')
+              env' binds
+          | Let binds -> List.fold_left (fun env (v, e') -> bind env [ v ] e') env' binds
           | Where c' ->
             check env' c';
             env'

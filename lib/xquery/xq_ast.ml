@@ -297,22 +297,23 @@ let free_vars (e : expr) : string list =
     match e with
     | Var v -> if List.mem v bound then acc else v :: acc
     | Quantified (_, binds, cond) ->
-      let acc = List.fold_left (fun acc (_, e') -> go bound acc e') acc binds in
-      go (List.map fst binds @ bound) acc cond
+      let bound, acc =
+        List.fold_left (fun ba (v, e') -> bind [ v ] ba e') (bound, acc) binds
+      in
+      go bound acc cond
     | Flwor (clauses, ret) ->
-      (* a clause's expressions see the variables of the clauses before
-         it, not its own *)
+      (* a binding's expression sees the variables bound before it: by
+         earlier clauses and by earlier bindings of its own clause *)
       let bound, acc =
         List.fold_left
           (fun (bound, acc) c ->
             match c with
             | For binds ->
-              ( List.concat_map (fun (v, p, _) -> v :: Option.to_list p) binds
-                @ bound,
-                List.fold_left (fun acc (_, _, e') -> go bound acc e') acc binds )
+              List.fold_left
+                (fun ba (v, p, e') -> bind (v :: Option.to_list p) ba e')
+                (bound, acc) binds
             | Let binds ->
-              ( List.map fst binds @ bound,
-                List.fold_left (fun acc (_, e') -> go bound acc e') acc binds )
+              List.fold_left (fun ba (v, e') -> bind [ v ] ba e') (bound, acc) binds
             | Where c' -> (bound, go bound acc c')
             | Order_by keys ->
               (bound, List.fold_left (fun acc (k, _) -> go bound acc k) acc keys))
@@ -320,7 +321,7 @@ let free_vars (e : expr) : string list =
       in
       go bound acc ret
     | e -> fold (go bound) acc e
-  in
+  and bind vs (bound, acc) e' = (vs @ bound, go bound acc e') in
   go [] [] e
 
 let depends_on (e : expr) (vars : string list) =

@@ -669,30 +669,28 @@ and parse_step_or_postfix st : expr =
       | _ -> parse_postfix st
     end
     else begin
-      st.pos <- save;
       (* ordered/unordered blocks *)
-      if try_kw st "ordered" && peek st = '{' then begin
-        expect st "{";
-        let e = parse_expr st in
-        expect st "}";
-        Ordered e
-      end
-      else begin
+      let block kw =
         st.pos <- save;
-        if try_kw st "unordered" && (skip_ws st; peek st = '{') then begin
+        if try_kw st kw && (skip_ws st; peek st = '{') then begin
           expect st "{";
           let e = parse_expr st in
           expect st "}";
-          Unordered e
+          Some e
         end
-        else begin
+        else None
+      in
+      match block "ordered" with
+      | Some e -> Ordered e
+      | None -> (
+        match block "unordered" with
+        | Some e -> Unordered e
+        | None -> (
           st.pos <- save;
           (* computed constructors *)
           match parse_computed_constructor st with
           | Some e -> e
-          | None -> Path (Context_item, [ parse_axis_step st ])
-        end
-      end
+          | None -> Path (Context_item, [ parse_axis_step st ])))
     end
   end
   else parse_postfix st

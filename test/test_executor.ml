@@ -114,6 +114,24 @@ let cases =
     ("kind test element", {|count(doc("d")//element(person))|}, "3");
     ("kind test node", {|count(doc("d")/site/mixed/node())|}, "3");
     ("attribute axis wildcard", {|count(doc("d")//person[1]/@*)|}, "2");
+    ("comma for bindings", "for $a in (1, 2), $b in $a return $b", "1 2");
+    ("comma let bindings", "let $a := 1, $b := $a + 1 return $b", "2");
+    ("comma some bindings", "some $a in (1, 2), $b in ($a) satisfies $b = 2", "true");
+    ("comma every bindings", "every $a in (1, 2), $b in ($a) satisfies $b = 2", "false");
+    ("comma for under an outer for",
+     {|for $x in (1, 2) for $p in doc("d")/site/people/person, $n in $p/name
+       return concat($x, string($n))|},
+     "1alice 1bob 1carol 2alice 2bob 2carol");
+    ("comma let shadows an outer variable",
+     {|let $a := 1 return
+       let $a := (doc("d")//person[3], doc("d")//person[1]), $b := $a return $b/name|},
+     "<name>alice</name><name>carol</name>");
+    ("inlined argument names an earlier parameter",
+     {|declare function local:f($a, $b) { $a * 10 + $b }; let $a := 5 return local:f(1, $a)|},
+     "15");
+    ("ordered block", "ordered { 1 }", "1");
+    ("ordered block unspaced", "ordered{1}", "1");
+    ("unordered block", "unordered { 1 }", "1");
   ]
 
 let runner () =

@@ -209,6 +209,30 @@ let test_snapshot_consistent_during_apply () =
       Alcotest.(check string) "new session sees the applied txns" "6"
         (Session.execute_string s2 {|count(doc("d")/r/e)|}))
 
+(* a schema path added by an applied transaction reaches standby
+   readers through a newly published catalog, decoded apart from the
+   live one that the next apply replaces *)
+let test_standby_publishes_applied_catalog () =
+  with_pair (fun ~gov_p:_ ~gov_s ~db ~sender:_ ~recv ->
+      insert db "a";
+      caught_up db recv;
+      let sdb = standby_db recv in
+      let s = Session.connect sdb in
+      Alcotest.(check string) "no path yet" "0"
+        (Session.execute_string s {|count(doc("d")/r/fresh)|});
+      ignore (Test_util.exec db {|UPDATE insert <fresh/> into doc("d")/r|});
+      caught_up db recv;
+      Alcotest.(check string) "standby reader sees the path" "1"
+        (Session.execute_string s {|count(doc("d")/r/fresh)|});
+      Governor.with_engine gov_s (fun () ->
+          let r = Database.begin_txn ~read_only:true sdb in
+          let cat = Option.get r.Txn.reader_catalog in
+          Database.commit sdb r;
+          Alcotest.(check bool) "path in the shared catalog" true
+            (Test_util.schema_has cat ~doc:"d" [ "r"; "fresh" ]);
+          Alcotest.(check bool) "not the live catalog" false
+            (cat == Database.catalog sdb)))
+
 (* ---- promotion -------------------------------------------------------- *)
 
 let test_promotion_idempotent () =
@@ -436,6 +460,8 @@ let suite =
       test_standby_rejects_writes;
     Alcotest.test_case "snapshot consistent during apply" `Quick
       test_snapshot_consistent_during_apply;
+    Alcotest.test_case "standby publishes applied catalog" `Quick
+      test_standby_publishes_applied_catalog;
     Alcotest.test_case "promotion is idempotent" `Quick
       test_promotion_idempotent;
     Alcotest.test_case "seed during an open transaction" `Quick

@@ -322,6 +322,108 @@ let test_overlay_memo_scan () =
            Alcotest.failf "%d page decisions for %d dereferences" lookups derefs);
       Sedna_db.Session.commit s)
 
+(* ---- readers share the published catalog ------------------------- *)
+
+let reader_catalog db =
+  let r = Database.begin_txn ~read_only:true db in
+  let cat = Option.get r.Txn.reader_catalog in
+  Database.commit db r;
+  cat
+
+let decodes () = Sedna_util.Counters.get Sedna_util.Counters.catalog_decodes
+
+(* auto-commit reads decode the committed catalog once per publication,
+   not once per statement *)
+let test_readers_decode_once () =
+  Test_util.with_db (fun db ->
+      ignore (Test_util.load db "d" "<a><v>1</v></a>");
+      let s = Sedna_db.Session.connect db in
+      let d0 = decodes () in
+      for _ = 1 to 100 do
+        Alcotest.(check string) "answer" "1"
+          (Sedna_db.Session.execute_string s {|string(doc("d")/a/v)|})
+      done;
+      let d = decodes () - d0 in
+      if d > 1 then Alcotest.failf "%d catalog decodes for 100 reads" d;
+      Alcotest.(check bool) "counter on /metrics" true
+        (Test_index_maint.contains
+           (Sedna_server.Metrics_http.render_metrics [])
+           (Printf.sprintf "\nsedna_catalog_decodes %d\n" (decodes ()))))
+
+(* a commit that adds a schema path publishes a new catalog: readers
+   begun before it keep the old one, readers begun after it see the
+   path *)
+let test_commit_publishes_catalog () =
+  Test_util.with_db (fun db ->
+      ignore (Test_util.load db "d" "<a><v>1</v></a>");
+      let resolves (r : Txn.t) =
+        Test_util.schema_has (Option.get r.Txn.reader_catalog) ~doc:"d" [ "a"; "fresh" ]
+      in
+      let before = Database.begin_txn ~read_only:true db in
+      ignore (Test_util.exec db {|UPDATE insert <fresh/> into doc("d")/a|});
+      let after = Database.begin_txn ~read_only:true db in
+      Alcotest.(check bool) "reader begun before" false (resolves before);
+      Alcotest.(check bool) "reader begun after" true (resolves after);
+      Database.commit db before;
+      Database.commit db after;
+      Alcotest.(check bool) "later readers share one copy" true
+        (reader_catalog db == reader_catalog db))
+
+(* a reader begun while a commit is parked in its group fsync gets the
+   previous catalog: the commit publishes only once it is durable *)
+let test_parked_commit_keeps_catalog () =
+  Test_util.with_db (fun db ->
+      let gc = Database.group_commit_on () in
+      Database.set_group_commit true;
+      Fun.protect
+        ~finally:(fun () -> Database.set_group_commit gc)
+        (fun () ->
+          let has_e cat = Catalog.find_document cat "e" <> None in
+          let w = Database.begin_txn db in
+          Database.run db w (fun () ->
+              Database.lock_exn db w ~doc:"e" ~mode:Lock_mgr.Exclusive;
+              ignore (Loader.load_string (Database.txn_store db w) ~doc_name:"e" "<b/>"));
+          let during = ref false in
+          Database.commit db w ~park:(fun wait ->
+              during := has_e (reader_catalog db);
+              wait ());
+          Alcotest.(check bool) "reader during the park" false !during;
+          Alcotest.(check bool) "reader after the commit" true (has_e (reader_catalog db))))
+
+(* the perfbench read templates, over a small auction document *)
+let auction_reads =
+  [
+    {|string(doc("a")/site/people/person[@id="person7"]/name)|};
+    {|sum(doc("a")/site/open_auctions/open_auction[@id="auction11"]/bidder/increase)|};
+    {|count(doc("a")/site/regions/namerica/item[quantity > 2])|};
+    {|for $p in doc("a")/site/people/person[address/city = "City3"] return string($p/@id)|};
+  ]
+
+(* no read path may change the shared catalog: after the executor's
+   query table and the read templates it serializes to the same bytes *)
+let test_reads_leave_catalog_intact () =
+  Test_util.with_db (fun db ->
+      ignore (Test_util.load db "d" Test_executor.fixture);
+      ignore
+        (Test_util.load_events db "a"
+           (Sedna_workloads.Generators.auction ~seed:1 ~items:60 ~people:90
+              ~auctions:90 ()));
+      let s = Sedna_db.Session.connect db in
+      List.iter
+        (fun ddl -> ignore (Sedna_db.Session.execute s ddl))
+        [
+          {|CREATE INDEX "person_id" ON doc("a")/site/people/person BY @id AS xs:string|};
+          {|CREATE INDEX "auction_id" ON doc("a")/site/open_auctions/open_auction BY @id AS xs:string|};
+        ];
+      let cat = reader_catalog db in
+      let bytes () = Catalog.serialize cat ~page_count:0 ~free_pages:[] in
+      let before = bytes () in
+      List.iter
+        (fun q -> ignore (Sedna_db.Session.execute_string s q))
+        (List.map (fun (_, q, _) -> q) Test_executor.cases @ auction_reads);
+      Alcotest.(check bool) "readers still share it" true (reader_catalog db == cat);
+      Alcotest.(check bool) "catalog bytes unchanged" true (String.equal before (bytes ())))
+
 let suite =
   [
     Alcotest.test_case "commit visible" `Quick test_commit_visible;
@@ -345,4 +447,11 @@ let suite =
     Alcotest.test_case "overlay for dirty pages" `Quick test_overlay_for_dirty_pages;
     Alcotest.test_case "overlay skipped when current" `Quick test_overlay_skipped;
     Alcotest.test_case "overlay memo over one block" `Quick test_overlay_memo_scan;
+    Alcotest.test_case "readers decode the catalog once" `Quick test_readers_decode_once;
+    Alcotest.test_case "commit publishes the catalog" `Quick
+      test_commit_publishes_catalog;
+    Alcotest.test_case "parked commit keeps the catalog" `Quick
+      test_parked_commit_keeps_catalog;
+    Alcotest.test_case "reads leave the catalog intact" `Quick
+      test_reads_leave_catalog_intact;
   ]

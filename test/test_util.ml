@@ -44,6 +44,13 @@ let with_doc xml f =
       ignore (load db "d" xml);
       f db (fun q -> exec db q))
 
+(* does document [doc]'s schema have the child-step path [names]? *)
+let schema_has (cat : Catalog.t) ~doc names =
+  let root = Catalog.snode_by_id cat (Catalog.get_document cat doc).Catalog.schema_root_id in
+  Catalog.resolve_steps cat ~root
+    (List.map (fun n -> (false, Sedna_util.Xname.make n)) names)
+  <> []
+
 let doc_desc (st : Store.t) name =
   let doc = Catalog.get_document st.Store.cat name in
   Indirection.get st.Store.bm doc.Catalog.doc_indir

@@ -144,9 +144,24 @@ let test_static () =
   expect_static_error "unknown-function(1)";
   expect_static_error "count(1, 2)";
   expect_static_error "pfx:thing(1)";
+  (* the comma-separated bindings of one clause or quantifier bind one
+     after another *)
+  expect_static_error "for $a in $b, $b in (1) return $a";
+  expect_static_error "some $a in $b, $b in (1) satisfies $a";
+  Alcotest.(check (list string)) "later binding sees the earlier" []
+    (Ast.free_vars (parse "for $a in (1, 2), $b in $a return $b"));
+  Alcotest.(check (list string)) "earlier binding does not see the later" [ "b" ]
+    (Ast.free_vars (parse "let $a := $b, $b := 1 return $a"));
   (* valid ones pass *)
-  let p, e = P.parse_query "for $x in (1,2) return $x + count(($x))" in
-  ignore (Sedna_xquery.Static.analyse p e)
+  List.iter
+    (fun q ->
+      let p, e = P.parse_query q in
+      ignore (Sedna_xquery.Static.analyse p e))
+    [
+      "for $x in (1,2) return $x + count(($x))";
+      "for $a in (1, 2), $b in $a return $b";
+      "every $a in (1, 2), $b in ($a) satisfies $b";
+    ]
 
 (* ---- rewriter ------------------------------------------------------------ *)
 
@@ -212,9 +227,16 @@ let test_for_hoisting () =
    | _ -> Alcotest.fail "independent inner for was not hoisted");
   (* dependent inner for must not be hoisted *)
   let e2 = parse {|for $x in doc("d")//a for $y in $x/b return $y|} in
-  match R.optimize e2 with
-  | Ast.Flwor (Ast.For _ :: _, _) -> ()
-  | _ -> Alcotest.fail "dependent for was hoisted"
+  (match R.optimize e2 with
+   | Ast.Flwor (Ast.For _ :: _, _) -> ()
+   | _ -> Alcotest.fail "dependent for was hoisted");
+  (* nor a binding that depends on an earlier one of its own clause *)
+  let e3 = parse {|for $x in (1, 2) for $y in doc("d")//a, $z in $y/b return $z|} in
+  match R.optimize e3 with
+  | Ast.Flwor (Ast.Let [ (_, hoisted) ] :: _, _) ->
+    Alcotest.(check (list string)) "only the independent binding hoisted" []
+      (Ast.free_vars hoisted)
+  | _ -> Alcotest.fail "independent binding was not hoisted"
 
 let test_virtual_marking () =
   (match R.optimize (parse {|<r>{doc("d")//x}</r>|}) with
