@@ -504,7 +504,8 @@ let e7 () =
 let e7b () =
   header "E7b §4.2 — buffer pool sweep (faults are the other cost)"
     "when data exceeds the pool, faults dominate; the mapping check \
-     stays cheap either way";
+     stays cheap either way, and a fault pays for its read, not its \
+     checksum";
   row3 "pool frames" "scan time" "cold disk reads";
   List.iter
     (fun frames ->
@@ -517,8 +518,41 @@ let e7b () =
       row3 (string_of_int frames)
         (Printf.sprintf "%.2f ms" (ms t))
         (string_of_int reads);
+      record_ms (Printf.sprintf "e7b.frames_%d.scan_ms" frames) t;
+      record_int (Printf.sprintf "e7b.frames_%d.cold_reads" frames) reads;
       Sedna_core.Database.close db)
-    [ 16; 64; 256; 2048 ]
+    [ 16; 64; 256; 2048 ];
+  (* What one fault costs below the pool: [File_store.read_page] over
+     every page of the checkpointed file (pread from the OS page cache,
+     then the CRC-32 verify against the sidecar), and the CRC alone over
+     the same page images; the read is the difference. *)
+  let db = fresh_db ~buffer_frames:16 () in
+  ignore (load_events db "lib" (Sedna_workloads.Generators.library ~books:4000 ()));
+  Sedna_core.Database.checkpoint db;
+  let fs = Sedna_core.Buffer_mgr.store (Sedna_core.Database.buffer db) in
+  let n = Sedna_core.File_store.page_count fs - 1 in
+  let pages = Array.init n (fun _ -> Bytes.create Sedna_core.Page.page_size) in
+  let read_all () =
+    Array.iteri (fun i b -> Sedna_core.File_store.read_page fs (i + 1) b) pages
+  in
+  let crc_all () =
+    Array.fold_left (fun acc b -> acc lxor Sedna_util.Bytes_util.crc32 b) 0 pages
+  in
+  let us_per_page t = t *. 1e6 /. float_of_int n in
+  let t_fault = us_per_page (time_median read_all) in
+  let t_crc = us_per_page (time_median crc_all) in
+  let t_read = t_fault -. t_crc in
+  pf "  fault cost below the pool, %d pages of %d B:
+" n Sedna_core.Page.page_size;
+  row3 "" "us/page" "share";
+  let share t = Printf.sprintf "%.0f %%" (100. *. t /. t_fault) in
+  row3 "  read_page (read + verify)" (Printf.sprintf "%.2f" t_fault) "100 %";
+  row3 "    pread" (Printf.sprintf "%.2f" t_read) (share t_read);
+  row3 "    CRC-32 verify" (Printf.sprintf "%.2f" t_crc) (share t_crc);
+  record "e7b.fault_us" (Sedna_util.Metrics.Float t_fault);
+  record "e7b.read_us" (Sedna_util.Metrics.Float t_read);
+  record "e7b.crc_us" (Sedna_util.Metrics.Float t_crc);
+  Sedna_core.Database.close db
 
 (* ------------------------------------------------------------------ *)
 (* E8..E11 — §5: rewriter optimizations                                *)

@@ -136,7 +136,7 @@ let install t pid ~load =
   if v.pid >= 0 then begin
     (* off the deref fast path: only faults that displace a resident
        page get here *)
-    Counters.bump "buffer.evict";
+    incr Counters.buffer_evict_cell;
     Fault.check evict_site
   end;
   flush_frame t fi;

@@ -647,13 +647,10 @@ let commit ?(park = fun wait -> wait ()) db (txn : Txn.t) =
           else None
         in
         let records =
-          List.rev_map
-            (fun op -> Wal.Logical (txn.Txn.id, op))
-            txn.Txn.logical_ops
-          @ List.map
-              (fun (pid, _before) ->
-                Wal.Image (txn.Txn.id, pid, Buffer_mgr.page_image db.bm pid))
-              pages
+          List.map
+            (fun (pid, _before) ->
+              Wal.Image (txn.Txn.id, pid, Buffer_mgr.page_image db.bm pid))
+            pages
           @ [ Wal.Commit (txn.Txn.id, cat_blob) ]
         in
         let commit_pos = Wal.append_group db.wal records in

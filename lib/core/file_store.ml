@@ -157,7 +157,7 @@ let read_page t pid (dst : Bytes.t) =
     end
   in
   fill 0;
-  Counters.bump Counters.page_reads;
+  incr Counters.page_reads_cell;
   let crc = Bytes_util.crc32 ~len:Page.page_size dst in
   if pid < Bytes.length t.known && Bytes.get t.known pid = '\001' then begin
     if t.cksum.(pid) <> crc then begin
@@ -166,7 +166,7 @@ let read_page t pid (dst : Bytes.t) =
         "page %d checksum mismatch (stored %08x, computed %08x)" pid
         (t.cksum.(pid) land 0xFFFFFFFF) (crc land 0xFFFFFFFF)
     end;
-    Counters.bump Counters.checksum_verify
+    incr Counters.checksum_verify_cell
   end
   else begin
     (* pre-checksum file: adopt on first read *)

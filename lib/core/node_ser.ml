@@ -42,7 +42,9 @@ let rec events_of_node (st : Store.t) (d : Node.desc) : Sedna_xml.Xml_event.t li
 let to_string ?options (st : Store.t) (d : Node.desc) =
   Sedna_xml.Serializer.to_string ?options (events_of_node st d)
 
-(* typed string value of a node: concatenation of descendant text *)
+(* typed string value of a node: concatenation of descendant text —
+   comments and processing instructions below an element or document
+   contribute nothing (XDM 3.2/3.3) *)
 let rec string_value (st : Store.t) (d : Node.desc) : string =
   string_value_in st (Node.snode st d) d
 
@@ -55,7 +57,13 @@ and string_value_in st (s : Catalog.snode) d =
   | Catalog.Element | Catalog.Document -> children_value st d
 
 and children_value st d =
-  String.concat "" (List.map (string_value st) (Node.children st d))
+  Node.children st d
+  |> List.filter_map (fun c ->
+         let s = Node.snode st c in
+         match s.Catalog.kind with
+         | Catalog.Element | Catalog.Text -> Some (string_value_in st s c)
+         | _ -> None)
+  |> String.concat ""
 
 (* A leaf element — whose schema children are text and attributes only —
    has at most one text child schema node, reached through its per-schema

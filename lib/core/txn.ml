@@ -22,7 +22,6 @@ type t = {
   reader_catalog : Catalog.t option; (* shared committed catalog at snapshot *)
   mutable status : status;
   dirty : (int, Bytes.t) Hashtbl.t; (* pid -> before-image *)
-  mutable logical_ops : string list; (* audit records for the WAL *)
   cat_backup : string; (* catalog + free-list state at begin *)
   fs_page_count : int;
   fs_free : int list;
@@ -36,8 +35,6 @@ let before_image t pid = Hashtbl.find_opt t.dirty pid
 
 let record_write t ~pid ~image =
   if not (Hashtbl.mem t.dirty pid) then Hashtbl.add t.dirty pid image
-
-let log_op t op = t.logical_ops <- op :: t.logical_ops
 
 let dirty_pages t = Hashtbl.fold (fun pid img acc -> (pid, img) :: acc) t.dirty []
 
@@ -53,7 +50,6 @@ let make ~id ~read_only ~snapshot_ts ~reader_catalog ~cat_backup ~fs_page_count
     reader_catalog;
     status = Active;
     dirty = Hashtbl.create 16;
-    logical_ops = [];
     cat_backup;
     fs_page_count;
     fs_free;

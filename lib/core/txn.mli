@@ -15,7 +15,6 @@ type t = {
           consistent with its snapshot *)
   mutable status : status;
   dirty : (int, Bytes.t) Hashtbl.t;  (** page id -> before-image *)
-  mutable logical_ops : string list;
   cat_backup : string;  (** catalog state at begin, for abort *)
   fs_page_count : int;
   fs_free : int list;
@@ -43,5 +42,4 @@ val is_active : t -> bool
 val touched : t -> int -> bool
 val before_image : t -> int -> Bytes.t option
 val record_write : t -> pid:int -> image:Bytes.t -> unit
-val log_op : t -> string -> unit
 val dirty_pages : t -> (int * Bytes.t) list

@@ -1,6 +1,5 @@
-(* Write-ahead log (paper §6.4): redo-only page after-images plus
-   logical records for auditing and incremental backup.  Records are
-   framed as [len:u32][tag:u8][payload][cksum:u32]; a torn tail is
+(* Write-ahead log (paper §6.4): redo-only page after-images.  Records
+   are framed as [len:u32][tag:u8][payload][cksum:u32]; a torn tail is
    detected by the checksum and ignored by recovery.
 
    The WAL protocol: a transaction's after-images and its commit record
@@ -17,7 +16,9 @@ type record =
   | Commit of int * string option (* txn id, marshaled catalog if changed *)
   | Abort of int
   | Checkpoint
-  | Logical of int * string (* txn id, human-readable operation *)
+  | Logical of int * string
+      (* txn id, operation: audit record of older logs, never written by
+         the engine and ignored by every reader *)
 
 type t = {
   mutable fd : Unix.file_descr;
@@ -70,14 +71,19 @@ let create path =
   write_epoch path epoch;
   { fd; path; size = 0; epoch; marks = []; mu = Mutex.create () }
 
-let checksum (s : string) =
-  (* FNV-1a over the payload, folded to 31 bits so the value survives
-     an i32 round-trip without sign trouble *)
+(* FNV-1a, folded to 31 bits so the value survives an i32 round-trip
+   without sign trouble.  The 32-bit state is never masked inside the
+   loop: the low 32 bits of a product depend only on the low 32 bits of
+   its factors, and the xor touches only the low 8, so one mask at the
+   end yields the value of masking every step. *)
+let checksum ?(off = 0) ?len b =
+  let len = match len with Some l -> l | None -> Bytes.length b - off in
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Wal.checksum";
   let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
-    s;
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193
+  done;
   !h land 0x7FFFFFFF
 
 let tag_of = function
@@ -88,56 +94,62 @@ let tag_of = function
   | Checkpoint -> 5
   | Logical _ -> 6
 
-let encode_payload = function
-  | Begin txn ->
-    let b = Bytes.create 4 in
-    Bytes_util.set_i32 b 0 txn;
-    Bytes.to_string b
-  | Image (txn, pid, img) ->
-    let b = Bytes.create (8 + Bytes.length img) in
-    Bytes_util.set_i32 b 0 txn;
-    Bytes_util.set_i32 b 4 pid;
-    Bytes.blit img 0 b 8 (Bytes.length img);
-    Bytes.to_string b
-  | Commit (txn, cat) ->
-    let cs = Option.value cat ~default:"" in
-    let b = Bytes.create (8 + String.length cs) in
-    Bytes_util.set_i32 b 0 txn;
-    Bytes_util.set_i32 b 4 (if cat = None then 0 else 1);
-    Bytes.blit_string cs 0 b 8 (String.length cs);
-    Bytes.to_string b
-  | Abort txn ->
-    let b = Bytes.create 4 in
-    Bytes_util.set_i32 b 0 txn;
-    Bytes.to_string b
-  | Checkpoint -> ""
-  | Logical (txn, s) ->
-    let b = Bytes.create (4 + String.length s) in
-    Bytes_util.set_i32 b 0 txn;
-    Bytes.blit_string s 0 b 4 (String.length s);
-    Bytes.to_string b
+let payload_len = function
+  | Begin _ | Abort _ -> 4
+  | Image (_, _, img) -> 8 + Bytes.length img
+  | Commit (_, None) -> 8
+  | Commit (_, Some cat) -> 8 + String.length cat
+  | Checkpoint -> 0
+  | Logical (_, op) -> 4 + String.length op
 
-let decode_record tag payload =
-  let b = Bytes.of_string payload in
+(* The record's whole frame, [len:u32][tag:u8][payload][cksum:u32], in
+   one allocation: the payload is encoded where it will be written and
+   checksummed where it lies. *)
+let frame_of record =
+  let n = payload_len record in
+  let f = Bytes.create (9 + n) in
+  Bytes_util.set_i32 f 0 n;
+  Bytes_util.set_u8 f 4 (tag_of record);
+  (match record with
+   | Begin txn | Abort txn -> Bytes_util.set_i32 f 5 txn
+   | Image (txn, pid, img) ->
+     Bytes_util.set_i32 f 5 txn;
+     Bytes_util.set_i32 f 9 pid;
+     Bytes.blit img 0 f 13 (Bytes.length img)
+   | Commit (txn, cat) ->
+     Bytes_util.set_i32 f 5 txn;
+     Bytes_util.set_i32 f 9 (if cat = None then 0 else 1);
+     (match cat with
+      | Some cs -> Bytes.blit_string cs 0 f 13 (String.length cs)
+      | None -> ())
+   | Checkpoint -> ()
+   | Logical (txn, op) ->
+     Bytes_util.set_i32 f 5 txn;
+     Bytes.blit_string op 0 f 9 (String.length op));
+  Bytes_util.set_i32 f (5 + n) (checksum ~off:5 ~len:n f);
+  f
+
+(* Smallest payload each tag decodes from; anything else is not a
+   frame this log wrote.  Tag 6 ([Logical]) is no longer written, but
+   logs from before that still carry it and must replay. *)
+let min_payload = function
+  | 1 | 4 | 6 -> 4
+  | 2 | 3 -> 8
+  | 5 -> 0
+  | _ -> max_int
+
+(* Decode the [n]-byte payload at [off] of a frame with this tag. *)
+let decode_record b tag off n =
+  let i32 k = Bytes_util.get_i32 b (off + k) in
   match tag with
-  | 1 -> Some (Begin (Bytes_util.get_i32 b 0))
-  | 2 ->
-    let txn = Bytes_util.get_i32 b 0 and pid = Bytes_util.get_i32 b 4 in
-    Some (Image (txn, pid, Bytes.sub b 8 (Bytes.length b - 8)))
+  | 1 -> Begin (i32 0)
+  | 2 -> Image (i32 0, i32 4, Bytes.sub b (off + 8) (n - 8))
   | 3 ->
-    let txn = Bytes_util.get_i32 b 0 in
-    let has_cat = Bytes_util.get_i32 b 4 <> 0 in
-    let cat =
-      if has_cat then Some (Bytes.sub_string b 8 (Bytes.length b - 8))
-      else None
-    in
-    Some (Commit (txn, cat))
-  | 4 -> Some (Abort (Bytes_util.get_i32 b 0))
-  | 5 -> Some Checkpoint
-  | 6 ->
-    Some
-      (Logical (Bytes_util.get_i32 b 0, Bytes.sub_string b 4 (Bytes.length b - 4)))
-  | _ -> None
+    let cat = if i32 4 <> 0 then Some (Bytes.sub_string b (off + 8) (n - 8)) else None in
+    Commit (i32 0, cat)
+  | 4 -> Abort (i32 0)
+  | 5 -> Checkpoint
+  | _ -> Logical (i32 0, Bytes.sub_string b (off + 4) (n - 4))
 
 (* Hold the writer cursor for [f]; unlocks on exception too (a torn
    fault raises {!Fault.Injected_crash} mid-append). *)
@@ -146,13 +158,7 @@ let with_writer t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 let append_unlocked t record =
-  let payload = encode_payload record in
-  let n = String.length payload in
-  let frame = Bytes.create (4 + 1 + n + 4) in
-  Bytes_util.set_i32 frame 0 n;
-  Bytes_util.set_u8 frame 4 (tag_of record);
-  Bytes.blit_string payload 0 frame 5 n;
-  Bytes_util.set_i32 frame (5 + n) (checksum payload);
+  let frame = frame_of record in
   let len = Bytes.length frame in
   (match Fault.hit ~len append_site with
    | Fault.Proceed -> ()
@@ -200,26 +206,43 @@ let sync t =
   Unix.fsync t.fd;
   Counters.bump Counters.wal_syncs
 
-(* Walk the well-formed frames of [b] starting at [start]: decoded
-   records each paired with the position just past their frame, plus
-   the end of the valid region (everything past it is a torn tail). *)
+(* The payload length of the frame at [pos] when it lies whole within
+   the first [len] bytes of [b], is of a known kind and its checksum
+   holds; [-1] at a torn tail or garbage. *)
+let frame_at b pos len =
+  if pos + 9 > len then -1
+  else
+    let n = Bytes_util.get_i32 b pos in
+    if n < 0 || n > len - pos - 9 then -1
+    else if n < min_payload (Bytes_util.get_u8 b (pos + 4)) then -1
+    else if Bytes_util.get_i32 b (pos + 5 + n) <> checksum ~off:(pos + 5) ~len:n b
+    then -1
+    else n
+
+(* The well-formed frames of [b] from [start] up to the first torn or
+   garbage one, checksummed and decoded in place: each record paired
+   with the position just past its frame. *)
 let scan_bytes b ~start ~len =
   let rec go pos acc =
-    if pos + 9 > len then (List.rev acc, pos)
+    let n = frame_at b pos len in
+    if n < 0 then List.rev acc
     else
-      let n = Bytes_util.get_i32 b pos in
-      if n < 0 || pos + 9 + n > len then (List.rev acc, pos)
-      else
-        let tag = Bytes_util.get_u8 b (pos + 4) in
-        let payload = Bytes.sub_string b (pos + 5) n in
-        let ck = Bytes_util.get_i32 b (pos + 5 + n) in
-        if ck <> checksum payload then (List.rev acc, pos) (* torn tail *)
-        else
-          match decode_record tag payload with
-          | Some r -> go (pos + 9 + n) ((r, pos + 9 + n) :: acc)
-          | None -> (List.rev acc, pos)
+      let next = pos + 9 + n in
+      go next ((decode_record b (Bytes_util.get_u8 b (pos + 4)) (pos + 5) n, next) :: acc)
   in
   go start []
+
+(* Count the well-formed frames from [start] without decoding them,
+   while the run stays within [max_bytes] of [start] (a first frame
+   larger than that still counts): the count and the position past the
+   last counted frame. *)
+let walk_frames b ~start ~len ~max_bytes =
+  let rec go pos count =
+    let n = frame_at b pos len in
+    if n < 0 || (count > 0 && pos + 9 + n - start > max_bytes) then (count, pos)
+    else go (pos + 9 + n) (count + 1)
+  in
+  go start 0
 
 let load_file path =
   let ic = open_in_bin path in
@@ -228,19 +251,12 @@ let load_file path =
   close_in ic;
   (Bytes.unsafe_of_string buf, len)
 
-(* Scan the well-formed prefix of the log file at [path]: the decoded
-   records plus the byte length of that prefix (the last valid frame
-   boundary). *)
-let scan path =
-  if not (Sys.file_exists path) then ([], 0)
-  else begin
-    let b, len = load_file path in
-    let recs, valid = scan_bytes b ~start:0 ~len in
-    (List.map fst recs, valid)
-  end
-
 (* Read all well-formed records from the log file at [path]. *)
-let read_all path = fst (scan path)
+let read_all path =
+  if not (Sys.file_exists path) then []
+  else
+    let b, len = load_file path in
+    List.map fst (scan_bytes b ~start:0 ~len)
 
 (* The Image and Commit records of committed transactions, in log
    order.  An Abort *after* a Commit undoes it: that sequence appears
@@ -269,7 +285,7 @@ let read_from path pos =
   if not (Sys.file_exists path) then []
   else begin
     let b, len = load_file path in
-    if pos >= len then [] else fst (scan_bytes b ~start:pos ~len)
+    if pos >= len then [] else scan_bytes b ~start:pos ~len
   end
 
 (* Raw complete frames from [pos] onward for log shipping: the verbatim
@@ -284,14 +300,7 @@ let stream_from path ~pos ~max_bytes =
     let b, len = load_file path in
     if pos >= len then ("", 0, pos)
     else begin
-      let recs, _valid = scan_bytes b ~start:pos ~len in
-      let rec take count upto = function
-        | [] -> (count, upto)
-        | (_, frame_end) :: rest ->
-          if count > 0 && frame_end - pos > max_bytes then (count, upto)
-          else take (count + 1) frame_end rest
-      in
-      let count, upto = take 0 pos recs in
+      let count, upto = walk_frames b ~start:pos ~len ~max_bytes in
       (Bytes.sub_string b pos (upto - pos), count, upto)
     end
   end
@@ -302,7 +311,7 @@ let stream_from path ~pos ~max_bytes =
    here it is simply not decoded. *)
 let records_of_frames s =
   let b = Bytes.unsafe_of_string s in
-  fst (scan_bytes b ~start:0 ~len:(String.length s))
+  scan_bytes b ~start:0 ~len:(String.length s)
 
 (* Append raw pre-framed bytes verbatim (standby side of log shipping).
    The caller syncs; checksums were validated when the frames were cut
@@ -323,7 +332,10 @@ let append_raw t s =
 let open_existing path =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   let size = (Unix.fstat fd).Unix.st_size in
-  let _, valid = scan path in
+  let valid =
+    let b, len = load_file path in
+    snd (walk_frames b ~start:0 ~len ~max_bytes:max_int)
+  in
   if valid < size then begin
     Unix.ftruncate fd valid;
     Unix.fsync fd;

@@ -1,5 +1,4 @@
-(** Write-ahead log (paper §6.4): redo-only page after-images plus
-    logical audit records.
+(** Write-ahead log (paper §6.4): redo-only page after-images.
 
     The WAL protocol: a transaction's after-images and its commit
     record are appended and fsynced before commit returns.  Records are
@@ -13,9 +12,17 @@ type record =
       (** txn, marshaled catalog when it changed during the txn *)
   | Abort of int
   | Checkpoint
-  | Logical of int * string  (** audit record: txn, operation *)
+  | Logical of int * string
+      (** audit record (txn, operation) that older logs carry: still
+          decoded so they replay, but the engine no longer writes it
+          and every reader skips it *)
 
 type t
+
+val checksum : ?off:int -> ?len:int -> Bytes.t -> int
+(** The frame checksum: FNV-1a over [len] bytes from [off] (defaults:
+    the whole buffer), folded to 31 bits.  Raises [Invalid_argument]
+    when the range does not lie within the buffer. *)
 
 val create : string -> t
 (** Create/truncate the log file at this path. *)

@@ -276,12 +276,10 @@ let run_statement t (stmt : Ast.statement) (txn : Txn.t) : result =
       Error.raise_error Error.Txn_read_only
         "update statement in a read-only transaction";
     let ctx = build_ctx t st prolog in
-    Txn.log_op txn "update";
     Updated (Sedna_engine.Update_exec.execute ctx u)
   | Ast.Ddl d ->
     if txn.Txn.read_only then
       Error.raise_error Error.Txn_read_only "DDL in a read-only transaction";
-    Txn.log_op txn "ddl";
     Message (Sedna_engine.Ddl_exec.execute st d)
 
 let is_query = function Ast.Query _ -> true | _ -> false

@@ -80,8 +80,12 @@ let rec node_string_value st = function
     | Catalog.Text | Catalog.Attribute | Catalog.Comment | Catalog.Pi ->
       t.t_value
     | Catalog.Element | Catalog.Document ->
+      (* descendant text only, as for stored nodes *)
       t.t_children
-      |> List.filter (fun c -> node_kind st c <> Catalog.Attribute)
+      |> List.filter (fun c ->
+             match node_kind st c with
+             | Catalog.Element | Catalog.Text -> true
+             | _ -> false)
       |> List.map (node_string_value st)
       |> String.concat "")
 

@@ -17,4 +17,7 @@ val set_float : Bytes.t -> int -> float -> unit
 
 val crc32 : ?off:int -> ?len:int -> Bytes.t -> int
 (** CRC-32 (IEEE, reflected polynomial) of [len] bytes starting at
-    [off] (defaults: the whole buffer).  Result fits in 32 bits. *)
+    [off] (defaults: the whole buffer).  Result fits in 32 bits.
+    Computed eight bytes per step (slicing-by-8); the value is the
+    classic bytewise CRC's.  Raises [Invalid_argument] when the range
+    does not lie within the buffer. *)

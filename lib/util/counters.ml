@@ -8,12 +8,16 @@
 
    The pre-resolved [*_cell] bindings at the bottom ([vas_fast_hit_cell],
    [buffer_hit_cell], [buffer_fault_cell], [deref_cell],
-   [block_touch_cell]) stay plain [int ref]s bumped with an unguarded
-   [incr]: those cells are only ever incremented from storage-layer hot
-   paths that run under the governor's engine lock (statement
-   execution, recovery, the standby's apply step), so they are already
-   serialized and the mutex would only distort the measurements they
-   exist for. *)
+   [block_touch_cell], and on the fault path [buffer_evict_cell],
+   [page_reads_cell], [checksum_verify_cell]) stay plain [int ref]s
+   bumped with an unguarded [incr]: those cells are only ever
+   incremented from storage-layer hot paths that run under the
+   governor's engine lock (statement execution, recovery, the standby's
+   apply step, the scrubber's confirm step, page serving), so they are
+   already serialized and the mutex would only distort the measurements
+   they exist for.  The fault-path cells are bumped by
+   [Buffer_mgr.install] and the [File_store.read_page] it calls — the
+   same path that bumps [buffer_fault_cell]. *)
 
 type t = (string, int ref) Hashtbl.t
 
@@ -87,6 +91,7 @@ let diff ~before ~after =
 (* Well-known counter names, centralised so benches and storage agree. *)
 let buffer_fault = "buffer.fault"
 let buffer_hit = "buffer.hit"
+let buffer_evict = "buffer.evict"
 let vas_fast_hit = "vas.fast_hit"
 let block_touch = "block.touch"
 let deref = "xptr.deref"
@@ -175,3 +180,6 @@ let buffer_hit_cell = cell buffer_hit
 let buffer_fault_cell = cell buffer_fault
 let deref_cell = cell deref
 let block_touch_cell = cell block_touch
+let buffer_evict_cell = cell buffer_evict
+let page_reads_cell = cell page_reads
+let checksum_verify_cell = cell checksum_verify

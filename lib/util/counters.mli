@@ -41,6 +41,7 @@ val cell : string -> int ref
 
 val buffer_fault : string
 val buffer_hit : string
+val buffer_evict : string
 val vas_fast_hit : string
 val block_touch : string
 val deref : string
@@ -243,3 +244,9 @@ val buffer_hit_cell : int ref
 val buffer_fault_cell : int ref
 val deref_cell : int ref
 val block_touch_cell : int ref
+
+val buffer_evict_cell : int ref
+val page_reads_cell : int ref
+val checksum_verify_cell : int ref
+(** Bumped on every buffer fault (an eviction, its disk read, its CRC
+    verify), by [Buffer_mgr] and the [File_store.read_page] it calls. *)

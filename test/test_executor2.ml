@@ -67,6 +67,25 @@ let test_deep_labels_overflow () =
           Test_util.check_invariants st "deep"));
   ()
 
+(* XDM: the string value of an element or document is its descendant
+   text only — comments and processing instructions among the children
+   (or deeper) add nothing, on stored and constructed nodes alike. *)
+let test_string_value_skips_comments_and_pis () =
+  Test_util.with_db (fun db ->
+      ignore
+        (Test_util.load db "sv"
+           "<a>x<!--c-->y<?p q?>z<b>w<!--d--><?e f?></b></a>");
+      let q = Test_util.exec db in
+      Alcotest.(check string) "stored element" "xyzw" (q {|string(doc("sv")/a)|});
+      Alcotest.(check string) "stored document" "xyzw" (q {|string(doc("sv"))|});
+      Alcotest.(check string) "stored leaf" "w" (q {|string(doc("sv")/a/b)|});
+      Alcotest.(check string) "stored comment itself" "c"
+        (q {|string(doc("sv")/a/comment())|});
+      Alcotest.(check string) "constructed element" "xyzw"
+        (q {|string(<a>x<!--c-->y<?p q?>z<b>w<!--d--></b></a>)|});
+      Alcotest.(check string) "computed constructors" "tu"
+        (q {|string(element e { text { "t" }, comment { "c" }, <?p i?>, element f { "u" } })|}))
+
 let test_serializer_options () =
   let events = Sedna_xml.Xml_parser.events "<a><b>x</b><c/></a>" in
   let plain = Sedna_xml.Serializer.to_string events in
@@ -148,6 +167,8 @@ let suite =
     Alcotest.test_case "mixed node kinds" `Quick test_mixed_kinds;
     Alcotest.test_case "deep labels overflow" `Quick test_deep_labels_overflow;
     Alcotest.test_case "serializer options" `Quick test_serializer_options;
+    Alcotest.test_case "string value: text only" `Quick
+      test_string_value_skips_comments_and_pis;
     Alcotest.test_case "empty document" `Quick test_empty_document_queries;
     Alcotest.test_case "long text values" `Quick test_long_text_values_via_query;
     Alcotest.test_case "multi-document" `Quick test_multi_document_queries;

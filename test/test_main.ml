@@ -4,6 +4,7 @@ let () =
       ("nid", Test_nid.suite);
       ("xml", Test_xml.suite);
       ("storage", Test_storage.suite);
+      ("checksum", Test_checksum.suite);
       ("nodes", Test_nodes.suite);
       ("txn", Test_txn.suite);
       ("recovery", Test_recovery.suite);

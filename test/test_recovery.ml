@@ -54,6 +54,56 @@ let test_crash_recovers_committed () =
       Test_util.check_invariants st "d");
   Database.close db2
 
+(* Logs written before the engine stopped logging [Logical] audit
+   records still carry tag-6 frames.  One spliced into a committed
+   transaction, just before its Commit frame, must not end the readable
+   log there: the commit behind it still replays. *)
+let test_recovers_past_logical_frame () =
+  let dir = Test_util.fresh_dir () in
+  let db = Database.create dir in
+  ignore (Test_util.load db "d" "<a><v>1</v></a>");
+  ignore (Test_util.exec db {|UPDATE replace $v in doc("d")/a/v with <v>2</v>|});
+  Database.crash db;
+  let path = Filename.concat dir "wal.sdb" in
+  let log =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  (* the last frame is the update's Commit; splice in front of it *)
+  let frames = Wal.read_from path 0 in
+  let commit_start =
+    match List.rev frames with
+    | (Wal.Commit _, _) :: (_, prev_end) :: _ -> prev_end
+    | _ -> Alcotest.fail "log does not end in a commit"
+  in
+  let op = "update" in
+  let n = 4 + String.length op in
+  let frame = Bytes.create (9 + n) in
+  Bytes.set_int32_le frame 0 (Int32.of_int n);
+  Bytes.set frame 4 '\006';
+  Bytes.set_int32_le frame 5 99l;
+  Bytes.blit_string op 0 frame 9 (String.length op);
+  (* FNV-1a over the payload, folded to 31 bits *)
+  let h = ref 0x811c9dc5 in
+  Bytes.iter
+    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
+    (Bytes.sub frame 5 n);
+  Bytes.set_int32_le frame (5 + n) (Int32.of_int (!h land 0x7FFFFFFF));
+  let oc = open_out_bin path in
+  output_string oc (String.sub log 0 commit_start);
+  output_bytes oc frame;
+  output_string oc
+    (String.sub log commit_start (String.length log - commit_start));
+  close_out oc;
+  Alcotest.(check bool) "tag-6 frame decodes" true
+    (List.mem (Wal.Logical (99, "update")) (Wal.read_all path));
+  let db2 = reopen dir in
+  Alcotest.(check string) "commit behind it recovered" "2"
+    (Test_util.exec db2 {|string(doc("d")/a/v)|});
+  Database.close db2
+
 let test_crash_loses_uncommitted () =
   let dir = Test_util.fresh_dir () in
   let db = Database.create dir in
@@ -224,6 +274,8 @@ let suite =
     Alcotest.test_case "torn tail ignored" `Quick test_torn_tail_ignored;
     Alcotest.test_case "crash recovers committed" `Quick test_crash_recovers_committed;
     Alcotest.test_case "crash loses uncommitted" `Quick test_crash_loses_uncommitted;
+    Alcotest.test_case "recovers past a tag-6 frame" `Quick
+      test_recovers_past_logical_frame;
     Alcotest.test_case "recovery restores schema" `Quick test_recovery_restores_schema;
     Alcotest.test_case "checkpoint truncates wal" `Quick test_checkpoint_truncates_wal;
     Alcotest.test_case "multiple crash cycles" `Quick test_multiple_crash_cycles;
