@@ -738,14 +738,13 @@ let e12 () =
   Sedna_core.Database.close db
 
 (* ------------------------------------------------------------------ *)
-(* E13 — §5.1/§4.3: automatic index selection + compiled-plan cache    *)
+(* E13 — §5.1/§4.3: automatic index selection                         *)
 (* ------------------------------------------------------------------ *)
 
 let e13 () =
-  header "E13 §5.1/§4.3 — automatic index selection + plan cache"
+  header "E13 §5.1/§4.3 — automatic index selection"
     "a selective value predicate over an indexed path becomes a B-tree \
-     probe (rewriter rule 7) instead of a block scan; repeated \
-     statements skip parse/analysis/rewrite via the session plan cache";
+     probe (rewriter rule 7) instead of a block scan";
   let db = fresh_db ~buffer_frames:256 () in
   let books = if quick () then 1200 else 5000 in
   let _, n = load_events db "lib" (Sedna_workloads.Generators.library ~books ()) in
@@ -796,47 +795,9 @@ let e13 () =
       ("descendant //book[price=42]", {|count(doc("lib")//book[price = 42])|});
       ("probe + suffix steps", {|count(doc("lib")/library/book[price = 42]/title)|});
     ];
-  (* plan cache: cold compile (parse + analysis + rewrite) vs cached.
-     Two statements: the probe query above (execution-bound, shows the
-     hit counter) and a wide union over a tiny document whose cost is
-     almost all compilation. *)
-  ignore (load_events db "t" (Sedna_workloads.Generators.library ~books:2 ()));
-  let wide_union =
-    "count(("
-    ^ String.concat ", "
-        (List.init
-           (if quick () then 12 else 40)
-           (fun i -> Printf.sprintf {|doc("t")//name%d[v = %d]|} i i))
-    ^ "))"
-  in
-  let s = session db in
-  pf "\n";
-  List.iter
-    (fun (name, q) ->
-      let t_cold =
-        time_median (fun () ->
-            Sedna_db.Session.clear_plan_cache s;
-            exec s q)
-      in
-      let t_warm = time_median (fun () -> exec s q) in
-      record_ms (Printf.sprintf "e13.%s.cold_ms" name) t_cold;
-      record_ms (Printf.sprintf "e13.%s.cached_ms" name) t_warm;
-      row3 name
-        (Printf.sprintf "cold %.3f ms" (ms t_cold))
-        (Printf.sprintf "cached %.3f ms (%.1fx)" (ms t_warm) (t_cold /. t_warm)))
-    [
-      ("probe query (execution-bound)",
-       {|count(doc("lib")/library/book[price = 42])|});
-      ("wide union (compile-bound)", wide_union);
-    ];
-  let hits, misses = Sedna_db.Session.plan_cache_stats s in
-  record_int "e13.plan_cache.hits" hits;
-  record_int "e13.plan_cache.misses" misses;
-  row3 "plan cache" (Printf.sprintf "%d hits" hits)
-    (Printf.sprintf "%d misses" misses);
   pf "\n  (ablation: use_indexes = false restores the sequential plans in\n";
-  pf "   the 'scan' columns; DDL bumps the catalog epoch and invalidates\n";
-  pf "   cached plans — see test/test_plan_cache.ml)\n";
+  pf "   the 'scan' columns; every statement compiles against the live\n";
+  pf "   catalog, so DDL changes the next plan — see test/test_plan_cache.ml)\n";
   Sedna_core.Database.close db
 
 (* ------------------------------------------------------------------ *)
@@ -1325,8 +1286,8 @@ let e17 () =
     let body w () =
       try
         let _, s = G.connect g ~database:"main" in
-        (* constant statement text per writer: the plan cache absorbs
-           compilation, so the loop measures the commit path *)
+        (* one small statement per writer: compiling it is cheap next
+           to the commit path the loop measures *)
         let stmt =
           Printf.sprintf {|UPDATE insert <e/> into doc(%S)/log|} (doc w)
         in
@@ -1785,7 +1746,7 @@ let trace_overhead () =
     done
   in
   workload ();
-  (* warm plan cache + buffers *)
+  (* warm buffers *)
   let was = Span.is_enabled () in
   Span.set_enabled false;
   let t_off = time_median ~runs:5 workload in

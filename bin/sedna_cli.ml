@@ -153,9 +153,7 @@ let run_statement_inner session text =
     with e -> Printf.printf "error: %s\n" (Sedna_util.Error.to_string e))
   | text when String.length text > 9 && String.sub text 0 9 = "\\explain " -> (
     let q = String.sub text 9 (String.length text - 9) in
-    try
-      let cat = Database.catalog (Sedna_db.Session.database session) in
-      print_endline (Sedna_xquery.Xq_pp.explain ~catalog:cat q)
+    try print_endline (Sedna_db.Session.explain session q)
     with e -> Printf.printf "error: %s\n" (Sedna_util.Error.to_string e))
   | text -> print_endline (Sedna_db.Session.execute_string session text)
 

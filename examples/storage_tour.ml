@@ -25,7 +25,8 @@ let () =
   (* 2. what the optimizing rewriter does to a query (paper §5.1) *)
   print_endline "\n== \\explain of a // query ==";
   print_endline
-    (Sedna_xquery.Xq_pp.explain {|for $b in doc("lib")//book where $b/price > 90 return $b/title|});
+    (Sedna_db.Session.explain session
+       {|for $b in doc("lib")//book where $b/price > 90 return $b/title|});
 
   (* 3. the storage counters behind a query (paper §4.2) *)
   print_endline "== counters for one descendant query ==";

@@ -89,10 +89,6 @@ type t = {
   mutable indir_free_head : Xptr.t; (* first free cell, chained in-page *)
   mutable indir_pages : Xptr.t list;
   mutable dirty : bool; (* changed since last persisted *)
-  mutable epoch : int;
-    (* bumped by every DDL-visible change (documents, collections,
-       indexes, new schema paths); compiled plans are keyed by it and
-       recompiled when it moves *)
 }
 
 let create () =
@@ -107,18 +103,11 @@ let create () =
     indir_free_head = Xptr.null;
     indir_pages = [];
     dirty = false;
-    epoch = 0;
   }
 
 let mark_dirty t = t.dirty <- true
 let is_dirty t = t.dirty
 let clear_dirty t = t.dirty <- false
-
-let epoch t = t.epoch
-
-let bump_epoch t =
-  t.epoch <- t.epoch + 1;
-  mark_dirty t
 
 (* ---- schema -------------------------------------------------------- *)
 
@@ -156,9 +145,7 @@ let new_snode t ~parent ~kind ~name =
   (match parent with
    | Some p -> p.children <- p.children @ [ s ]
    | None -> ());
-  (* a new schema path changes which schema nodes a structural path
-     resolves to, so plans compiled against the old schema are stale *)
-  bump_epoch t;
+  mark_dirty t;
   s
 
 let name_matches name = function
@@ -205,7 +192,7 @@ let add_document t ~name ~schema_root_id =
   in
   Hashtbl.add t.documents name d;
   Hashtbl.replace t.doc_roots schema_root_id name;
-  bump_epoch t;
+  mark_dirty t;
   d
 
 let find_document t name = Hashtbl.find_opt t.documents name
@@ -227,7 +214,7 @@ let remove_document t name =
    | None -> ());
   Hashtbl.remove t.documents name;
   Hashtbl.remove t.doc_roots d.schema_root_id;
-  bump_epoch t
+  mark_dirty t
 
 let document_names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.documents [] |> List.sort compare
@@ -238,7 +225,7 @@ let add_collection t name =
   if Hashtbl.mem t.collections name then
     Error.raise_error Error.Collection_exists "collection %S already exists" name;
   Hashtbl.add t.collections name [];
-  bump_epoch t
+  mark_dirty t
 
 let collection_documents t name =
   match Hashtbl.find_opt t.collections name with
@@ -249,7 +236,7 @@ let add_document_to_collection t ~collection ~doc =
   let docs = collection_documents t collection in
   Hashtbl.replace t.collections collection (docs @ [ doc ]);
   (get_document t doc).in_collection <- Some collection;
-  bump_epoch t
+  mark_dirty t
 
 let collection_names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.collections [] |> List.sort compare
@@ -257,7 +244,7 @@ let collection_names t =
 let remove_collection t name =
   List.iter (fun d -> remove_document t d) (collection_documents t name);
   Hashtbl.remove t.collections name;
-  bump_epoch t
+  mark_dirty t
 
 (* ---- indexes --------------------------------------------------------- *)
 
@@ -265,7 +252,7 @@ let add_index t def =
   if Hashtbl.mem t.indexes def.idx_name then
     Error.raise_error Error.Index_exists "index %S already exists" def.idx_name;
   Hashtbl.add t.indexes def.idx_name def;
-  bump_epoch t
+  mark_dirty t
 
 let find_index t name = Hashtbl.find_opt t.indexes name
 
@@ -277,7 +264,7 @@ let get_index t name =
 let remove_index t name =
   ignore (get_index t name);
   Hashtbl.remove t.indexes name;
-  bump_epoch t
+  mark_dirty t
 
 let indexes_for_document t doc =
   Hashtbl.fold
@@ -348,8 +335,9 @@ type persistent = {
 (* The blob is a Marshal image of in-memory records, so it is only
    readable by a build with the same layout of every catalog field.  The
    format tag names that layout; bump it whenever a marshaled type
-   changes (version 2: [Xptr.t] fields are immediate ints). *)
-let format_tag = "sedna-catalog/2\n"
+   changes (version 2: [Xptr.t] fields are immediate ints; version 3:
+   no plan-cache epoch). *)
+let format_tag = "sedna-catalog/3\n"
 
 let serialize t ~page_count ~free_pages =
   format_tag

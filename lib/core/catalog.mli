@@ -69,7 +69,6 @@ type t = {
   mutable indir_free_head : Xptr.t;
   mutable indir_pages : Xptr.t list;
   mutable dirty : bool;
-  mutable epoch : int;
 }
 
 val create : unit -> t
@@ -77,14 +76,6 @@ val create : unit -> t
 val mark_dirty : t -> unit
 val is_dirty : t -> bool
 val clear_dirty : t -> unit
-
-val epoch : t -> int
-(** The catalog epoch: bumped by every DDL-visible change (document
-    load/drop, collection changes, index create/drop, and first
-    appearance of a new schema path).  Compiled plans are keyed by it
-    and recompiled when it moves. *)
-
-val bump_epoch : t -> unit
 
 (** {1 Schema} *)
 

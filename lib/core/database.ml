@@ -324,25 +324,19 @@ let checkpoint db =
   | (Fault.Injected_fault _ | Fault.Injected_crash _) as e -> raise e
   | e -> reraise_classified db ~what:"checkpoint" e
 
-let create ?(buffer_frames = 256) dir =
-  if not (Sys.file_exists dir) then begin
-    Unix.mkdir dir 0o755;
-    (* persist the new directory entry itself *)
-    Sysutil.fsync_dir (Filename.dirname dir)
-  end;
-  let fs = File_store.create (data_path dir) in
-  let bm = Buffer_mgr.create ~frames:buffer_frames fs in
-  let wal = Wal.create (wal_path dir) in
+(* A database over open files, before its first checkpoint: [create]
+   and [open_existing] differ only in the files and the catalog. *)
+let make dir ~buffer_frames fs wal cat =
   let db =
     {
       dir;
       fs;
-      bm;
+      bm = Buffer_mgr.create ~frames:buffer_frames fs;
       wal;
       gc = Group_commit.create wal;
       versions = Versions.create ();
       locks = Lock_mgr.create ();
-      cat = Catalog.create ();
+      cat;
       cat_snapshot = { blob = ""; decoded = None };
       next_txn_id = 1;
       active = Hashtbl.create 8;
@@ -357,6 +351,34 @@ let create ?(buffer_frames = 256) dir =
   in
   Counters.set Counters.cluster_epoch db.cluster_epoch;
   install_hooks db;
+  db
+
+(* Redo one page: extend the data file to cover [pid] (the log may name
+   pages the file never reached), then install the after-image without
+   reading the on-disk page — a page torn by a crash would fail its
+   checksum, and its content is being replaced anyway.  Absolute images
+   make redo idempotent. *)
+let redo_page db pid img =
+  while File_store.page_count db.fs <= pid do
+    ignore (File_store.allocate db.fs)
+  done;
+  Buffer_mgr.overwrite_page db.bm pid img
+
+(* Adopt a committed catalog with the page count and free list it was
+   written with. *)
+let adopt_catalog db (p : Catalog.persistent) =
+  db.cat <- p.Catalog.p_catalog;
+  File_store.set_page_count db.fs p.Catalog.p_page_count;
+  File_store.set_free_list db.fs p.Catalog.p_free_pages
+
+let create ?(buffer_frames = 256) dir =
+  if not (Sys.file_exists dir) then begin
+    Unix.mkdir dir 0o755;
+    (* persist the new directory entry itself *)
+    Sysutil.fsync_dir (Filename.dirname dir)
+  end;
+  let fs = File_store.create (data_path dir) in
+  let db = make dir ~buffer_frames fs (Wal.create (wal_path dir)) (Catalog.create ()) in
   checkpoint db;
   snapshot_catalog db;
   db
@@ -373,16 +395,7 @@ let recover db =
   List.iter
     (function
       | Wal.Image (_, pid, img) ->
-        (* the data file may be shorter than the replayed page set *)
-        while File_store.page_count db.fs <= pid do
-          ignore (File_store.allocate db.fs)
-        done;
-        (* redo installs the after-image without reading the on-disk
-           page: a page torn by the crash would fail its checksum, and
-           its content is being replaced anyway.  Absolute images also
-           make redo idempotent — a re-crash during recovery simply
-           replays them again. *)
-        Buffer_mgr.overwrite_page db.bm pid img;
+        redo_page db pid img;
         incr replayed
       | Wal.Commit (_, Some blob) -> last_catalog := Some blob
       | _ -> ())
@@ -391,48 +404,16 @@ let recover db =
     List.length (List.filter (function Wal.Image _ -> true | _ -> false) records)
     - !replayed
   in
-  (match !last_catalog with
-   | Some blob ->
-     let p = Catalog.deserialize blob in
-     db.cat <- p.Catalog.p_catalog;
-     File_store.set_page_count db.fs p.Catalog.p_page_count;
-     File_store.set_free_list db.fs p.Catalog.p_free_pages
-   | None -> ());
+  Option.iter (fun blob -> adopt_catalog db (Catalog.deserialize blob)) !last_catalog;
   Counters.bump ~n:!replayed Counters.recovery_redo;
   Counters.bump ~n:skipped Counters.recovery_skip;
   !replayed
 
 let open_existing ?(buffer_frames = 256) dir =
   let fs = File_store.open_existing (data_path dir) in
-  let bm = Buffer_mgr.create ~frames:buffer_frames fs in
   let wal = Wal.open_existing (wal_path dir) in
-  let p = read_catalog_file dir in
-  File_store.set_page_count fs p.Catalog.p_page_count;
-  File_store.set_free_list fs p.Catalog.p_free_pages;
-  let db =
-    {
-      dir;
-      fs;
-      bm;
-      wal;
-      gc = Group_commit.create wal;
-      versions = Versions.create ();
-      locks = Lock_mgr.create ();
-      cat = p.Catalog.p_catalog;
-      cat_snapshot = { blob = ""; decoded = None };
-      next_txn_id = 1;
-      active = Hashtbl.create 8;
-      current = None;
-      overlay_lookups = -1;
-      standby = false;
-      cluster_epoch = read_cluster_file dir;
-      fenced = false;
-      degraded = false;
-      degraded_reason = "";
-    }
-  in
-  Counters.set Counters.cluster_epoch db.cluster_epoch;
-  install_hooks db;
+  let db = make dir ~buffer_frames fs wal (Catalog.create ()) in
+  adopt_catalog db (read_catalog_file dir);
   let replayed = recover db in
   if replayed > 0 then Logs.info (fun m -> m "recovery replayed %d page images" replayed);
   (* make the recovered state the new persistent snapshot *)
@@ -765,22 +746,20 @@ let apply_txn db ~images ~catalog_blob =
   let pages =
     List.map
       (fun (pid, after) ->
-        while File_store.page_count db.fs <= pid do
-          ignore (File_store.allocate db.fs)
-        done;
-        let before = Buffer_mgr.page_image db.bm pid in
-        Buffer_mgr.overwrite_page db.bm pid after;
+        (* a page past the file's end held zeros *)
+        let before =
+          if pid < File_store.page_count db.fs then Buffer_mgr.page_image db.bm pid
+          else Bytes.make Page.page_size '\000'
+        in
+        redo_page db pid after;
         (pid, before))
       images
   in
-  (match catalog_blob with
-   | Some blob ->
-     let p = Catalog.deserialize blob in
-     db.cat <- p.Catalog.p_catalog;
-     publish_catalog db blob;
-     File_store.set_page_count db.fs p.Catalog.p_page_count;
-     File_store.set_free_list db.fs p.Catalog.p_free_pages
-   | None -> ());
+  Option.iter
+    (fun blob ->
+      adopt_catalog db (Catalog.deserialize blob);
+      publish_catalog db blob)
+    catalog_blob;
   let commit_ts = Versions.last_commit_ts db.versions + 1 in
   Versions.install_commit db.versions ~commit_ts pages;
   Counters.bump Counters.repl_txns_applied;

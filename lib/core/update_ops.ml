@@ -179,14 +179,7 @@ let write_fresh_desc (st : Store.t) ~(snode : Catalog.snode) ~(block : Xptr.t)
         Node_block.set_text_len bm d 0));
   Node_block.link_in_order bm block ~slot ~after:order_after;
   snode.Catalog.node_count <- snode.Catalog.node_count + 1;
-  (* Cached plans bake in cardinality decisions (the index-pushdown
-     gate) keyed by the catalog epoch, and same-shape inserts don't
-     change the schema.  Bump the epoch when a population crosses a
-     power-of-two boundary so a growing document re-evaluates those
-     decisions at O(log n) cost instead of waiting for unrelated DDL. *)
-  let c = snode.Catalog.node_count in
-  if c land (c - 1) = 0 then Catalog.bump_epoch st.Store.cat
-  else Catalog.mark_dirty st.Store.cat;
+  Catalog.mark_dirty st.Store.cat;
   d
 
 (* Wire the new node into the sibling chain between [left] and [right]

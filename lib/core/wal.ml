@@ -244,12 +244,12 @@ let walk_frames b ~start ~len ~max_bytes =
   in
   go start 0
 
-let load_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let buf = really_input_string ic len in
-  close_in ic;
-  (Bytes.unsafe_of_string buf, len)
+(* The log file's bytes from [pos] to its end, and their count. *)
+let load_file ?(pos = 0) path =
+  In_channel.with_open_bin path (fun ic ->
+      let len = max 0 (Int64.to_int (In_channel.length ic) - pos) in
+      In_channel.seek ic (Int64.of_int pos);
+      (Bytes.unsafe_of_string (really_input_string ic len), len))
 
 (* Read all well-formed records from the log file at [path]. *)
 let read_all path =
@@ -277,32 +277,19 @@ let committed records =
       | _ -> false)
     records
 
-(* Streaming cursor: decoded records from the frame boundary [pos]
-   onward, each paired with the position just past its frame — the
-   caller feeds a returned position back in to resume.  [pos] must be a
-   frame boundary previously returned (or 0). *)
-let read_from path pos =
-  if not (Sys.file_exists path) then []
-  else begin
-    let b, len = load_file path in
-    if pos >= len then [] else scan_bytes b ~start:pos ~len
-  end
-
 (* Raw complete frames from [pos] onward for log shipping: the verbatim
    bytes of whole checksum-valid frames (at most [max_bytes] unless a
    single frame alone exceeds it), the record count, and the position
-   past the last shipped frame.  Shipping raw bytes keeps the standby's
-   log byte-identical to the primary's, so positions agree on both
-   sides and ordinary recovery can read the shipped log. *)
+   past the last shipped frame.  Only the log's tail from [pos] is read.
+   Shipping raw bytes keeps the standby's log byte-identical to the
+   primary's, so positions agree on both sides and ordinary recovery
+   can read the shipped log. *)
 let stream_from path ~pos ~max_bytes =
   if not (Sys.file_exists path) then ("", 0, pos)
   else begin
-    let b, len = load_file path in
-    if pos >= len then ("", 0, pos)
-    else begin
-      let count, upto = walk_frames b ~start:pos ~len ~max_bytes in
-      (Bytes.sub_string b pos (upto - pos), count, upto)
-    end
+    let b, len = load_file ~pos path in
+    let count, upto = walk_frames b ~start:0 ~len ~max_bytes in
+    (Bytes.sub_string b 0 upto, count, pos + upto)
   end
 
 (* Decode a batch of raw shipped frames (as produced by

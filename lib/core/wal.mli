@@ -61,8 +61,8 @@ val close : t -> unit
 (** {1 Streaming (log shipping)}
 
     Positions are byte offsets at frame boundaries; [0] and any
-    position returned by {!read_from} / {!stream_from} are valid.  A
-    position is only meaningful together with the log's {!epoch} —
+    position returned by {!stream_from} are valid.  A position is only
+    meaningful together with the log's {!epoch} —
     {!reset} (checkpoint truncation) and {!create} bump the epoch, and
     a consumer holding a position from an older epoch must discard its
     state and re-seed from a full backup. *)
@@ -81,16 +81,12 @@ val read_epoch : string -> int
 (** Epoch recorded in the sidecar file next to the log at this path;
     [0] when none exists yet. *)
 
-val read_from : string -> int -> (record * int) list
-(** Decoded records from the given frame boundary onward, each paired
-    with the position just past its frame (feed back in to resume). *)
-
 val stream_from : string -> pos:int -> max_bytes:int -> string * int * int
 (** [(frames, count, pos')]: verbatim bytes of whole checksum-valid
     frames starting at [pos] — at most [max_bytes] unless the first
     frame alone is larger — plus the record count and the position past
     the last included frame.  [count = 0] means no new complete frames
-    at this position. *)
+    at this position.  Reads only the log's tail from [pos]. *)
 
 val records_of_frames : string -> (record * int) list
 (** Decode a batch of raw frames as produced by {!stream_from}; each

@@ -180,9 +180,9 @@ let shutdown t =
   Hashtbl.reset t.databases
 
 (* Aggregate observability report across everything the governor
-   manages: per-session plan-cache and latency figures, the registered
-   latency histograms, the non-zero global counters, the recent traces
-   and the retained slow ones. *)
+   manages: per-session statement counts and latency figures, the
+   registered latency histograms, the non-zero global counters, the
+   recent traces and the retained slow ones. *)
 let observability_report t =
   let sessions = locked t.mu (fun () -> t.sessions) in
   let b = Buffer.create 1024 in
@@ -196,14 +196,12 @@ let observability_report t =
      else "off");
   List.iter
     (fun (gid, s) ->
-      let hits, misses = Session.plan_cache_stats s in
       let h = Session.latency s in
       line
-        "  session %d (governor id %d): %d stmts, plan cache %d hit / %d miss, \
-         latency p50 %.3f ms p95 %.3f ms p99 %.3f ms"
+        "  session %d (governor id %d): %d stmts, latency p50 %.3f ms p95 %.3f ms \
+         p99 %.3f ms"
         (Session.id s) gid
         (Metrics.hist_count h)
-        hits misses
         (Metrics.percentile h 0.5 *. 1000.)
         (Metrics.percentile h 0.95 *. 1000.)
         (Metrics.percentile h 0.99 *. 1000.))

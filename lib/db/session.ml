@@ -20,27 +20,11 @@ let result_to_string = function
   | Updated n -> Printf.sprintf "update succeeded (%d nodes)" n
   | Message m -> m
 
-(* A compiled plan: the statement after parse -> static analysis ->
-   function inlining -> optimizing rewrite.  Valid while the catalog
-   epoch it was compiled under stands — any DDL (index create/drop,
-   document load/drop, new schema path) bumps the epoch and the next
-   execution recompiles. *)
-type plan = {
-  c_stmt : Ast.statement;
-  c_epoch : int;
-  c_opts : Sedna_xquery.Rewriter.options;
-}
-
-let plan_cache_capacity = 256
-
 type t = {
   id : int;
   db : Database.t;
   mutable txn : Txn.t option;
   mutable rewriter_options : Sedna_xquery.Rewriter.options;
-  plans : (string, plan) Hashtbl.t; (* keyed by statement text *)
-  mutable plan_hits : int; (* this session's share of plan.hit / plan.miss *)
-  mutable plan_misses : int;
   latency : Metrics.histogram; (* per-session statement latency *)
   (* how this session's commits wait for the covering group fsync: the
      governor points this at [Governor.without_engine] so the engine
@@ -63,9 +47,6 @@ let connect db =
     db;
     txn = None;
     rewriter_options = Sedna_xquery.Rewriter.default_options;
-    plans = Hashtbl.create 32;
-    plan_hits = 0;
-    plan_misses = 0;
     latency = Metrics.histogram ~register:false "session.latency";
     park = (fun wait -> wait ());
   }
@@ -75,14 +56,7 @@ let database t = t.db
 let id t = t.id
 let latency t = t.latency
 
-let set_rewriter_options t o =
-  t.rewriter_options <- o;
-  (* plans compiled under other options are useless now *)
-  Hashtbl.reset t.plans
-
-let plan_cache_stats t = (t.plan_hits, t.plan_misses)
-
-let clear_plan_cache t = Hashtbl.reset t.plans
+let set_rewriter_options t o = t.rewriter_options <- o
 
 (* ---- lock-set inference ----------------------------------------------- *)
 
@@ -169,12 +143,16 @@ let optimize_expr t (prolog : Ast.prolog) (e : Ast.expr) : Ast.expr =
     ~catalog:(Database.catalog t.db)
     t.rewriter_options e
 
-(* Compile a parsed statement: everything that does not depend on the
-   data — so a cached plan skips it all.  Prolog variable initializers
-   are rewritten here too; [build_ctx] below only evaluates them.
-   Returns the compiled statement plus (analyze, rewrite) seconds for
-   [\profile]. *)
+(* Compile a parsed statement against the live catalog.  Every run
+   compiles afresh, as in the paper's pipeline (§5): a plan always
+   reflects the current indexes, schema and populations.  Prolog
+   variable initializers are rewritten here too; [build_ctx] below
+   only evaluates them.  Returns the compiled statement plus (analyze,
+   rewrite) seconds for [\profile]. *)
 let compile t (stmt : Ast.statement) : Ast.statement * float * float =
+  let variables prolog =
+    List.map (fun (v, e') -> (v, optimize_expr t prolog e')) prolog.Ast.variables
+  in
   match stmt with
   | Ast.Query (prolog, e) ->
     let ta, () =
@@ -182,15 +160,8 @@ let compile t (stmt : Ast.statement) : Ast.statement * float * float =
     in
     let tr, stmt =
       Metrics.time (fun () ->
-          let prolog =
-            { prolog with
-              Ast.variables =
-                List.map
-                  (fun (v, e') -> (v, optimize_expr t prolog e'))
-                  prolog.Ast.variables
-            }
-          in
-          Ast.Query (prolog, optimize_expr t prolog e))
+          let prolog' = { prolog with Ast.variables = variables prolog } in
+          Ast.Query (prolog', optimize_expr t prolog' e))
     in
     (stmt, ta, tr)
   | Ast.Update (prolog, u) ->
@@ -207,44 +178,22 @@ let compile t (stmt : Ast.statement) : Ast.statement * float * float =
             | Ast.Replace (v, a, b) -> Ast.Replace (v, opt a, opt b)
             | Ast.Rename (a, n) -> Ast.Rename (opt a, n)
           in
-          let prolog =
-            { prolog with
-              Ast.variables =
-                List.map
-                  (fun (v, e') -> (v, optimize_expr t prolog e'))
-                  prolog.Ast.variables
-            }
-          in
-          Ast.Update (prolog, u))
+          Ast.Update ({ prolog with Ast.variables = variables prolog }, u))
     in
     (stmt, 0., tr)
   | Ast.Ddl _ -> (stmt, 0., 0.)
 
-(* The compiled-plan cache: parse + compile once per (statement text,
-   catalog epoch, rewriter options).  DDL is never cached — it is
-   compilation-free and always bumps the epoch anyway.  Returns the
-   statement and whether it was a cache hit. *)
-let compiled_statement t (text : string) : Ast.statement * bool =
-  let epoch = Catalog.epoch (Database.catalog t.db) in
-  match Hashtbl.find_opt t.plans text with
-  | Some p when p.c_epoch = epoch && p.c_opts = t.rewriter_options ->
-    t.plan_hits <- t.plan_hits + 1;
-    Counters.bump Counters.plan_hit;
-    (p.c_stmt, true)
-  | _ ->
-    t.plan_misses <- t.plan_misses + 1;
-    Counters.bump Counters.plan_miss;
-    let stmt, _, _ = compile t (Sedna_xquery.Xq_parser.parse_statement text) in
-    (match stmt with
-     | Ast.Ddl _ -> ()
-     | Ast.Query _ | Ast.Update _ ->
-       if
-         Hashtbl.length t.plans >= plan_cache_capacity
-         && not (Hashtbl.mem t.plans text)
-       then Hashtbl.reset t.plans;
-       Hashtbl.replace t.plans text
-         { c_stmt = stmt; c_epoch = epoch; c_opts = t.rewriter_options });
-    (stmt, false)
+(* \explain: the query's parsed tree beside the plan [compile] gives
+   it, i.e. the plan a statement with this text runs now *)
+let explain t (text : string) : string =
+  match Sedna_xquery.Xq_parser.parse_statement text with
+  | Ast.Query (_, e) as parsed -> (
+    match compile t parsed with
+    | Ast.Query (prolog, e'), _, _ ->
+      Sedna_xquery.Xq_pp.explain ~variables:prolog.Ast.variables e e'
+    | _ -> assert false)
+  | Ast.Update _ | Ast.Ddl _ ->
+    Error.raise_error Error.Unsupported "\\explain supports queries only"
 
 (* ---- statement execution ----------------------------------------------- *)
 
@@ -264,12 +213,13 @@ let build_ctx _t (st : Store.t) (prolog : Ast.prolog) : Sedna_engine.Executor.ct
   in
   { ctx0 with Sedna_engine.Executor.vars = vars }
 
-(* Run an already-compiled statement. *)
-let run_statement t (stmt : Ast.statement) (txn : Txn.t) : result =
+(* Run an already-compiled statement; [prof] observes a query's
+   operators ([\profile]). *)
+let run_statement ?prof t (stmt : Ast.statement) (txn : Txn.t) : result =
   let st = Database.txn_store t.db txn in
   match stmt with
   | Ast.Query (prolog, e) ->
-    let ctx = build_ctx t st prolog in
+    let ctx = { (build_ctx t st prolog) with Sedna_engine.Executor.prof } in
     Items (Sedna_engine.Xdm.serialize st (Sedna_engine.Executor.eval ctx e))
   | Ast.Update (prolog, u) ->
     if txn.Txn.read_only then
@@ -313,10 +263,13 @@ let statement_kind = function
   | Ast.Update _ -> "update"
   | Ast.Ddl _ -> "ddl"
 
-(* Execute one statement string.  Within an explicit transaction the
-   statement joins it; otherwise it runs in an auto-commit transaction
-   of the appropriate kind. *)
-let execute t (text : string) : result =
+(* The statement path: compile one statement string, then run it.
+   Within an explicit transaction the statement joins it; otherwise it
+   runs in an auto-commit transaction of the appropriate kind.
+   [instrument] sees the compiled statement before it runs and may
+   return a profiler to attach to the executor ([\profile]).  Returns
+   the result and the (parse, analyze, rewrite, execute) seconds. *)
+let run t ~instrument (text : string) : result * (float * float * float * float) =
   (* tracing: join the server's request context when one is ambient,
      otherwise root a trace of our own (CLI, tests, bench); [owned]
      remembers which case so we publish and un-install only our own *)
@@ -358,16 +311,28 @@ let execute t (text : string) : result =
     | None -> ()
   in
   try
-    let stmt =
-      Span.with_span "compile" (fun sp ->
-          let stmt, cached = compiled_statement t text in
-          Option.iter (fun sp -> Span.annotate sp "cached" (Metrics.Bool cached)) sp;
-          stmt)
+    let tp, (stmt, ta, tr) =
+      Span.with_span "compile" (fun _ ->
+          let tp, parsed =
+            Metrics.time (fun () -> Sedna_xquery.Xq_parser.parse_statement text)
+          in
+          (tp, compile t parsed))
     in
+    let prof = instrument stmt in
     (* span-boundary deadline check: compilation can be slow and never
        passes an executor choke point *)
     Deadline.check_now ();
     let locks = statement_locks t.db stmt in
+    let te = ref 0. in
+    let eval txn =
+      Span.with_span "eval" (fun _ ->
+          let dt, r =
+            Metrics.time (fun () ->
+                Database.run t.db txn (fun () -> run_statement ?prof t stmt txn))
+          in
+          te := dt;
+          r)
+    in
     let r =
       match t.txn with
       | Some txn when Txn.is_active txn -> (
@@ -375,8 +340,7 @@ let execute t (text : string) : result =
           List.iter
             (fun (doc, mode) -> Database.lock_exn t.db txn ~doc ~mode)
             locks;
-          Span.with_span "eval" (fun _ ->
-              Database.run t.db txn (fun () -> run_statement t stmt txn))
+          eval txn
         with
         | Fault.Injected_crash _ as e ->
           (* simulated process death: nothing may be written after
@@ -401,10 +365,7 @@ let execute t (text : string) : result =
               List.iter
                 (fun (doc, mode) -> Database.lock_exn t.db txn ~doc ~mode)
                 locks;
-            let r =
-              Span.with_span "eval" (fun _ ->
-                  Database.run t.db txn (fun () -> run_statement t stmt txn))
-            in
+            let r = eval txn in
             Database.commit ~park:t.park t.db txn;
             r
           with
@@ -440,10 +401,12 @@ let execute t (text : string) : result =
         attempt 1
     in
     finish ~kind:(statement_kind stmt) ~ok:true;
-    r
+    (r, (tp, ta, tr, !te))
   with e ->
     finish ~kind:"error" ~ok:false;
     raise e
+
+let execute t text = fst (run t ~instrument:(fun _ -> None) text)
 
 let execute_string t text = result_to_string (execute t text)
 
@@ -460,54 +423,23 @@ type profiled_plan = {
   pp_plan : Sedna_engine.Profiler.op;
 }
 
-(* Profile one query: compile it with per-phase timing (the plan cache
-   is deliberately bypassed so the compile phases are real), attach a
-   profiler to the executor context, run to completion and return the
-   annotated operator tree.  Joins the session's explicit transaction
-   if one is active; otherwise runs read-only auto-commit like any
-   other query. *)
+(* Profile one query: run it through [execute]'s path with a profiler
+   attached to the executor context, and return the annotated operator
+   tree with the phase timings. *)
 let profile t (text : string) : profiled_plan =
-  let ms s = s *. 1000. in
-  let tp, parsed =
-    Metrics.time (fun () -> Sedna_xquery.Xq_parser.parse_statement text)
+  let root = ref None in
+  let instrument = function
+    | Ast.Query (_, body) ->
+      let prof, op = Sedna_engine.Profiler.instrument body in
+      root := Some op;
+      Some prof
+    | Ast.Update _ | Ast.Ddl _ ->
+      Error.raise_error Error.Unsupported "\\profile supports queries only"
   in
-  match parsed with
-  | Ast.Update _ | Ast.Ddl _ ->
-    Error.raise_error Error.Unsupported "\\profile supports queries only"
-  | Ast.Query _ ->
-    let stmt, ta, tr = compile t parsed in
-    let prolog, body =
-      match stmt with
-      | Ast.Query (prolog, e) -> (prolog, e)
-      | _ -> assert false
-    in
-    let prof, root = Sedna_engine.Profiler.instrument body in
-    let run txn =
-      Database.run t.db txn (fun () ->
-          let st = Database.txn_store t.db txn in
-          let ctx =
-            { (build_ctx t st prolog) with Sedna_engine.Executor.prof = Some prof }
-          in
-          Metrics.time (fun () ->
-              Sedna_engine.Xdm.serialize st (Sedna_engine.Executor.eval ctx body)))
-    in
-    let te, result =
-      match t.txn with
-      | Some txn when Txn.is_active txn ->
-        List.iter
-          (fun (doc, mode) -> Database.lock_exn t.db txn ~doc ~mode)
-          (statement_locks t.db stmt);
-        run txn
-      | _ ->
-        let txn = Database.begin_txn ~read_only:true t.db in
-        (try
-           let r = run txn in
-           Database.commit t.db txn;
-           r
-         with e ->
-           (if Txn.is_active txn then try Database.abort t.db txn with _ -> ());
-           raise e)
-    in
+  let ms s = s *. 1000. in
+  match run t ~instrument text with
+  | Items result, (tp, ta, tr, te) ->
+    let root = Option.get !root in
     {
       pp_statement = text;
       pp_parse_ms = ms tp;
@@ -518,6 +450,7 @@ let profile t (text : string) : profiled_plan =
       pp_result = result;
       pp_plan = root;
     }
+  | (Updated _ | Message _), _ -> assert false
 
 let render_profile (pp : profiled_plan) : string =
   Printf.sprintf

@@ -36,17 +36,7 @@ val latency : t -> Sedna_util.Metrics.histogram
 
 val set_rewriter_options : t -> Sedna_xquery.Rewriter.options -> unit
 (** Per-session optimizer switches (benches/tests use this for
-    ablations).  Clears the compiled-plan cache. *)
-
-val plan_cache_stats : t -> int * int
-(** [(hits, misses)] of this session's compiled-plan cache.  A hit
-    means the statement skipped parse → static analysis → rewrite
-    entirely.  Plans are keyed by statement text and invalidated when
-    the catalog epoch moves (any DDL) or the rewriter options change.
-    Every hit and miss also bumps the global [plan.hit] / [plan.miss]
-    counters. *)
-
-val clear_plan_cache : t -> unit
+    ablations); the next statement compiles under them. *)
 
 val begin_txn : ?read_only:bool -> t -> unit
 val commit : t -> unit
@@ -54,7 +44,9 @@ val rollback : t -> unit
 val in_transaction : t -> bool
 
 val execute : t -> string -> result
-(** Run one statement string: XQuery query, XUpdate statement or DDL. *)
+(** Compile and run one statement string: XQuery query, XUpdate
+    statement or DDL.  Every run compiles against the live catalog;
+    there is no plan cache. *)
 
 val execute_string : t -> string -> string
 
@@ -72,13 +64,21 @@ type profiled_plan = {
 }
 
 val profile : t -> string -> profiled_plan
-(** Compile (bypassing the plan cache, so phase timings are real) and
-    run one query with operator-level profiling attached: per-operator
-    elapsed time, rows, buffer hits/faults, xptr dereferences and index
-    probes.  Queries only; raises [Unsupported] for updates and DDL. *)
+(** Run one query through {!execute}'s path — same statement span,
+    locks, abort isolation and auto-commit restart — with
+    operator-level profiling attached: per-operator elapsed time, rows,
+    buffer hits/faults, xptr dereferences and index probes.  Queries
+    only; raises [Unsupported] for updates and DDL. *)
 
 val render_profile : profiled_plan -> string
 (** What the CLI's [\profile] prints. *)
+
+val explain : t -> string -> string
+(** What the CLI's [\explain] prints: the query's normalized parse tree
+    and the plan this session compiles it to now (static analysis,
+    session rewriter options, live catalog), prolog variable
+    initializers included.  Queries only; raises [Unsupported] for
+    updates and DDL. *)
 
 val statement_locks :
   Sedna_core.Database.t -> Sedna_xquery.Xq_ast.statement -> (string * Sedna_core.Lock_mgr.mode) list

@@ -53,10 +53,11 @@ val page_reads : string
 val page_writes : string
 
 val plan_hit : string
-(** Session plan-cache hit: statement executed without re-compilation. *)
+(** Name only: nothing bumps it, since every statement compiles.  The
+    perfbench report still reads it. *)
 
 val plan_miss : string
-(** Session plan-cache miss: statement parsed, analysed and rewritten. *)
+(** Name only, like {!plan_hit}. *)
 
 val index_probe : string
 (** A value predicate answered from a B-tree index instead of a scan. *)

@@ -223,20 +223,20 @@ let to_string (e : expr) : string =
   pp buf e;
   Buffer.contents buf
 
-(* \explain: parse, show the raw logical tree and the optimized one *)
-let explain ?catalog ?(options = Rewriter.default_options) (query : string) :
-    string =
-  let prolog, e = Xq_parser.parse_query query in
-  let normalized = Rewriter.normalize e in
-  let e' =
-    if options.Rewriter.inline_functions then
-      Rewriter.inline_functions prolog.functions e
-    else e
+(* \explain: a parsed query body (shown normalized) beside the plan
+   its statement compiled to, then the compiled prolog variable
+   initializers.  The caller compiles; this only prints. *)
+let explain ~variables (parsed : expr) (compiled : expr) : string =
+  let normalized = Rewriter.normalize parsed in
+  let vars =
+    List.map
+      (fun (v, e) -> Printf.sprintf "\n-- variable $%s (after rewriting) --\n%s" v (to_string e))
+      variables
   in
-  let optimized = Rewriter.rewrite_with ?catalog options e' in
   Printf.sprintf
-    "-- logical tree (normalized, %d DDO op(s)) --\n%s\n-- after rewriting (%d DDO op(s)) --\n%s"
+    "-- logical tree (normalized, %d DDO op(s)) --\n%s\n-- after rewriting (%d DDO op(s)) --\n%s%s"
     (Rewriter.count_ddo normalized)
     (to_string normalized)
-    (Rewriter.count_ddo optimized)
-    (to_string optimized)
+    (Rewriter.count_ddo compiled)
+    (to_string compiled)
+    (String.concat "" vars)

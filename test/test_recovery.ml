@@ -72,7 +72,10 @@ let test_recovers_past_logical_frame () =
     s
   in
   (* the last frame is the update's Commit; splice in front of it *)
-  let frames = Wal.read_from path 0 in
+  let frames =
+    let batch, _, _ = Wal.stream_from path ~pos:0 ~max_bytes:max_int in
+    Wal.records_of_frames batch
+  in
   let commit_start =
     match List.rev frames with
     | (Wal.Commit _, _) :: (_, prev_end) :: _ -> prev_end

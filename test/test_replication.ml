@@ -94,10 +94,15 @@ let test_wal_stream_cursor () =
   let records, end_pos = drain 0 [] in
   Alcotest.(check int) "three records" 3 (List.length records);
   Alcotest.(check int) "cursor at end" (Wal.size w) end_pos;
-  (* read_from at a mid-stream boundary sees only the tail *)
-  let _, first_end = List.hd (Wal.read_from path 0) in
-  Alcotest.(check int) "tail from second frame" 2
-    (List.length (Wal.read_from path first_end));
+  (* a mid-stream boundary ships only the tail; past the end, nothing *)
+  let first, _, first_end = Wal.stream_from path ~pos:0 ~max_bytes:1 in
+  Alcotest.(check int) "one frame" 1 (List.length (Wal.records_of_frames first));
+  let tail, n, tail_end = Wal.stream_from path ~pos:first_end ~max_bytes:max_int in
+  Alcotest.(check int) "tail from second frame" 2 n;
+  Alcotest.(check int) "tail decodes" 2 (List.length (Wal.records_of_frames tail));
+  Alcotest.(check int) "tail ends at the log's end" (Wal.size w) tail_end;
+  Alcotest.(check bool) "nothing past the end" true
+    (Wal.stream_from path ~pos:tail_end ~max_bytes:max_int = ("", 0, tail_end));
   (* appending the raw frames to a second log reproduces the records *)
   let path2 = Filename.concat dir "wal2.sdb" in
   let w2 = Wal.create path2 in

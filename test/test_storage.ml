@@ -326,6 +326,9 @@ let test_catalog_format_tag () =
   let n = String.length Catalog.format_tag in
   refused "untagged blob" (String.sub blob n (String.length blob - n));
   refused "other tag" ("sedna-catalog/1\n" ^ String.sub blob n (String.length blob - n));
+  (* format 2 still carried the plan-cache epoch field *)
+  Alcotest.(check string) "current tag" "sedna-catalog/3\n" Catalog.format_tag;
+  refused "format 2 blob" ("sedna-catalog/2\n" ^ String.sub blob n (String.length blob - n));
   refused "empty blob" ""
 
 let test_cr_roundtrip () =

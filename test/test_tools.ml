@@ -36,10 +36,12 @@ let test_statistics_function () =
       Alcotest.(check string) "index row present" "1"
         (run {|count(statistics()/index[@name="byname"])|}))
 
+(* what the shell's \explain prints for [q], compiled by a session *)
+let explain_in db q = Sedna_db.Session.explain (Sedna_db.Session.connect db) q
+let explain q = Test_util.with_db (fun db -> explain_in db q)
+
 let test_explain () =
-  let out =
-    Sedna_xquery.Xq_pp.explain {|for $x in doc("d")//item return $x/name|}
-  in
+  let out = explain {|for $x in doc("d")//item return $x/name|} in
   let contains needle =
     let n = String.length needle and h = String.length out in
     let rec go i = i + n <= h && (String.sub out i n = needle || go (i + 1)) in
@@ -51,7 +53,7 @@ let test_explain () =
   Alcotest.(check bool) "DDOs removed" true (contains "(0 DDO op(s))")
 
 let test_explain_keeps_ddo_when_needed () =
-  let out = Sedna_xquery.Xq_pp.explain {|doc("d")//name/..|} in
+  let out = explain {|doc("d")//name/..|} in
   let contains needle =
     let n = String.length needle and h = String.length out in
     let rec go i = i + n <= h && (String.sub out i n = needle || go (i + 1)) in
@@ -62,8 +64,9 @@ let test_explain_keeps_ddo_when_needed () =
 
 let test_plan_printer_total () =
   (* the printer must handle every construct without raising *)
+  Test_util.with_db @@ fun db ->
   List.iter
-    (fun q -> ignore (Sedna_xquery.Xq_pp.explain q))
+    (fun q -> ignore (explain_in db q))
     [
       {|1 + 2 * 3|};
       {|if (1 < 2) then "a" else "b"|};
@@ -85,7 +88,7 @@ let contains ~needle hay =
 
 (* Rule 4 on value predicates: which shapes become chain filters. *)
 let test_explain_chain_filter () =
-  let shows q = contains ~needle:"CHAIN-FILTER" (Sedna_xquery.Xq_pp.explain q) in
+  let shows q = contains ~needle:"CHAIN-FILTER" (explain q) in
   List.iter
     (fun q -> Alcotest.(check bool) q true (shows q))
     [
@@ -114,10 +117,7 @@ let test_explain_chain_filter () =
       ignore
         (Test_util.exec db
            {|CREATE INDEX "pid" ON doc("a")/site/people/person BY @id AS xs:string|});
-      let out =
-        Sedna_xquery.Xq_pp.explain ~catalog:(Sedna_core.Database.catalog db)
-          {|doc("a")/site/people/person[@id = "p7"]/name|}
-      in
+      let out = explain_in db {|doc("a")/site/people/person[@id = "p7"]/name|} in
       Alcotest.(check bool) "probe chosen" true (contains ~needle:"INDEX-PROBE" out);
       Alcotest.(check bool) "no chain filter" false (contains ~needle:"CHAIN-FILTER" out))
 
@@ -144,6 +144,33 @@ let test_profile_chain_filter () =
           Alcotest.(check bool) "derefs counted" true (int_of_string derefs > 0)
         | _ -> Alcotest.failf "unexpected row %S" l))
 
+(* \explain shows the plan the session would run: its rewriter options,
+   the live indexes, compiled prolog variables, and static errors *)
+let test_explain_session_plan () =
+  Test_util.with_db (fun db ->
+      let people =
+        String.concat ""
+          (List.init 40 (fun i -> Printf.sprintf {|<person id="p%d"/>|} i))
+      in
+      ignore (Test_util.load db "a" ("<site>" ^ people ^ "</site>"));
+      ignore
+        (Test_util.exec db {|CREATE INDEX "pid" ON doc("a")/site/person BY @id AS xs:string|});
+      let s = Sedna_db.Session.connect db in
+      let q = {|declare variable $p := doc("a")/site/person[@id = "p7"]; count($p)|} in
+      let out = Sedna_db.Session.explain s q in
+      Alcotest.(check bool) "variable section" true
+        (contains ~needle:"-- variable $p (after rewriting) --" out);
+      Alcotest.(check bool) "variable probes the index" true
+        (contains ~needle:"INDEX-PROBE" out);
+      Sedna_db.Session.set_rewriter_options s
+        { Sedna_xquery.Rewriter.default_options with use_indexes = false };
+      Alcotest.(check bool) "session options apply" false
+        (contains ~needle:"INDEX-PROBE" (Sedna_db.Session.explain s q));
+      Alcotest.(check bool) "static analysis runs" true
+        (match Sedna_db.Session.explain s {|$undeclared + 1|} with
+         | exception Sedna_util.Error.Sedna_error _ -> true
+         | _ -> false))
+
 let suite =
   [
     Alcotest.test_case "schema()" `Quick test_schema_function;
@@ -154,4 +181,6 @@ let suite =
     Alcotest.test_case "plan printer total" `Quick test_plan_printer_total;
     Alcotest.test_case "explain chain filter" `Quick test_explain_chain_filter;
     Alcotest.test_case "profile chain filter" `Quick test_profile_chain_filter;
+    Alcotest.test_case "explain shows the session plan" `Quick
+      test_explain_session_plan;
   ]
