@@ -1246,25 +1246,24 @@ let e15 () =
 (* ------------------------------------------------------------------ *)
 
 (* W writer threads, each auto-committing inserts into its own document
-   through the governor's engine lock, with group commit on and off at
-   equal durability (every ack is behind an fsync covering its commit
-   record).  Grouped mode parks commits outside the engine lock so one
-   leader fsync acknowledges a batch; ungrouped is the one-fsync-per-
-   commit baseline.  Per-writer documents keep the S2PL document lock
-   out of the measurement: same-document writers serialize on the lock
-   hand-off, which bounds coalescing by contention, not by fsync. *)
+   through the governor's engine lock.  Commits park outside the engine
+   lock so one leader fsync acknowledges a batch; every ack is behind an
+   fsync covering its commit record.  Fsyncs per commit show the
+   coalescing (a private fsync per commit would be 1.0).  Per-writer
+   documents keep the S2PL document lock out of the measurement:
+   same-document writers serialize on the lock hand-off, which bounds
+   coalescing by contention, not by fsync. *)
 let e17 () =
   header "E17 group commit — commit throughput at equal durability"
     "parked commits share one covering WAL fsync: throughput scales \
      with writer concurrency while the fsync rate stays near-flat";
   let module G = Sedna_db.Governor in
   let per_writer = if quick () then 25 else 80 in
-  let saved = Sedna_core.Database.group_commit_on () in
-  let run_mode ~grouped writers =
+  let run writers =
     let dir =
       Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "sedna-bench-gc-%d-%b-%d-%f" (Unix.getpid ()) grouped
-           writers (Unix.gettimeofday ()))
+        (Printf.sprintf "sedna-bench-gc-%d-%d-%f" (Unix.getpid ()) writers
+           (Unix.gettimeofday ()))
     in
     if Sys.file_exists dir then
       Sedna_util.Sysutil.rm_rf dir;
@@ -1279,7 +1278,6 @@ let e17 () =
                    ~mode:Sedna_core.Lock_mgr.Exclusive;
                  Sedna_core.Loader.load_string st ~doc_name:(doc w) "<log/>")))
     done;
-    Sedna_core.Database.set_group_commit grouped;
     let syncs0 = Sedna_util.Counters.get Sedna_util.Counters.wal_syncs in
     let failures = ref 0 in
     let fail_mu = Mutex.create () in
@@ -1315,25 +1313,19 @@ let e17 () =
     let commits = writers * per_writer in
     (float_of_int commits /. t_wall, syncs, commits)
   in
-  row4 "writers" "off (cps)" "on (cps)" "speedup / syncs";
+  row4 "writers" "commits/s" "fsyncs" "fsyncs/commit";
   List.iter
     (fun writers ->
-      let off_cps, off_syncs, commits = run_mode ~grouped:false writers in
-      let on_cps, on_syncs, _ = run_mode ~grouped:true writers in
-      record (Printf.sprintf "e17.w%d.off_cps" writers)
-        (Sedna_util.Metrics.Float off_cps);
-      record (Printf.sprintf "e17.w%d.on_cps" writers)
-        (Sedna_util.Metrics.Float on_cps);
-      record_int (Printf.sprintf "e17.w%d.off_syncs" writers) off_syncs;
-      record_int (Printf.sprintf "e17.w%d.on_syncs" writers) on_syncs;
+      let cps, syncs, commits = run writers in
+      record (Printf.sprintf "e17.w%d.cps" writers) (Sedna_util.Metrics.Float cps);
+      record_int (Printf.sprintf "e17.w%d.syncs" writers) syncs;
       record_int (Printf.sprintf "e17.w%d.commits" writers) commits;
       row4
         (string_of_int writers)
-        (Printf.sprintf "%.0f" off_cps)
-        (Printf.sprintf "%.0f" on_cps)
-        (Printf.sprintf "%.2fx / %d->%d" (on_cps /. off_cps) off_syncs on_syncs))
-    [ 1; 4; 16 ];
-  Sedna_core.Database.set_group_commit saved
+        (Printf.sprintf "%.0f" cps)
+        (string_of_int syncs)
+        (Printf.sprintf "%.2f" (float_of_int syncs /. float_of_int commits)))
+    [ 1; 4; 16 ]
 
 (* ------------------------------------------------------------------ *)
 (* CRASH — crash-recovery matrix (crash-safety hardening)              *)

@@ -199,11 +199,20 @@ let interactive session =
 
 (* ---- the three modes: local shell, server, network client ------------- *)
 
+(* Opening can refuse a database (a corrupt catalog, say): report the
+   typed error and exit 1 rather than die on an uncaught exception. *)
+let open_or_exit f =
+  try f ()
+  with Sedna_util.Error.Sedna_error _ as e ->
+    prerr_endline ("sedna_cli: " ^ Sedna_util.Error.to_string e);
+    exit 1
+
 let local_mode db_dir create stmts =
   let db =
-    if create || not (Sys.file_exists (Filename.concat db_dir "data.sdb")) then
-      Database.create db_dir
-    else Database.open_existing db_dir
+    open_or_exit (fun () ->
+        if create || not (Sys.file_exists (Filename.concat db_dir "data.sdb"))
+        then Database.create db_dir
+        else Database.open_existing db_dir)
   in
   let session = Sedna_db.Session.connect db in
   match
@@ -261,9 +270,10 @@ let serve_mode db_dir create host port db_name max_sessions query_timeout
           repl_port )
     | None ->
       let db =
-        if create || not (Sys.file_exists (Filename.concat db_dir "data.sdb"))
-        then Sedna_db.Governor.create_database g ~name ~dir:db_dir
-        else Sedna_db.Governor.open_database g ~name ~dir:db_dir
+        open_or_exit (fun () ->
+            if create || not (Sys.file_exists (Filename.concat db_dir "data.sdb"))
+            then Sedna_db.Governor.create_database g ~name ~dir:db_dir
+            else Sedna_db.Governor.open_database g ~name ~dir:db_dir)
       in
       ( None,
         Option.map

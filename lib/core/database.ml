@@ -63,20 +63,6 @@ type t = {
   mutable degraded_reason : string;
 }
 
-(* Group commit is on by default; SEDNA_GROUP_COMMIT=0 (or a runtime
-   [set_group_commit false]) restores the per-transaction fsync under
-   the engine lock — the pre-coalescing baseline the benches compare
-   against.  Both paths give identical durability: commit is only
-   acknowledged after an fsync covering its records. *)
-let group_commit_enabled =
-  ref
-    (match Sys.getenv_opt "SEDNA_GROUP_COMMIT" with
-     | Some ("0" | "false" | "off") -> false
-     | _ -> true)
-
-let set_group_commit b = group_commit_enabled := b
-let group_commit_on () = !group_commit_enabled
-
 let store db : Store.t = Store.create db.bm db.cat
 
 (* make [blob] the committed catalog new readers see; its decoded copy
@@ -510,19 +496,14 @@ let txn_store db (txn : Txn.t) : Store.t =
 let lock db (txn : Txn.t) ~doc ~mode : Lock_mgr.outcome =
   Lock_mgr.acquire db.locks ~txn:txn.Txn.id ~name:doc ~mode
 
-(* Lock with bounded retry-and-backoff: a blocked request is retried a
-   few times (the holder may release between attempts — e.g. another
-   cooperative scheduler slot commits) before surfacing Lock_timeout.
-   Deadlocks are never retried: the cycle can only be broken by an
-   abort.
-
-   This wait MUST stay short: it sleeps while the caller holds the
-   engine lock, and a likely holder of the wanted document lock is a
-   commit parked in the group fsync — which needs the engine lock back
-   to complete and release.  Waiting long here waits on ourselves.
-   Fail fast instead; the session layer restarts auto-commit
-   statements with its pause *outside* the engine lock. *)
-let lock_exn ?(retries = 3) ?(backoff_s = 0.0005) db txn ~doc ~mode =
+(* Lock without waiting: a blocked request surfaces Lock_timeout at
+   once.  The caller holds the engine lock, and every lock release
+   (commit, abort, a disconnect's rollback) runs under it too, so a
+   sleep here could never end in a grant.  The session layer restarts
+   auto-commit statements with its pause *outside* the engine lock.
+   Deadlocks surface as such: the cycle can only be broken by an
+   abort. *)
+let lock_exn db txn ~doc ~mode =
   Span.with_span "lock.wait" (fun sp ->
       (match sp with
        | Some sp ->
@@ -531,37 +512,18 @@ let lock_exn ?(retries = 3) ?(backoff_s = 0.0005) db txn ~doc ~mode =
            (Metrics.Str
               (match mode with Lock_mgr.Shared -> "shared" | Lock_mgr.Exclusive -> "exclusive"))
        | None -> ());
-      (* deterministic backoff here: lock convoys are process-local, so
-         jitter buys nothing and would cost test reproducibility.
-         [Retry.pause] checks the armed statement deadline around every
-         sleep. *)
-      let r =
-        Retry.start
-          (Retry.policy ~max_attempts:(retries + 1) ~base_s:backoff_s
-             ~cap_s:(backoff_s *. 256.) ~jitter:false "lock")
-      in
       let outcome o = Option.iter (fun sp -> Span.annotate sp "outcome" (Metrics.Str o)) sp in
-      let rec go () =
-        Deadline.check_now ();
-        match lock db txn ~doc ~mode with
-        | Lock_mgr.Granted -> outcome "granted"
-        | Lock_mgr.Deadlock_detected ->
-          outcome "deadlock";
-          Error.raise_error Error.Deadlock
-            "deadlock detected for transaction %d on document %S" txn.Txn.id doc
-        | Lock_mgr.Blocked ->
-          if Retry.pause r then begin
-            Counters.bump Counters.lock_retry;
-            go ()
-          end
-          else begin
-            outcome "timeout";
-            Error.raise_error Error.Lock_timeout
-              "transaction %d blocked on document %S (after %d retries)"
-              txn.Txn.id doc retries
-          end
-      in
-      go ())
+      Deadline.check_now ();
+      match lock db txn ~doc ~mode with
+      | Lock_mgr.Granted -> outcome "granted"
+      | Lock_mgr.Deadlock_detected ->
+        outcome "deadlock";
+        Error.raise_error Error.Deadlock
+          "deadlock detected for transaction %d on document %S" txn.Txn.id doc
+      | Lock_mgr.Blocked ->
+        outcome "timeout";
+        Error.raise_error Error.Lock_timeout "transaction %d blocked on document %S"
+          txn.Txn.id doc)
 
 let commit ?(park = fun wait -> wait ()) db (txn : Txn.t) =
   if not (Txn.is_active txn) then
@@ -646,16 +608,14 @@ let commit ?(park = fun wait -> wait ()) db (txn : Txn.t) =
            Wal.mark_trace db.wal ~pos:commit_pos ~trace:sp.Span.sp_trace
              ~span:sp.Span.sp_id
          | None -> ());
-        (if group_commit_on () then
-           (* the commit.fsync span stays open across the park, so its
-              duration is the shared group sync this transaction actually
-              waited on, not a no-op *)
-           Span.with_span "commit.park" (fun psp ->
-               (match psp with
-                | Some p -> Span.annotate p "pos" (Metrics.Int commit_pos)
-                | None -> ());
-               park (fun () -> Group_commit.sync_to db.gc ~pos:commit_pos))
-         else Wal.sync db.wal);
+        (* the commit.fsync span stays open across the park, so its
+           duration is the shared group sync this transaction actually
+           waited on, not a no-op *)
+        Span.with_span "commit.park" (fun psp ->
+            (match psp with
+             | Some p -> Span.annotate p "pos" (Metrics.Int commit_pos)
+             | None -> ());
+            park (fun () -> Group_commit.sync_to db.gc ~pos:commit_pos));
         cat_blob)
       with e when Sysutil.is_resource_exhaustion e ->
         reraise_classified db ~what:"commit append/fsync" e

@@ -119,15 +119,10 @@ val txn_store : t -> Txn.t -> Store.t
     snapshot catalog). *)
 
 val lock : t -> Txn.t -> doc:string -> mode:Lock_mgr.mode -> Lock_mgr.outcome
-val lock_exn :
-  ?retries:int ->
-  ?backoff_s:float ->
-  t ->
-  Txn.t ->
-  doc:string ->
-  mode:Lock_mgr.mode ->
-  unit
-(** Raises [Lock_timeout] on block, [Deadlock] on a detected cycle. *)
+val lock_exn : t -> Txn.t -> doc:string -> mode:Lock_mgr.mode -> unit
+(** Raises [Lock_timeout] at once on block (the caller holds the engine
+    lock, so no holder could release while it waited), [Deadlock] on a
+    detected cycle. *)
 
 val commit : ?park:((unit -> unit) -> unit) -> t -> Txn.t -> unit
 (** WAL protocol: logical records, page after-images and the commit
@@ -136,20 +131,13 @@ val commit : ?park:((unit -> unit) -> unit) -> t -> Txn.t -> unit
     group before the commit is acknowledged; then version installation
     and lock release.
 
-    Under group commit the covering fsync is shared: this transaction
+    The covering fsync is shared (group commit): this transaction
     parks until a leader's sync reaches its position.  [park wait] runs
     the blocking [wait] and is the caller's chance to release the
     engine lock around it (see [Governor.without_engine]); the default
     runs [wait] inline.  A failed covering sync raises out of [commit]
     — the caller must abort, and the abort record supersedes the
     commit record exactly as with a failed private fsync. *)
-
-val set_group_commit : bool -> unit
-(** Toggle fsync coalescing at runtime (process-wide).  Defaults to on;
-    the environment variable [SEDNA_GROUP_COMMIT=0] starts it off.
-    Durability is identical either way. *)
-
-val group_commit_on : unit -> bool
 
 val abort : t -> Txn.t -> unit
 (** Restore before-images, the catalog and the free list; release

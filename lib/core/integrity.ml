@@ -12,15 +12,18 @@
    - every schema node's node_count matches its stored population;
    - every descriptor's indirection cell points back at it;
    - every value index on the document holds exactly the (key, handle)
-     entries a rebuild from the document would insert. *)
+     entries a rebuild from the document would insert.
+
+   A storage error raised mid-walk (a dangling node handle, an unknown
+   schema node) ends that document's check as one more problem line;
+   [check_all] goes on with the next document. *)
 
 module F = Format
 
-let check_document (st : Store.t) (doc_name : string) : string list =
+let check_into (st : Store.t) (doc_name : string) errors =
   let bm = st.Store.bm in
   let doc = Catalog.get_document st.Store.cat doc_name in
   let dd = Indirection.get bm doc.Catalog.doc_indir in
-  let errors = ref [] in
   let err fmt = F.kasprintf (fun s -> errors := s :: !errors) fmt in
   let rec walk d =
     let my_handle = Node.handle st d in
@@ -128,7 +131,13 @@ let check_document (st : Store.t) (doc_name : string) : string list =
       List.iter
         (fun (k, h) -> err "index %S misses the entry (%S, %a)" name k Xptr.pp h)
         missing)
-    (Catalog.indexes_for_document st.Store.cat doc_name);
+    (Catalog.indexes_for_document st.Store.cat doc_name)
+
+let check_document (st : Store.t) (doc_name : string) : string list =
+  let errors = ref [] in
+  (try check_into st doc_name errors
+   with Sedna_util.Error.Sedna_error _ as e ->
+     errors := ("check stopped: " ^ Sedna_util.Error.to_string e) :: !errors);
   List.rev !errors
 
 let check_all (st : Store.t) : (string * string list) list =

@@ -245,9 +245,9 @@ let walk_frames b ~start ~len ~max_bytes =
   go start 0
 
 (* The log file's bytes from [pos] to its end, and their count. *)
-let load_file ?(pos = 0) path =
+let load_file ?(pos = 0) ?(upto = max_int) path =
   In_channel.with_open_bin path (fun ic ->
-      let len = max 0 (Int64.to_int (In_channel.length ic) - pos) in
+      let len = max 0 (min (Int64.to_int (In_channel.length ic)) upto - pos) in
       In_channel.seek ic (Int64.of_int pos);
       (Bytes.unsafe_of_string (really_input_string ic len), len))
 
@@ -284,10 +284,10 @@ let committed records =
    Shipping raw bytes keeps the standby's log byte-identical to the
    primary's, so positions agree on both sides and ordinary recovery
    can read the shipped log. *)
-let stream_from path ~pos ~max_bytes =
+let stream_from ?upto path ~pos ~max_bytes =
   if not (Sys.file_exists path) then ("", 0, pos)
   else begin
-    let b, len = load_file ~pos path in
+    let b, len = load_file ~pos ?upto path in
     let count, upto = walk_frames b ~start:0 ~len ~max_bytes in
     (Bytes.sub_string b 0 upto, count, pos + upto)
   end

@@ -81,12 +81,16 @@ val read_epoch : string -> int
 (** Epoch recorded in the sidecar file next to the log at this path;
     [0] when none exists yet. *)
 
-val stream_from : string -> pos:int -> max_bytes:int -> string * int * int
+val stream_from :
+  ?upto:int -> string -> pos:int -> max_bytes:int -> string * int * int
 (** [(frames, count, pos')]: verbatim bytes of whole checksum-valid
     frames starting at [pos] — at most [max_bytes] unless the first
     frame alone is larger — plus the record count and the position past
     the last included frame.  [count = 0] means no new complete frames
-    at this position.  Reads only the log's tail from [pos]. *)
+    at this position.  Reads only the log's tail from [pos], and no
+    byte at or past [upto]: a sender passes the log's {!size}, which
+    trails the file while an append is between its write and its size
+    update, so no position it ships is ever past {!size}. *)
 
 val records_of_frames : string -> (record * int) list
 (** Decode a batch of raw frames as produced by {!stream_from}; each

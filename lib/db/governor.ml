@@ -178,124 +178,3 @@ let shutdown t =
   List.iter (fun (id, _) -> disconnect t id) sessions;
   Hashtbl.iter (fun _ db -> Database.close db) t.databases;
   Hashtbl.reset t.databases
-
-(* Aggregate observability report across everything the governor
-   manages: per-session statement counts and latency figures, the
-   registered latency histograms, the non-zero global counters, the
-   recent traces and the retained slow ones. *)
-let observability_report t =
-  let sessions = locked t.mu (fun () -> t.sessions) in
-  let b = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "=== governor observability report ===";
-  line "databases: %d, sessions: %d (max %d, query timeout %s)"
-    (Hashtbl.length t.databases)
-    (List.length sessions) t.limits.max_sessions
-    (if t.limits.query_timeout_s > 0. then
-       Printf.sprintf "%.1fs" t.limits.query_timeout_s
-     else "off");
-  List.iter
-    (fun (gid, s) ->
-      let h = Session.latency s in
-      line
-        "  session %d (governor id %d): %d stmts, latency p50 %.3f ms p95 %.3f ms \
-         p99 %.3f ms"
-        (Session.id s) gid
-        (Metrics.hist_count h)
-        (Metrics.percentile h 0.5 *. 1000.)
-        (Metrics.percentile h 0.95 *. 1000.)
-        (Metrics.percentile h 0.99 *. 1000.))
-    (List.sort (fun (a, _) (b', _) -> compare a b') sessions);
-  line "serving:";
-  line "  connections: %d accepted, %d rejected; %d requests; %d query timeouts"
-    (Counters.get Counters.conn_accepted)
-    (Counters.get Counters.conn_rejected)
-    (Counters.get Counters.server_requests)
-    (Counters.get Counters.query_timeout);
-  (match Metrics.histograms () with
-   | [] -> ()
-   | hs ->
-     line "histograms:";
-     List.iter
-       (fun h ->
-         line "  %-20s count %d mean %.3f ms p50 %.3f ms p95 %.3f ms p99 %.3f ms"
-           (Metrics.hist_name h) (Metrics.hist_count h)
-           (Metrics.hist_mean h *. 1000.)
-           (Metrics.percentile h 0.5 *. 1000.)
-           (Metrics.percentile h 0.95 *. 1000.)
-           (Metrics.percentile h 0.99 *. 1000.))
-       hs);
-  line "crash safety:";
-  List.iter
-    (fun (name, hits, armed) ->
-      line "  fault site %-18s %6d hits%s" name hits
-        (match armed with Some p -> "  armed: " ^ p | None -> ""))
-    (Fault.report ());
-  line "  faults injected: %d; checksums: %d verified, %d adopted, %d failed"
-    (Counters.get Counters.fault_injected)
-    (Counters.get Counters.checksum_verify)
-    (Counters.get Counters.checksum_adopt)
-    (Counters.get Counters.checksum_fail);
-  line "  recovery: %d pages redone, %d skipped; %d torn WAL bytes truncated; %d lock retries"
-    (Counters.get Counters.recovery_redo)
-    (Counters.get Counters.recovery_skip)
-    (Counters.get Counters.wal_truncated_bytes)
-    (Counters.get Counters.lock_retry);
-  line "self-healing:";
-  line "  scrub: %d passes, %d pages checked, %d corrupt; repaired %d pool / %d wal / %d standby; %d deferred, %d failed"
-    (Counters.get Counters.scrub_passes)
-    (Counters.get Counters.scrub_pages_checked)
-    (Counters.get Counters.scrub_corrupt)
-    (Counters.get Counters.scrub_repaired_pool)
-    (Counters.get Counters.scrub_repaired_wal)
-    (Counters.get Counters.scrub_repaired_standby)
-    (Counters.get Counters.scrub_deferred)
-    (Counters.get Counters.scrub_repair_failed);
-  line "  degraded: %s; entered %d, recovered %d; %d writes rejected, %d resource errors"
-    (if Counters.get Counters.degraded_state > 0 then "YES" else "no")
-    (Counters.get Counters.degraded_entered)
-    (Counters.get Counters.degraded_recovered)
-    (Counters.get Counters.degraded_rejected_writes)
-    (Counters.get Counters.resource_errors);
-  line "replication:";
-  line "  shipped: %d bytes, %d records; %d heartbeats"
-    (Counters.get Counters.repl_bytes_shipped)
-    (Counters.get Counters.repl_records_shipped)
-    (Counters.get Counters.repl_heartbeats);
-  line "  applied: %d txns, %d pages; %d re-seeds, %d promotions"
-    (Counters.get Counters.repl_txns_applied)
-    (Counters.get Counters.repl_pages_applied)
-    (Counters.get Counters.repl_reseeds)
-    (Counters.get Counters.repl_promotions);
-  line "  lag: %d bytes (acked pos %d)"
-    (Counters.get Counters.repl_lag_bytes)
-    (Counters.get Counters.repl_acked_pos);
-  line "global counters:";
-  List.iter (fun (k, v) -> line "  %-24s %d" k v) (Counters.snapshot ());
-  (match Span.summaries () with
-   | [] -> ()
-   | ts ->
-     line "recent traces (newest first; \\trace <id> for the span tree):";
-     List.iter
-       (fun (id, nspans, root, total_s) ->
-         line "  %s  %2d spans  root %-16s %8.3f ms" id nspans root
-           (total_s *. 1000.))
-       ts);
-  (match Span.slow () with
-   | [] -> ()
-   | slow ->
-     line "slow statements: %d retained (threshold %.0f ms; \\slow for details)"
-       (List.length slow)
-       (Span.slow_threshold () *. 1000.);
-     List.iter
-       (fun (id, spans) ->
-         match List.find_opt (fun (sp : Span.span) -> sp.sp_name = "statement") spans with
-         | Some sp ->
-           line "  %8.3f ms  %s  %s" (sp.sp_dur *. 1000.) id
-             (match List.assoc_opt "text" sp.sp_annots with
-              | Some (Metrics.Str t) when String.length t > 60 -> String.sub t 0 57 ^ "..."
-              | Some (Metrics.Str t) -> t
-              | _ -> "")
-         | None -> ())
-       slow);
-  Buffer.contents b

@@ -66,8 +66,3 @@ val session_count : t -> int
 
 val shutdown : t -> unit
 (** Disconnect every session and close every database. *)
-
-val observability_report : t -> string
-(** Aggregate report across sessions: per-session plan-cache stats and
-    latency percentiles, registered histograms, non-zero global
-    counters, recent traces and retained slow traces. *)

@@ -1,46 +1,37 @@
-(* Standby side of WAL-shipping replication: continuous redo,
-   pipelined across two threads.
+(* Standby side of WAL-shipping replication: continuous redo, one
+   thread.
 
    The pull thread drives the sender: connect, seed if necessary, then
    Pull in a loop.  Each received batch goes through a strict
    durability order —
 
-     1. (pull thread) append the raw frames to the standby's own WAL
-        and fsync: ordinary recovery can now finish the work if we die
-        mid-apply, so the batch may be acknowledged and the next Pull
-        issued immediately
-     2. (apply thread) redo the complete transactions in the batch
+     1. append the raw frames to the standby's own WAL and fsync:
+        ordinary recovery can now finish the work if we die mid-redo
+     2. redo the complete transactions in the batch
         ({!Database.apply_txn} under the engine lock, so concurrent
         BEGIN READ ONLY sessions keep their consistent snapshots)
-     3. (pull thread) advance the durable resume state (repl.state) —
-        but only to transaction boundaries: a batch may end inside a
-        transaction whose commit record is still on the wire, and
-        restarting from a mid-transaction position would strand its
-        page images
-
-   The pipeline is the point: while the apply thread redoes batch N,
-   the pull thread fsyncs batch N+1's raw append, so at a group-commit
-   primary's write rate the standby's lag is bounded by the slower of
-   the two stages instead of their sum.  A bounded queue (backpressure)
-   keeps the durable-but-unapplied window small.
+     3. advance the pull position (the next Pull is the ack) and the
+        durable resume state (repl.state) — but the latter only to
+        transaction boundaries: a batch may end inside a transaction
+        whose commit record is still on the wire, and restarting from a
+        mid-transaction position would strand its page images
 
    Restart safety: on restart the local WAL is checkpoint-truncated by
    recovery, and pulling resumes from the persisted boundary, so the
    frames of any half-shipped transaction are simply received again.
    Applies are idempotent (absolute page images), so every step above
-   may be repeated after a lost ack.  The same property covers an
-   apply-stage failure: the batch is already durable in the local WAL,
-   so the standby recovers *in place* — reopen the directory, replay
-   the log, resume pulling from the persisted boundary.  Added lag,
-   zero loss.
+   may be repeated after a lost ack.  The same property covers a failed
+   redo: the batch is already durable in the local WAL, so the standby
+   recovers *in place* — reopen the directory, replay the log, resume
+   pulling from the persisted boundary.  Added lag, zero loss.
 
    Epochs: the primary bumps its WAL epoch at every checkpoint
    truncation.  A Pull naming a stale epoch (or a position past the
    log) is answered with Hole, and the standby re-seeds from a fresh
    full backup shipped over the same connection.
 
-   Promotion joins both threads first, which is why the serving layer
-   must invoke it OUTSIDE the engine lock: the apply stage takes that
+   Promotion joins the pull thread first, which is why the serving
+   layer must invoke it OUTSIDE the engine lock: the redo takes that
    lock, and a promote waiting on the join while holding it would
    deadlock. *)
 
@@ -53,25 +44,13 @@ open Sedna_server
    fault drops the connection and the batch is simply pulled again *)
 let apply_site = Fault.site "repl.apply"
 
-(* fires in the apply thread, after the batch is durably appended and
-   acknowledged: an injected fault here must cost an in-place recovery
-   (the local WAL already holds the bytes), never an acked commit *)
+(* fires in the pull thread, after the batch is durably appended and
+   before its redo: an injected fault here must cost an in-place
+   recovery (the local WAL already holds the bytes), never an acked
+   commit *)
 let batch_apply_site = Fault.site "repl.batch_apply"
 
 exception Heartbeat_timeout
-
-(* apply stage died; carried to the pull thread / its caller *)
-exception Apply_stage_failed of exn
-
-(* one durably appended, acknowledged batch awaiting redo *)
-type batch = {
-  b_frames : string; (* raw bytes, for span annotations *)
-  b_records : (Wal.record * int) list; (* decoded once, in the pull thread *)
-  b_marks : Wire.trace_mark list;
-}
-
-(* backpressure: bound the durable-but-unapplied window *)
-let max_apply_queue = 4
 
 type t = {
   gov : Governor.t;
@@ -89,25 +68,14 @@ type t = {
   mutable pos : int; (* next primary WAL position to pull *)
   mutable boundary : int; (* last txn-boundary position (durable resume point) *)
   pending : (int, (int * Bytes.t) list ref) Hashtbl.t;
-  (* txn -> rev images; owned by the apply thread (reset only while it
-     is drained or joined) *)
+  (* txn -> rev images of transactions not yet committed *)
   shipped_open : (int, unit) Hashtbl.t;
   (* txns whose Begin was durably appended but whose Commit/Abort was
-     not yet: owned by the pull thread, drives the boundary *)
+     not yet: drives the boundary *)
   mutable stopping : bool;
   mutable promoted : bool;
-  mutable connected : bool;
-  mutable last_contact : float;
   mutable fd : Unix.file_descr option;
   mutable thread : Thread.t option;
-  (* ---- apply pipeline (stage 2) ---- *)
-  apply_q : batch Queue.t;
-  apply_mu : Mutex.t; (* guards apply_q / apply_busy / apply_exn *)
-  apply_cv : Condition.t; (* work available, or stopping *)
-  apply_done_cv : Condition.t; (* a batch finished, or poison *)
-  mutable apply_busy : bool;
-  mutable apply_exn : exn option; (* poison: apply stage died *)
-  mutable apply_thread : Thread.t option;
 }
 
 let state_path dir = Filename.concat dir "repl.state"
@@ -155,16 +123,21 @@ let note_cluster t c =
 let read_response_timed t fd =
   let rec wait () =
     match Unix.select [ fd ] [] [] t.heartbeat_timeout_s with
-    | [], _, _ ->
-      t.connected <- false;
-      raise Heartbeat_timeout
+    | [], _, _ -> raise Heartbeat_timeout
     | _ -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
   in
   wait ();
-  let r = Wire.read_repl_response fd in
-  t.last_contact <- Unix.gettimeofday ();
-  r
+  Wire.read_repl_response fd
+
+(* Register a freshly opened store as the governor's read-only copy of
+   this database, replacing any previous one. *)
+let adopt t db =
+  Database.set_standby db true;
+  (match Governor.find_database t.gov t.name with
+   | None -> Governor.register_database t.gov ~name:t.name db
+   | Some _ -> Governor.swap_database t.gov ~name:t.name db);
+  t.db <- Some db
 
 (* ---- seeding ---------------------------------------------------------- *)
 
@@ -190,12 +163,7 @@ let install_seed t files =
   Sysutil.fsync_dir (Filename.dirname t.dir);
   (* opening replays the shipped WAL, giving the exact state the
      primary recorded the resume position against *)
-  let ndb = Database.open_existing t.dir in
-  Database.set_standby ndb true;
-  (match Governor.find_database t.gov t.name with
-   | None -> Governor.register_database t.gov ~name:t.name ndb
-   | Some _ -> Governor.swap_database t.gov ~name:t.name ndb);
-  t.db <- Some ndb
+  adopt t (Database.open_existing t.dir)
 
 let seed t fd =
   Wire.write_repl_request fd Wire.Seed_request;
@@ -230,7 +198,7 @@ let seed t fd =
   t.boundary <- pos;
   persist_state t
 
-(* ---- continuous apply (stage 2: the apply thread) --------------------- *)
+(* ---- pull loop: receive, append, redo -------------------------------- *)
 
 (* The pending entry opens on a transaction's first image, not on its
    Begin: a seed whose position falls inside a transaction ships the
@@ -259,19 +227,14 @@ let apply_batch t db records =
       | Wal.Checkpoint -> ())
     records
 
-let apply_one t b =
-  let db = Option.get t.db in
-  (* fires after the batch was durably appended and acked: an injected
-     fault here must cost lag only, never an acked commit *)
+(* Redo one durably appended batch.  Hangs one apply span per traced
+   commit in the batch under the primary-side fsync span it was marked
+   with; the duration is the redo alone, not the append/fsync. *)
+let redo t db ~frames ~marks records =
   Fault.check batch_apply_site;
   let t0 = Metrics.mono () in
-  apply_batch t db b.b_records;
-  (* hang one apply span per traced commit in the batch under the
-     primary-side fsync span it was marked with.  The duration is the
-     redo stage only — the raw append/fsync happened earlier, in the
-     pull thread, possibly overlapped with another batch's redo — so
-     the span stays truthful under pipelining. *)
-  if b.b_marks <> [] && Span.is_enabled () then begin
+  apply_batch t db records;
+  if marks <> [] && Span.is_enabled () then begin
     let dur = Metrics.mono () -. t0 in
     List.iter
       (fun { Wire.mk_pos; mk_trace; mk_span } ->
@@ -279,89 +242,41 @@ let apply_one t b =
           ~dur
           [
             ("pos", Metrics.Int mk_pos);
-            ("batch_bytes", Metrics.Int (String.length b.b_frames));
+            ("batch_bytes", Metrics.Int (String.length frames));
           ])
-      b.b_marks
+      marks
   end
 
-let apply_loop t () =
-  Mutex.lock t.apply_mu;
-  let rec go () =
-    if not (Queue.is_empty t.apply_q) then begin
-      let b = Queue.pop t.apply_q in
-      t.apply_busy <- true;
-      Mutex.unlock t.apply_mu;
-      let failure = try apply_one t b; None with e -> Some e in
-      Mutex.lock t.apply_mu;
-      t.apply_busy <- false;
-      (match failure with
-       | Some e when t.apply_exn = None ->
-         t.apply_exn <- Some e;
-         Queue.clear t.apply_q;
-         (* kick the pull thread out of a blocking response wait so the
-            in-place recovery starts promptly *)
-         (match t.fd with
-          | Some fd -> ( try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
-          | None -> ())
-       | _ -> ());
-      Condition.broadcast t.apply_done_cv;
-      go ()
-    end
-    else if t.stopping then Mutex.unlock t.apply_mu
-    else begin
-      Condition.wait t.apply_cv t.apply_mu;
-      go ()
-    end
-  in
-  go ()
-
-(* Hand a durable, acked batch to the apply thread.  Blocks while the
-   queue is full (backpressure); raises if the apply stage died. *)
-let enqueue_batch t b =
-  Mutex.lock t.apply_mu;
-  let rec wait_room () =
-    match t.apply_exn with
-    | Some e ->
-      Mutex.unlock t.apply_mu;
-      raise (Apply_stage_failed e)
-    | None ->
-      if Queue.length t.apply_q >= max_apply_queue then begin
-        Condition.wait t.apply_done_cv t.apply_mu;
-        wait_room ()
-      end
-  in
-  wait_room ();
-  if t.apply_busy || not (Queue.is_empty t.apply_q) then
-    (* this batch's append/fsync genuinely overlapped another's redo *)
-    Counters.bump Counters.repl_batches_pipelined;
-  Queue.push b t.apply_q;
-  Condition.signal t.apply_cv;
-  Mutex.unlock t.apply_mu
-
-(* Wait until every enqueued batch has been redone (seed is about to
-   abandon the store; promote is about to take writes).  Raises if the
-   apply stage died instead. *)
-let drain_applies t =
-  Mutex.lock t.apply_mu;
-  let rec wait () =
-    if t.apply_exn = None && ((not (Queue.is_empty t.apply_q)) || t.apply_busy)
-    then begin
-      Condition.wait t.apply_done_cv t.apply_mu;
-      wait ()
-    end
-  in
-  wait ();
-  let poison = t.apply_exn in
-  Mutex.unlock t.apply_mu;
-  match poison with Some e -> raise (Apply_stage_failed e) | None -> ()
-
-(* ---- pull loop (stage 1) ---------------------------------------------- *)
+(* The redo failed after its batch was durably appended.  Recover
+   exactly as a standby restart would: drop the in-memory state and
+   reopen the directory (recovery replays the whole local WAL, the
+   failed batch included, and truncates it), then resume pulling from
+   the persisted boundary.  Cost: added lag.  Loss: none. *)
+let recover_in_place t =
+  Hashtbl.reset t.pending;
+  Hashtbl.reset t.shipped_open;
+  match t.db with
+  | None -> ()
+  | Some db -> (
+    (try Database.crash db with _ -> ());
+    match Database.open_existing t.dir with
+    | ndb ->
+      adopt t ndb;
+      t.pos <- t.boundary;
+      Counters.bump Counters.repl_apply_restarts;
+      Logs.warn (fun m ->
+          m "standby %s: redo failed; recovered in place from the local WAL \
+             (resuming at %d)"
+            t.name t.boundary)
+    | exception _ ->
+      (* unusable remains: force a full re-seed *)
+      t.db <- None;
+      t.pos <- 0;
+      t.boundary <- 0)
 
 let pull_loop t fd =
   while not t.stopping do
-    (match t.apply_exn with
-     | Some e -> raise (Apply_stage_failed e)
-     | None -> ());
+    if t.db = None then seed t fd;
     Wire.write_repl_request fd
       (Wire.Pull
          { cluster = t.cluster; epoch = t.epoch; pos = t.pos; max_bytes = t.max_batch });
@@ -371,7 +286,7 @@ let pull_loop t fd =
          this link is dead, there is nothing to pull here any more *)
       note_cluster t cluster;
       raise (Wire.Disconnected "primary fenced")
-    | Wire.Batch { cluster; epoch; next_pos; frames; marks } when epoch = t.epoch ->
+    | Wire.Batch { cluster; epoch; next_pos; frames; marks } when epoch = t.epoch -> (
       note_cluster t cluster;
       (* fires before anything is persisted or acked: safe to re-pull *)
       Fault.check apply_site;
@@ -379,9 +294,6 @@ let pull_loop t fd =
       let wal = Database.wal db in
       Wal.append_raw wal frames;
       Wal.sync wal;
-      (* durable in our local WAL: acknowledge (the next Pull's pos)
-         and hand the redo to the apply thread, overlapping it with the
-         next batch's receive+fsync *)
       let records = Wal.records_of_frames frames in
       List.iter
         (fun (r, _) ->
@@ -390,19 +302,20 @@ let pull_loop t fd =
           | Wal.Commit (id, _) | Wal.Abort id -> Hashtbl.remove t.shipped_open id
           | _ -> ())
         records;
-      enqueue_batch t { b_frames = frames; b_records = records; b_marks = marks };
-      t.pos <- next_pos;
-      (* the boundary tracks *durably shipped* transaction boundaries,
-         not applied ones: restart recovery replays the local WAL, so
-         everything before the boundary is reconstructible even if the
-         apply thread never got to it *)
-      if Hashtbl.length t.shipped_open = 0 && t.boundary <> next_pos then begin
-        t.boundary <- next_pos;
-        persist_state t
-      end
+      match redo t db ~frames ~marks records with
+      | exception _ -> recover_in_place t
+      | () ->
+        (* applied: the next Pull acknowledges [next_pos].  The boundary
+           tracks durably shipped transaction boundaries: a batch may
+           end inside a transaction whose commit record is still on the
+           wire, and resuming from there would strand its images *)
+        t.pos <- next_pos;
+        if Hashtbl.length t.shipped_open = 0 && t.boundary <> next_pos then begin
+          t.boundary <- next_pos;
+          persist_state t
+        end)
     | Wire.Batch _ | Wire.Hole _ ->
       (* wrong or bumped epoch: our position is meaningless now *)
-      drain_applies t;
       seed t fd
     | Wire.Heartbeat { cluster; epoch = _; pos = _ } ->
       note_cluster t cluster;
@@ -424,44 +337,6 @@ let connect_primary t =
     (try Unix.close fd with _ -> ());
     raise e
 
-(* The apply stage failed after its batches were durably appended and
-   acknowledged.  Recover exactly as a standby restart would: drop the
-   in-memory state and reopen the directory — recovery replays the
-   whole local WAL, including every durable-but-unapplied transaction —
-   then resume pulling from the persisted boundary.  Cost: added lag.
-   Loss: none.  Called from the session (pull) thread with the apply
-   thread idle (it only poisons from its top-level loop). *)
-let recover_in_place t =
-  Mutex.lock t.apply_mu;
-  Queue.clear t.apply_q;
-  t.apply_exn <- None;
-  Condition.broadcast t.apply_done_cv;
-  Mutex.unlock t.apply_mu;
-  Hashtbl.reset t.pending;
-  Hashtbl.reset t.shipped_open;
-  match t.db with
-  | None -> ()
-  | Some db -> (
-    (try Database.crash db with _ -> ());
-    match Database.open_existing t.dir with
-    | ndb ->
-      Database.set_standby ndb true;
-      (match Governor.find_database t.gov t.name with
-       | None -> Governor.register_database t.gov ~name:t.name ndb
-       | Some _ -> Governor.swap_database t.gov ~name:t.name ndb);
-      t.db <- Some ndb;
-      t.pos <- t.boundary;
-      Counters.bump Counters.repl_apply_restarts;
-      Logs.warn (fun m ->
-          m "standby %s: apply stage failed; recovered in place from the local \
-             WAL (resuming at %d)"
-            t.name t.boundary)
-    | exception _ ->
-      (* unusable remains: force a full re-seed on the next connection *)
-      t.db <- None;
-      t.pos <- 0;
-      t.boundary <- 0)
-
 let session_loop t () =
   (* unbounded: a standby outlives arbitrary primary outages.  Jittered
      so several standbys severed by the same event don't stampede the
@@ -473,29 +348,19 @@ let session_loop t () =
     | fd ->
       Retry.reset retry;
       t.fd <- Some fd;
-      t.connected <- true;
       Counters.set Counters.repl_standby_connected 1;
-      t.last_contact <- Unix.gettimeofday ();
-      (try
-         if t.db = None then seed t fd;
-         pull_loop t fd
-       with
+      (try pull_loop t fd with
        | Heartbeat_timeout | End_of_file | Unix.Unix_error _
        | Wire.Protocol_error _ | Wire.Disconnected _ ->
-         ()
-       | Apply_stage_failed _ ->
-         (* handled below, outside the connection *)
          ()
        | Fault.Injected_fault _ | Fault.Injected_crash _ ->
          (* injected replication fault: treated as a channel death —
             reconnect and re-pull; nothing was acked *)
          ());
-      t.connected <- false;
       Counters.set Counters.repl_standby_connected 0;
       t.fd <- None;
       Netfault.unregister fd;
       (try Unix.close fd with _ -> ());
-      if t.apply_exn <> None && not t.stopping then recover_in_place t;
       if not t.stopping then Unix.sleepf t.poll_s
   done
 
@@ -525,17 +390,8 @@ let start ?(poll_s = 0.01) ?(heartbeat_timeout_s = 2.0) ?(max_batch = 1 lsl 22)
       shipped_open = Hashtbl.create 4;
       stopping = false;
       promoted = false;
-      connected = false;
-      last_contact = 0.;
       fd = None;
       thread = None;
-      apply_q = Queue.create ();
-      apply_mu = Mutex.create ();
-      apply_cv = Condition.create ();
-      apply_done_cv = Condition.create ();
-      apply_busy = false;
-      apply_exn = None;
-      apply_thread = None;
     }
   in
   (* resume a standby that was stopped cleanly: recovery applies
@@ -546,11 +402,7 @@ let start ?(poll_s = 0.01) ?(heartbeat_timeout_s = 2.0) ?(max_batch = 1 lsl 22)
      when Sys.file_exists (Filename.concat dir "catalog.sdb") -> (
      match Database.open_existing dir with
      | db ->
-       Database.set_standby db true;
-       (match Governor.find_database gov name with
-        | None -> Governor.register_database gov ~name db
-        | Some _ -> Governor.swap_database gov ~name db);
-       t.db <- Some db;
+       adopt t db;
        t.cluster <- max cluster (Database.cluster_epoch db);
        t.epoch <- epoch;
        Counters.set Counters.repl_standby_epoch epoch;
@@ -558,32 +410,18 @@ let start ?(poll_s = 0.01) ?(heartbeat_timeout_s = 2.0) ?(max_batch = 1 lsl 22)
        t.boundary <- pos
      | exception _ -> t.db <- None (* unusable remains: fall back to a seed *))
    | _ -> ());
-  t.apply_thread <- Some (Thread.create (apply_loop t) ());
   t.thread <- Some (Thread.create (session_loop t) ());
   t
 
 let database t = t.db
-let is_connected t = t.connected
 let tracked t = (t.epoch, t.pos)
 
-let healthy t =
-  t.connected && Unix.gettimeofday () -. t.last_contact < t.heartbeat_timeout_s
-
-(* "Caught up" now also means the apply pipeline is drained: a batch
-   can be durably shipped (pos advanced) while its redo is still
-   queued, and callers of this predicate are about to read the applied
-   state. *)
+(* the pull position advances only once its batch is redone, so a
+   caller that sees [pos] reached may read the applied state *)
 let caught_up t ~epoch ~pos =
   t.epoch = epoch && t.pos >= pos
   && Hashtbl.length t.shipped_open = 0
   && Hashtbl.length t.pending = 0
-  &&
-  (Mutex.lock t.apply_mu;
-   let drained =
-     Queue.is_empty t.apply_q && (not t.apply_busy) && t.apply_exn = None
-   in
-   Mutex.unlock t.apply_mu;
-   drained)
 
 let wait_caught_up ?(timeout_s = 10.) t ~epoch ~pos =
   let deadline = Unix.gettimeofday () +. timeout_s in
@@ -598,7 +436,7 @@ let wait_caught_up ?(timeout_s = 10.) t ~epoch ~pos =
   in
   go ()
 
-let join_pull_thread t =
+let stop t =
   t.stopping <- true;
   (match t.fd with
    | Some fd ->
@@ -610,27 +448,12 @@ let join_pull_thread t =
   (match t.thread with Some th -> Thread.join th | None -> ());
   t.thread <- None
 
-(* The apply loop drains whatever is still queued before exiting (its
-   queue check precedes the stopping check), so a join here leaves no
-   durable-but-unapplied work behind unless the stage was poisoned. *)
-let join_apply_thread t =
-  t.stopping <- true;
-  Mutex.lock t.apply_mu;
-  Condition.broadcast t.apply_cv;
-  Mutex.unlock t.apply_mu;
-  (match t.apply_thread with Some th -> Thread.join th | None -> ());
-  t.apply_thread <- None
-
-let stop t =
-  join_pull_thread t;
-  join_apply_thread t
-
-(* Promotion: stop pulling, drain the apply pipeline, then turn the
-   standby into an ordinary primary.  Every durably shipped complete
-   transaction gets applied (by the drain, or by in-place recovery if
-   the apply stage died); whatever is left in [pending] lacks its
-   commit record and is discarded exactly as recovery would discard
-   it.  The closing checkpoint fixates the state and bumps the local
+(* Promotion: stop pulling, then turn the standby into an ordinary
+   primary.  The pull thread redoes each batch before it takes the
+   next, so once it is joined every durably shipped complete
+   transaction is applied (directly, or by an in-place recovery after
+   a failed redo); whatever is left in [pending] lacks its commit
+   record and is discarded exactly as recovery would discard it.  The closing checkpoint fixates the state and bumps the local
    WAL epoch, so future standbys of the NEW primary can never confuse
    its log with the old timeline.  Idempotent. *)
 let promote t =
@@ -640,15 +463,7 @@ let promote t =
     (fun () ->
       if t.promoted then "already promoted"
       else begin
-        join_pull_thread t;
-        (* joining the apply thread drains the queue: every durably
-           shipped (= acknowledged) transaction is applied before the
-           checkpoint below truncates the local WAL *)
-        join_apply_thread t;
-        (* unless the stage was poisoned — then the queued redo work
-           is only in the local WAL: replay it by reopening before
-           taking writes; promotion must surface every acked commit *)
-        if t.apply_exn <> None then recover_in_place t;
+        stop t;
         match t.db with
         | None ->
           Error.raise_error Error.Recovery_failure

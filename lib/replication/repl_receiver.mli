@@ -1,18 +1,16 @@
-(** Standby side of WAL-shipping replication: continuous redo,
-    pipelined.
+(** Standby side of WAL-shipping replication: continuous redo in one
+    thread.
 
-    A pull thread tails the primary's WAL over the replication port,
-    appends the shipped frames to the standby's own WAL and fsyncs
-    (durability first), then acknowledges and pulls the next batch
-    while a separate apply thread redoes complete transactions under
-    the governor's engine lock — batch N+1's receive/fsync overlaps
-    batch N's apply, so lag stays bounded by the slower stage rather
-    than their sum.  The resume position is persisted at durably
-    shipped transaction boundaries; restart recovery replays the local
-    WAL, so a durable-but-unapplied transaction is never lost.  The
-    standby database is registered in the governor under the given
-    name and accepts [BEGIN READ ONLY] sessions; writes are refused
-    with [SE-READ-ONLY].
+    A pull thread tails the primary's WAL over the replication port.
+    For each batch it appends the shipped frames to the standby's own
+    WAL and fsyncs (durability first), redoes the batch's complete
+    transactions under the governor's engine lock, and only then
+    acknowledges it by pulling the next batch.  The resume position is
+    persisted at durably shipped transaction boundaries; restart
+    recovery replays the local WAL, so a durable-but-unapplied
+    transaction is never lost.  The standby database is registered in
+    the governor under the given name and accepts [BEGIN READ ONLY]
+    sessions; writes are refused with [SE-READ-ONLY].
 
     An epoch mismatch (the primary checkpointed and truncated its log)
     triggers an automatic re-seed from a full backup shipped over the
@@ -22,8 +20,8 @@
     Fault site [repl.apply] fires after a batch is received but before
     it is persisted or acknowledged: an injected fault costs the
     connection only, the batch is pulled again on reconnect.  Fault
-    site [repl.batch_apply] fires in the apply thread, after the batch
-    is durable and acknowledged: an injected fault there costs an
+    site [repl.batch_apply] fires in the pull thread after the durable
+    append and before the redo; it and any real redo failure cost an
     in-place recovery (reopen the directory, replay the local WAL,
     resume from the persisted boundary) — added lag, zero loss. *)
 
@@ -49,18 +47,12 @@ val start :
 val database : t -> Sedna_core.Database.t option
 (** [None] until the first seed completes. *)
 
-val is_connected : t -> bool
-
-val healthy : t -> bool
-(** Connected and heard from the primary within the heartbeat
-    timeout. *)
-
 val tracked : t -> int * int
 (** Current (epoch, next pull position). *)
 
 val caught_up : t -> epoch:int -> pos:int -> bool
-(** True when the standby tracks this epoch, has pulled at least to
-    [pos], and has no transaction mid-flight. *)
+(** True when the standby tracks this epoch, has pulled and redone at
+    least up to [pos], and has no transaction mid-flight. *)
 
 val wait_caught_up : ?timeout_s:float -> t -> epoch:int -> pos:int -> bool
 (** Poll {!caught_up}; [false] on timeout. *)

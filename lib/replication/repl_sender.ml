@@ -112,12 +112,18 @@ let serve_pull db fd ~cluster ~epoch ~pos ~max_bytes =
   let my_cluster = Database.cluster_epoch db in
   let wal = Database.wal db in
   let cur_epoch = Wal.epoch wal in
-  if epoch <> cur_epoch || pos > Wal.size wal then
+  let tip = Wal.size wal in
+  if epoch <> cur_epoch || pos > tip then
     Wire.write_repl_response fd
       (Wire.Hole { cluster = my_cluster; epoch = cur_epoch })
   else begin
     let max_bytes = max 1 (min max_bytes (Wire.max_frame / 2)) in
-    let frames, count, next_pos = Wal.stream_from (Wal.path wal) ~pos ~max_bytes in
+    (* bounded by [tip]: the file may already hold a frame whose append
+       has not yet counted it, and shipping it would let the standby's
+       next pull read as past the log (a Hole, and a needless re-seed) *)
+    let frames, count, next_pos =
+      Wal.stream_from ~upto:tip (Wal.path wal) ~pos ~max_bytes
+    in
     if Wal.epoch wal <> cur_epoch then
       (* a checkpoint truncated the log while we were reading it *)
       Wire.write_repl_response fd

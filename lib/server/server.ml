@@ -168,7 +168,7 @@ let handle_request t (conn : conn) cx (req : Wire.request) : bool (* keep going 
         true))
   | Wire.Execute text when String.uppercase_ascii (String.trim text) = "PROMOTE" ->
     (* promotion is handled OUTSIDE the engine lock: it must join the
-       replication apply thread, which itself takes the engine lock for
+       replication pull thread, which itself takes the engine lock for
        each transaction it installs — going through [run_execute] here
        would deadlock *)
     (match t.on_promote with

@@ -31,7 +31,7 @@ val start :
 
     [on_promote], when given, handles the [PROMOTE] admin statement.
     It runs {e outside} the engine lock (promotion joins the
-    replication apply thread, which takes that lock itself); without it
+    replication pull thread, which takes that lock itself); without it
     [PROMOTE] answers SE-UNSUPPORTED. *)
 
 val port : t -> int

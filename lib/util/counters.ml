@@ -127,7 +127,6 @@ let repl_pages_applied = "repl.pages_applied"
 let repl_heartbeats = "repl.heartbeats"
 let repl_reseeds = "repl.reseeds"
 let repl_apply_restarts = "repl.apply_restarts"
-let repl_batches_pipelined = "repl.batches_pipelined"
 let repl_promotions = "repl.promotions"
 let repl_lag_bytes = "repl.lag_bytes"
 let repl_acked_pos = "repl.acked_pos"

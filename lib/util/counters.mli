@@ -96,7 +96,10 @@ val wal_group_syncs : string
     one or more parked committers. *)
 
 val lock_retry : string
-(** Blocked lock acquisition retried after a bounded backoff. *)
+(** Nothing bumps this: a blocked lock request fails at once and the
+    session restarts its auto-commit statement
+    ({!stmt_lock_restarts}).  The name stays for readers that still
+    sum it. *)
 
 val stmt_lock_restarts : string
 (** Auto-commit statement restarted after a lock timeout — typically
@@ -136,12 +139,8 @@ val repl_reseeds : string
 (** Standby re-seeds from a fresh full backup (epoch mismatch). *)
 
 val repl_apply_restarts : string
-(** Standby apply-stage failures recovered in place by replaying the
-    locally durable WAL (added lag, zero loss). *)
-
-val repl_batches_pipelined : string
-(** Pull batches whose raw append/fsync overlapped the apply of an
-    earlier batch on the standby. *)
+(** Standby redo failures recovered in place by replaying the locally
+    durable WAL (added lag, zero loss). *)
 
 val repl_promotions : string
 (** Standby promotions to primary. *)

@@ -1,18 +1,16 @@
 (* Unified retry with bounded exponential backoff and decorrelated
    jitter.
 
-   Three hand-rolled loops used to live in the tree (client connect,
-   standby reconnect, lock acquisition), each with its own backoff
-   arithmetic and none with jitter — so every client that lost the
-   primary at the same instant retried in lockstep and hammered the
-   survivor in waves.  This module centralises the discipline:
+   Client connect and standby reconnect share it.  Without jitter
+   every client that lost the primary at the same instant would retry
+   in lockstep and hammer the survivor in waves.  The discipline:
 
      - exponential growth capped at [cap_s];
      - decorrelated jitter (AWS style): each sleep is drawn uniformly
        from [base_s, prev * 3], so consecutive sleeps de-synchronise
        even across processes started at the same time;
-     - deterministic when [jitter = false] or under a fixed [seed]
-       (tests and the chaos harness need reproducible schedules);
+     - deterministic under a fixed [seed] (tests and the chaos
+       harness need reproducible schedules);
      - deadline-aware: an armed statement deadline fires between
        sleeps rather than being slept through;
      - instrumented: every sleep bumps [retry.sleeps] and
@@ -26,13 +24,11 @@ type policy = {
   max_attempts : int; (* <= 0 means unbounded *)
   base_s : float;
   cap_s : float;
-  jitter : bool;
   seed : int;
 }
 
-let policy ?(max_attempts = 0) ?(base_s = 0.01) ?(cap_s = 1.0) ?(jitter = true)
-    ?(seed = 0) label =
-  { label; max_attempts; base_s; cap_s; jitter; seed }
+let policy ?(max_attempts = 0) ?(base_s = 0.01) ?(cap_s = 1.0) ?(seed = 0) label =
+  { label; max_attempts; base_s; cap_s; seed }
 
 type t = {
   p : policy;
@@ -70,8 +66,7 @@ let next_sleep t =
   let p = t.p in
   let expo = p.base_s *. (2.0 ** float_of_int (min t.attempt 16)) in
   let raw =
-    if not p.jitter then expo
-    else if t.prev_sleep_s <= 0.0 then uniform t p.base_s (expo *. 2.0)
+    if t.prev_sleep_s <= 0.0 then uniform t p.base_s (expo *. 2.0)
     else uniform t p.base_s (t.prev_sleep_s *. 3.0)
   in
   Float.min t.p.cap_s (Float.max p.base_s raw)

@@ -1,8 +1,7 @@
 (** Unified retry: bounded exponential backoff with decorrelated
     jitter, deadline-aware, counter-instrumented.
 
-    Replaces the hand-rolled loops in client connect, standby
-    reconnect and lock acquisition.  Jitter draws from the same
+    Used by client connect and standby reconnect.  Jitter draws from the same
     minimal-standard LCG as {!Fault}, so a fixed [seed] makes a whole
     chaos run reproducible. *)
 
@@ -11,7 +10,6 @@ type policy = {
   max_attempts : int;  (** [<= 0] means unbounded *)
   base_s : float;  (** floor (and first) sleep *)
   cap_s : float;  (** per-sleep ceiling *)
-  jitter : bool;  (** decorrelated jitter; [false] = pure exponential *)
   seed : int;  (** [0] = self-seed per process (pid + clock) *)
 }
 
@@ -19,7 +17,6 @@ val policy :
   ?max_attempts:int ->
   ?base_s:float ->
   ?cap_s:float ->
-  ?jitter:bool ->
   ?seed:int ->
   string ->
   policy

@@ -156,17 +156,20 @@ let test_crash_during_backup () =
   check_outcome o;
   Alcotest.(check bool) "fired" true o.Drill.fired
 
-(* A [repl.*] spec runs the primary/standby pair: the standby dies
-   mid-apply after the batch is acked, recovers in place, and the
-   promoted standby still holds every acked entry. *)
+(* A [repl.*] spec runs the primary/standby pair: the standby's redo
+   dies after the batch is durably appended, it recovers in place, and
+   the promoted standby still holds every acked entry. *)
 let test_repl_spec () =
-  let o = drill "repl.batch_apply:crash@2" in
-  check_outcome o;
-  Alcotest.(check bool) "pair topology" true (o.Drill.kind = Drill.Pair);
-  Alcotest.(check bool) "fired" true o.Drill.fired;
-  Alcotest.(check bool) "re-seeded mid-run" true (o.Drill.reseeds >= 2);
-  Alcotest.(check int) "every acked commit on the promoted standby" 0
-    o.Drill.lost
+  List.iter
+    (fun spec ->
+      let o = drill spec in
+      check_outcome o;
+      Alcotest.(check bool) "pair topology" true (o.Drill.kind = Drill.Pair);
+      Alcotest.(check bool) "fired" true o.Drill.fired;
+      Alcotest.(check bool) "re-seeded mid-run" true (o.Drill.reseeds >= 2);
+      Alcotest.(check int) "every acked commit on the promoted standby" 0
+        o.Drill.lost)
+    [ "repl.batch_apply:crash@2"; "repl.batch_apply:fail@1" ]
 
 (* [Fault.arm] registers any name, so a misspelled spec would arm a site
    nothing ever hits and pass without testing anything. *)

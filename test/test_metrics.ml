@@ -235,21 +235,6 @@ let test_profile_traced () =
         check_int "latency observed" 1 (Metrics.hist_count (Sedna_db.Session.latency s))
       | l -> Alcotest.failf "expected one trace, got %d" (List.length l))
 
-(* ---- governor report -------------------------------------------------- *)
-
-let test_governor_report () =
-  let dir = Test_util.fresh_dir () in
-  let g = Sedna_db.Governor.create () in
-  let db = Sedna_db.Governor.create_database g ~name:"db" ~dir in
-  let _, s = Sedna_db.Governor.connect g ~database:"db" in
-  ignore (Test_util.load db "d" "<r><a/><a/></r>");
-  ignore (Sedna_db.Session.execute_string s {|count(doc("d")//a)|});
-  let report = Sedna_db.Governor.observability_report g in
-  check_bool "report lists the session" true (contains_sub report "(governor id");
-  check_bool "report lists counters" true (contains_sub report "global counters:");
-  check_bool "report lists recent traces" true (contains_sub report "recent traces");
-  Sedna_db.Governor.shutdown g
-
 let suite =
   [
     Alcotest.test_case "diff" `Quick test_diff;
@@ -265,5 +250,4 @@ let suite =
     Alcotest.test_case "profile lock timeout ends txn" `Quick
       test_profile_lock_timeout_aborts;
     Alcotest.test_case "profile publishes a trace" `Quick test_profile_traced;
-    Alcotest.test_case "governor report" `Quick test_governor_report;
   ]

@@ -103,6 +103,12 @@ let test_wal_stream_cursor () =
   Alcotest.(check int) "tail ends at the log's end" (Wal.size w) tail_end;
   Alcotest.(check bool) "nothing past the end" true
     (Wal.stream_from path ~pos:tail_end ~max_bytes:max_int = ("", 0, tail_end));
+  (* [upto] cuts the read short: a frame ending past it is not shipped *)
+  let _, n, upto_end =
+    Wal.stream_from ~upto:(tail_end - 1) path ~pos:first_end ~max_bytes:max_int
+  in
+  Alcotest.(check int) "only the frame before upto" 1 n;
+  Alcotest.(check bool) "ends before upto" true (upto_end < tail_end);
   (* appending the raw frames to a second log reproduces the records *)
   let path2 = Filename.concat dir "wal2.sdb" in
   let w2 = Wal.create path2 in

@@ -366,23 +366,6 @@ let test_graceful_shutdown_recoverable () =
       Alcotest.(check string) "uncommitted insert rolled back" "0"
         (Sedna_db.Session.execute_string s {|count(doc("d")/r/uncommitted)|}))
 
-let test_observability_report () =
-  with_server (fun g srv _dir ->
-      let c = open_client srv in
-      ignore (Client.execute c {|CREATE DOCUMENT "d"|});
-      ignore (Client.execute_string c {|count(doc("d"))|});
-      Client.close c;
-      let report = G.observability_report g in
-      let has needle =
-        let nl = String.length needle and rl = String.length report in
-        let rec go i =
-          i + nl <= rl && (String.sub report i nl = needle || go (i + 1))
-        in
-        go 0
-      in
-      Alcotest.(check bool) "serving section" true (has "serving:");
-      Alcotest.(check bool) "accepted counter" true (has "accepted"))
-
 let suite =
   [
     Alcotest.test_case "wire round trip" `Quick test_wire_roundtrip;
@@ -397,5 +380,4 @@ let suite =
     Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
     Alcotest.test_case "graceful shutdown recoverable" `Quick
       test_graceful_shutdown_recoverable;
-    Alcotest.test_case "observability report" `Quick test_observability_report;
   ]

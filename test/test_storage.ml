@@ -302,6 +302,32 @@ let test_indirection () =
       let again = Indirection.alloc bm cat in
       Alcotest.(check bool) "cell recycled" true (Xptr.equal victim again))
 
+(* A dangling handle makes the checker report, not raise: each damaged
+   document is named, and the check goes on past it to the next one. *)
+let test_integrity_reports_dangling_handle () =
+  Test_util.with_db (fun db ->
+      List.iter (fun d -> ignore (Test_util.load db d "<r><x/></r>")) [ "a"; "b"; "c" ];
+      let st = Database.store db in
+      let bm = st.Store.bm in
+      let dangle cell = Indirection.set bm cell (Indirection.tag Xptr.null) in
+      (* "a" loses its document node, "c" the <x> under its root *)
+      dangle (Catalog.get_document st.Store.cat "a").Catalog.doc_indir;
+      let r = Option.get (Node.first_child_any st (Test_util.doc_desc st "c")) in
+      dangle (Node.handle st (Option.get (Node.first_child_any st r)));
+      let problems = Integrity.check_all st in
+      let names = List.sort compare (List.map fst problems) in
+      Alcotest.(check (list string)) "both damaged documents named" [ "a"; "c" ] names;
+      List.iter
+        (fun (_, errs) ->
+          Alcotest.(check bool) "dangling handle reported" true
+            (List.exists
+               (fun e ->
+                 String.starts_with ~prefix:"check stopped: SE-STORAGE-CORRUPTION" e)
+               errs))
+        problems;
+      Alcotest.(check (list string)) "the clean document passes" []
+        (Integrity.check_document st "b"))
+
 (* Carriage returns survive store -> serialize -> parse: the serializer
    must emit &#13; (a literal CR in an attribute would re-parse as a
    space under XML attribute-value normalization). *)
@@ -371,6 +397,8 @@ let suite =
     Test_util.qcheck_case ~count:40 "text store matches reference"
       arb_text_ops prop_text_store_matches_reference;
     Alcotest.test_case "indirection" `Quick test_indirection;
+    Alcotest.test_case "integrity reports a dangling handle" `Quick
+      test_integrity_reports_dangling_handle;
     Test_util.qcheck_case ~count:100 "xptr immediate = int64 encoding" arb_xptrs
       prop_xptr_roundtrip;
     Alcotest.test_case "catalog format tag" `Quick test_catalog_format_tag;

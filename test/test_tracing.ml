@@ -389,8 +389,11 @@ let test_prom_name () =
   Alcotest.(check string) "dots and dashes sanitized" "sedna_wal_fsync_ms"
     (Mh.prom_name "wal.fsync-ms")
 
-(* ---- deadline preempts a lock wait (satellite 3) ----------------------- *)
+(* ---- deadline preempts a lock wait ------------------------------------ *)
 
+(* The session's auto-commit restart is the only lock wait; an armed
+   deadline must end it with SE-TIMEOUT well before the restart budget
+   (about 0.2 s) would surface SE-LOCK-TIMEOUT. *)
 let test_deadline_preempts_lock_wait () =
   let dir = Test_util.fresh_dir () in
   let db = Database.create dir in
@@ -400,25 +403,19 @@ let test_deadline_preempts_lock_wait () =
       Database.close db)
     (fun () ->
       ignore (Test_util.load db "d" "<r/>");
-      let t1 = Database.begin_txn db in
-      let t2 = Database.begin_txn db in
-      Database.lock_exn db t1 ~doc:"d" ~mode:Lock_mgr.Exclusive;
-      (* generous retries: without the deadline this wait would take far
-         longer than the armed budget before giving up *)
-      Deadline.set 0.002;
+      let holder = Session.connect db and waiter = Session.connect db in
+      Session.begin_txn holder;
+      ignore (Session.execute holder {|UPDATE insert <a/> into doc("d")/r|});
+      Deadline.set 0.02;
       let got =
-        match
-          Database.lock_exn ~retries:50 db t2 ~doc:"d"
-            ~mode:Lock_mgr.Exclusive
-        with
-        | () -> "granted"
+        match Session.execute waiter {|UPDATE insert <b/> into doc("d")/r|} with
+        | _ -> "done"
         | exception Error.Sedna_error (code, _) -> Error.code_name code
       in
       Deadline.clear ();
       Alcotest.(check string)
         "armed deadline fires inside the lock-wait loop" "SE-TIMEOUT" got;
-      Database.abort db t2;
-      Database.abort db t1)
+      Session.rollback holder)
 
 let suite =
   [

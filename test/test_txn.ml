@@ -373,22 +373,17 @@ let test_commit_publishes_catalog () =
    previous catalog: the commit publishes only once it is durable *)
 let test_parked_commit_keeps_catalog () =
   Test_util.with_db (fun db ->
-      let gc = Database.group_commit_on () in
-      Database.set_group_commit true;
-      Fun.protect
-        ~finally:(fun () -> Database.set_group_commit gc)
-        (fun () ->
-          let has_e cat = Catalog.find_document cat "e" <> None in
-          let w = Database.begin_txn db in
-          Database.run db w (fun () ->
-              Database.lock_exn db w ~doc:"e" ~mode:Lock_mgr.Exclusive;
-              ignore (Loader.load_string (Database.txn_store db w) ~doc_name:"e" "<b/>"));
-          let during = ref false in
-          Database.commit db w ~park:(fun wait ->
-              during := has_e (reader_catalog db);
-              wait ());
-          Alcotest.(check bool) "reader during the park" false !during;
-          Alcotest.(check bool) "reader after the commit" true (has_e (reader_catalog db))))
+      let has_e cat = Catalog.find_document cat "e" <> None in
+      let w = Database.begin_txn db in
+      Database.run db w (fun () ->
+          Database.lock_exn db w ~doc:"e" ~mode:Lock_mgr.Exclusive;
+          ignore (Loader.load_string (Database.txn_store db w) ~doc_name:"e" "<b/>"));
+      let during = ref false in
+      Database.commit db w ~park:(fun wait ->
+          during := has_e (reader_catalog db);
+          wait ());
+      Alcotest.(check bool) "reader during the park" false !during;
+      Alcotest.(check bool) "reader after the commit" true (has_e (reader_catalog db)))
 
 (* the perfbench read templates, over a small auction document *)
 let auction_reads =

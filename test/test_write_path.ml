@@ -271,27 +271,6 @@ let test_crash_at_group_sync () =
   if not (Drill.ok o) then Alcotest.fail (Drill.render o);
   Alcotest.(check bool) "fault fired" true o.Drill.fired
 
-let test_group_commit_toggle () =
-  with_cluster (fun gov db ->
-      let saved = Database.group_commit_on () in
-      Fun.protect
-        ~finally:(fun () -> Database.set_group_commit saved)
-        (fun () ->
-          Database.set_group_commit false;
-          let syncs0 = Counters.get Counters.wal_group_syncs in
-          Governor.with_engine gov (fun () ->
-              ignore (Test_util.exec db (insert_stmt "|plain|")));
-          Alcotest.(check int) "no group sync when off" syncs0
-            (Counters.get Counters.wal_group_syncs);
-          Database.set_group_commit true;
-          Governor.with_engine gov (fun () ->
-              ignore (Test_util.exec db (insert_stmt "|grouped|")));
-          Alcotest.(check bool) "group sync when on" true
-            (Counters.get Counters.wal_group_syncs > syncs0);
-          let text = Test_util.exec db {|string(doc("log")/log)|} in
-          Alcotest.(check bool) "both commits visible" true
-            (contains text "|plain|" && contains text "|grouped|")))
-
 let suite =
   [
     Alcotest.test_case "counters: exact totals under 4 threads" `Quick
@@ -308,6 +287,4 @@ let suite =
       test_group_commit_across_checkpoint;
     Alcotest.test_case "group commit: crash during shared fsync" `Slow
       test_crash_at_group_sync;
-    Alcotest.test_case "group commit: runtime toggle" `Quick
-      test_group_commit_toggle;
   ]
