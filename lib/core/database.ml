@@ -1,6 +1,7 @@
-(* The database: files, buffer, WAL, versions, locks, catalog and the
-   transaction table — the per-database half of Figure 1's "database
-   manager" (buffer manager + transaction manager).
+(* The database: files, buffer, WAL, versions, catalog and the
+   transaction table, which is also the lock table (each transaction
+   carries its document locks) — the per-database half of Figure 1's
+   "database manager" (buffer manager + transaction manager).
 
    On-disk layout in the database directory:
      data.sdb     pages (master page + node/text/indirection/btree blocks)
@@ -27,7 +28,6 @@ type t = {
   wal : Wal.t;
   gc : Group_commit.t; (* coalesces concurrent commit fsyncs *)
   versions : Versions.t;
-  locks : Lock_mgr.t;
   mutable cat : Catalog.t;
   (* the catalog as of the last *completed* commit.  Readers share its
      decoded copy, never the live [cat]: during a parked group commit
@@ -39,7 +39,7 @@ type t = {
      catalog change publishes a new one. *)
   mutable cat_snapshot : published;
   mutable next_txn_id : int;
-  active : (int, Txn.t) Hashtbl.t;
+  active : (int, Txn.t) Hashtbl.t; (* also the lock table: see [lock_exn] *)
   mutable current : Txn.t option; (* transaction executing right now *)
   mutable overlay_lookups : int;
     (* page decisions the newest read-only statement's snapshot overlay
@@ -88,7 +88,6 @@ let snapshot_catalog db =
 
 let catalog db = db.cat
 let buffer db = db.bm
-let lock_manager db = db.locks
 let versions db = db.versions
 let directory db = db.dir
 let wal db = db.wal
@@ -321,7 +320,6 @@ let make dir ~buffer_frames fs wal cat =
       wal;
       gc = Group_commit.create wal;
       versions = Versions.create ();
-      locks = Lock_mgr.create ();
       cat;
       cat_snapshot = { blob = ""; decoded = None };
       next_txn_id = 1;
@@ -493,37 +491,47 @@ let txn_store db (txn : Txn.t) : Store.t =
   | Some cat -> Store.create db.bm cat
   | None -> store db
 
-let lock db (txn : Txn.t) ~doc ~mode : Lock_mgr.outcome =
-  Lock_mgr.acquire db.locks ~txn:txn.Txn.id ~name:doc ~mode
-
-(* Lock without waiting: a blocked request surfaces Lock_timeout at
-   once.  The caller holds the engine lock, and every lock release
-   (commit, abort, a disconnect's rollback) runs under it too, so a
-   sleep here could never end in a grant.  The session layer restarts
-   auto-commit statements with its pause *outside* the engine lock.
-   Deadlocks surface as such: the cycle can only be broken by an
-   abort. *)
-let lock_exn db txn ~doc ~mode =
-  Span.with_span "lock.wait" (fun sp ->
-      (match sp with
-       | Some sp ->
-         Span.annotate sp "doc" (Metrics.Str doc);
-         Span.annotate sp "mode"
-           (Metrics.Str
-              (match mode with Lock_mgr.Shared -> "shared" | Lock_mgr.Exclusive -> "exclusive"))
-       | None -> ());
-      let outcome o = Option.iter (fun sp -> Span.annotate sp "outcome" (Metrics.Str o)) sp in
-      Deadline.check_now ();
-      match lock db txn ~doc ~mode with
-      | Lock_mgr.Granted -> outcome "granted"
-      | Lock_mgr.Deadlock_detected ->
-        outcome "deadlock";
-        Error.raise_error Error.Deadlock
-          "deadlock detected for transaction %d on document %S" txn.Txn.id doc
-      | Lock_mgr.Blocked ->
-        outcome "timeout";
-        Error.raise_error Error.Lock_timeout "transaction %d blocked on document %S"
-          txn.Txn.id doc)
+(* Strict 2PL at document granularity, without waiting (NO_WAIT): a
+   request is granted iff no other active transaction holds a mode
+   that conflicts with it (an S->X upgrade thus needs every other
+   holder gone), and refused with Lock_timeout at once otherwise.  The
+   caller holds the engine lock, and every lock release (commit, abort,
+   a disconnect's rollback) runs under it too, so a wait here could
+   never end in a grant; the session layer restarts auto-commit
+   statements with its pause *outside* the engine lock.  Nothing ever
+   waits for a lock while holding one, so no deadlock can form.
+   A transaction's locks live on it and end when it leaves [db.active].
+   Read-only transactions read their snapshot and never lock (§6.3). *)
+let lock_exn db (txn : Txn.t) ~doc ~mode =
+  if not txn.Txn.read_only then
+    Span.with_span "lock.wait" (fun sp ->
+        (match sp with
+         | Some sp ->
+           Span.annotate sp "doc" (Metrics.Str doc);
+           Span.annotate sp "mode"
+             (Metrics.Str
+                (match mode with Lock_mgr.Shared -> "shared" | Lock_mgr.Exclusive -> "exclusive"))
+         | None -> ());
+        let outcome o = Option.iter (fun sp -> Span.annotate sp "outcome" (Metrics.Str o)) sp in
+        Deadline.check_now ();
+        let held = List.assoc_opt doc txn.Txn.locks in
+        let conflicts (other : Txn.t) =
+          other != txn
+          &&
+          match List.assoc_opt doc other.Txn.locks with
+          | Some m -> not (Lock_mgr.compatible mode m)
+          | None -> false
+        in
+        if held = Some Lock_mgr.Exclusive || held = Some mode then outcome "granted"
+        else if Seq.exists conflicts (Hashtbl.to_seq_values db.active) then begin
+          outcome "timeout";
+          Error.raise_error Error.Lock_timeout "transaction %d blocked on document %S"
+            txn.Txn.id doc
+        end
+        else begin
+          txn.Txn.locks <- (doc, mode) :: List.remove_assoc doc txn.Txn.locks;
+          outcome "granted"
+        end)
 
 let commit ?(park = fun wait -> wait ()) db (txn : Txn.t) =
   if not (Txn.is_active txn) then
@@ -531,8 +539,7 @@ let commit ?(park = fun wait -> wait ()) db (txn : Txn.t) =
   if txn.Txn.read_only then begin
     Versions.release_snapshot db.versions txn.Txn.snapshot_ts;
     Txn.mark_committed txn;
-    Hashtbl.remove db.active txn.Txn.id;
-    Lock_mgr.release_all db.locks ~txn:txn.Txn.id
+    Hashtbl.remove db.active txn.Txn.id
   end
   else begin
     (* a fence observed *after* this transaction began must still stop
@@ -630,8 +637,7 @@ let commit ?(park = fun wait -> wait ()) db (txn : Txn.t) =
     (* unpin so committed pages become evictable *)
     List.iter (fun (pid, _) -> Buffer_mgr.unpin_pid db.bm pid) pages;
     Txn.mark_committed txn;
-    Hashtbl.remove db.active txn.Txn.id;
-    Lock_mgr.release_all db.locks ~txn:txn.Txn.id
+    Hashtbl.remove db.active txn.Txn.id
   end
 
 let abort db (txn : Txn.t) =
@@ -666,8 +672,7 @@ let abort db (txn : Txn.t) =
   end
   else Versions.release_snapshot db.versions txn.Txn.snapshot_ts;
   Txn.mark_aborted txn;
-  Hashtbl.remove db.active txn.Txn.id;
-  Lock_mgr.release_all db.locks ~txn:txn.Txn.id
+  Hashtbl.remove db.active txn.Txn.id
 
 (* Convenience bracket: BEGIN; f; COMMIT (abort on exception). *)
 let with_txn ?read_only db f =

@@ -1,5 +1,6 @@
-(** The database: files, buffer, WAL, versions, locks, catalog and the
-    transaction table — the "database manager" of the paper's Figure 1.
+(** The database: files, buffer, WAL, versions, catalog and the
+    transaction table, which doubles as the lock table — the "database
+    manager" of the paper's Figure 1.
 
     Directory layout: [data.sdb] (pages), [wal.sdb] (log since the last
     checkpoint), [catalog.sdb] (checkpointed catalog).  Opening runs
@@ -28,7 +29,6 @@ val checkpoint : t -> unit
 val store : t -> Store.t
 val catalog : t -> Catalog.t
 val buffer : t -> Buffer_mgr.t
-val lock_manager : t -> Lock_mgr.t
 val versions : t -> Versions.t
 val directory : t -> string
 val wal : t -> Wal.t
@@ -118,18 +118,21 @@ val txn_store : t -> Txn.t -> Store.t
 (** The store a transaction must execute against (readers get their
     snapshot catalog). *)
 
-val lock : t -> Txn.t -> doc:string -> mode:Lock_mgr.mode -> Lock_mgr.outcome
 val lock_exn : t -> Txn.t -> doc:string -> mode:Lock_mgr.mode -> unit
-(** Raises [Lock_timeout] at once on block (the caller holds the engine
-    lock, so no holder could release while it waited), [Deadlock] on a
-    detected cycle. *)
+(** Strict 2PL without waiting: grant iff no other active transaction
+    holds a conflicting mode on [doc] (an S→X upgrade needs every other
+    holder gone), else raise [Lock_timeout] at once — the caller holds
+    the engine lock, so no holder could release while it waited.  The
+    lock is kept on the transaction until it commits or aborts.  A
+    read-only transaction returns at once: it reads its snapshot and
+    never locks (paper §6.3). *)
 
 val commit : ?park:((unit -> unit) -> unit) -> t -> Txn.t -> unit
 (** WAL protocol: logical records, page after-images and the commit
     record (with the catalog when changed) appended as one contiguous
     group under the WAL writer cursor, then an fsync covering the
-    group before the commit is acknowledged; then version installation
-    and lock release.
+    group before the commit is acknowledged; then version installation.
+    Leaving the active table releases the transaction's locks.
 
     The covering fsync is shared (group commit): this transaction
     parks until a leader's sync reaches its position.  [park wait] runs
@@ -140,8 +143,8 @@ val commit : ?park:((unit -> unit) -> unit) -> t -> Txn.t -> unit
     commit record exactly as with a failed private fsync. *)
 
 val abort : t -> Txn.t -> unit
-(** Restore before-images, the catalog and the free list; release
-    locks. *)
+(** Restore before-images, the catalog and the free list; leaving the
+    active table releases the locks. *)
 
 val with_txn : ?read_only:bool -> t -> (Txn.t -> Store.t -> 'a) -> 'a
 (** BEGIN; run; COMMIT — aborting on exceptions. *)

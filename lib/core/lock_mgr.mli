@@ -1,27 +1,12 @@
-(** Strict two-phase locking at document granularity (paper §6.2).
+(** Document lock modes for strict two-phase locking (paper §6.2).
 
-    Transactions acquire S or X locks on document names and hold them
-    until commit/abort; a shared lock can upgrade when its holder is
-    alone.  Conflicts surface as {!Blocked} (the request is queued and
-    granted FIFO when compatible) or {!Deadlock_detected} via the
-    wait-for graph.  Waiting is cooperative: the caller retries. *)
+    A transaction's locks are kept on the transaction itself
+    ({!Txn.t.locks}); {!Database.lock_exn} grants or refuses a request
+    against every other active transaction's locks, and a transaction's
+    locks end when it leaves the active table (commit or abort). *)
 
-type t
 type mode = Shared | Exclusive
-type outcome = Granted | Blocked | Deadlock_detected
 
-val create : unit -> t
-
-val acquire : t -> txn:int -> name:string -> mode:mode -> outcome
-
-val release_all : t -> txn:int -> unit
-(** Drop every lock and queued request of a transaction (commit/abort),
-    promoting newly-compatible waiters in FIFO order. *)
-
-val holds : t -> string -> int -> mode option
-(** The mode a transaction currently holds on a document, if any. *)
-
-val holders : t -> string -> (int * mode) list
-val waiters : t -> string -> (int * mode) list
-
-val pp_mode : Format.formatter -> mode -> unit
+val compatible : mode -> mode -> bool
+(** Whether two different transactions may hold these modes on one
+    document at once: only shared with shared. *)

@@ -5,8 +5,10 @@
      abort;
    - durability: after-images + commit record reach the WAL (fsynced)
      before commit returns;
-   - isolation: strict 2PL on documents for updaters; read-only
-     transactions read a snapshot without locking (§6.3);
+   - isolation: strict 2PL on documents for updaters, the held locks
+     kept here in [locks] and ending when the transaction leaves the
+     active table; read-only transactions read a snapshot without
+     locking (§6.3);
    - consistency: single-threaded statement execution plus the above.
 
    The [dirty] map doubles as the version source for snapshot readers:
@@ -21,6 +23,7 @@ type t = {
   snapshot_ts : int; (* meaningful for read-only transactions *)
   reader_catalog : Catalog.t option; (* shared committed catalog at snapshot *)
   mutable status : status;
+  mutable locks : (string * Lock_mgr.mode) list; (* document -> held mode *)
   dirty : (int, Bytes.t) Hashtbl.t; (* pid -> before-image *)
   cat_backup : string; (* catalog + free-list state at begin *)
   fs_page_count : int;
@@ -49,6 +52,7 @@ let make ~id ~read_only ~snapshot_ts ~reader_catalog ~cat_backup ~fs_page_count
     snapshot_ts;
     reader_catalog;
     status = Active;
+    locks = [];
     dirty = Hashtbl.create 16;
     cat_backup;
     fs_page_count;

@@ -14,6 +14,10 @@ type t = {
           with every reader of that publication and never mutated;
           consistent with its snapshot *)
   mutable status : status;
+  mutable locks : (string * Lock_mgr.mode) list;
+      (** document locks held, one entry per document (strict 2PL:
+          held while the transaction is active; see
+          {!Database.lock_exn}) *)
   dirty : (int, Bytes.t) Hashtbl.t;  (** page id -> before-image *)
   cat_backup : string;  (** catalog state at begin, for abort *)
   fs_page_count : int;
@@ -32,8 +36,8 @@ val make :
 (** Fresh [Active] transaction. *)
 
 val mark_committed : t -> unit
-(** Flip to [Committed].  State cleanup (WAL, locks, versions) stays
-    with {!Database}. *)
+(** Flip to [Committed].  State cleanup (WAL, versions, leaving the
+    active table — which ends the locks) stays with {!Database}. *)
 
 val mark_aborted : t -> unit
 (** Flip to [Aborted]. *)

@@ -155,6 +155,8 @@ let disconnect t id =
     with_engine t (fun () -> Session.rollback s)
   | _ -> ()
 
+let is_connected t id = locked t.mu (fun () -> List.mem_assoc id t.sessions)
+
 let session_count t = locked t.mu (fun () -> List.length t.sessions)
 
 (* Replace a registered database in place (standby re-seed: the old

@@ -62,6 +62,10 @@ val disconnect : t -> int -> unit
     engine lock to do so — do not call while holding it).
     Thread-safe and idempotent. *)
 
+val is_connected : t -> int -> bool
+(** Whether the session with this id is still registered: false once
+    {!disconnect}ed, including by {!swap_database}. *)
+
 val session_count : t -> int
 
 val shutdown : t -> unit

@@ -4,7 +4,8 @@
 
    Auto-commit mode: a statement outside an explicit transaction runs
    in its own transaction — read-only (snapshot, no locks) for queries,
-   updating (S2PL document locks) for updates and DDL. *)
+   updating (S2PL document locks, refused rather than waited for) for
+   updates and DDL. *)
 
 open Sedna_util
 open Sedna_core
@@ -25,7 +26,6 @@ type t = {
   db : Database.t;
   mutable txn : Txn.t option;
   mutable rewriter_options : Sedna_xquery.Rewriter.options;
-  latency : Metrics.histogram; (* per-session statement latency *)
   (* how this session's commits wait for the covering group fsync: the
      governor points this at [Governor.without_engine] so the engine
      lock is released while the commit parks; the default runs the
@@ -33,8 +33,8 @@ type t = {
   mutable park : (unit -> unit) -> unit;
 }
 
-(* All sessions feed one registered latency histogram besides their
-   private ones; the governor report reads percentiles from it. *)
+(* Every session's statements feed one registered latency histogram
+   (/metrics' stmt.latency). *)
 let stmt_latency = Metrics.histogram "stmt.latency"
 
 let next_session_id = ref 0
@@ -47,14 +47,12 @@ let connect db =
     db;
     txn = None;
     rewriter_options = Sedna_xquery.Rewriter.default_options;
-    latency = Metrics.histogram ~register:false "session.latency";
     park = (fun wait -> wait ());
   }
 
 let set_park t f = t.park <- f
 let database t = t.db
 let id t = t.id
-let latency t = t.latency
 
 let set_rewriter_options t o = t.rewriter_options <- o
 
@@ -235,7 +233,7 @@ let run_statement ?prof t (stmt : Ast.statement) (txn : Txn.t) : result =
 let is_query = function Ast.Query _ -> true | _ -> false
 
 (* Statement-level abort isolation: failures that can leave partial
-   storage effects or queued lock requests behind must abort the whole
+   storage effects or a refused lock behind must abort the whole
    transaction (releasing locks, restoring before-images) so the
    session survives cleanly instead of carrying a poisoned transaction.
    Pure statement errors (type errors, read-only violations, parse
@@ -243,7 +241,7 @@ let is_query = function Ast.Query _ -> true | _ -> false
 let aborts_transaction = function
   | Fault.Injected_fault _ -> true
   | Error.Sedna_error
-      ( ( Error.Lock_timeout | Error.Deadlock | Error.Storage_corruption
+      ( ( Error.Lock_timeout | Error.Storage_corruption
         | Error.Corrupt_page | Error.Update_conflict
         (* a fired statement deadline may have left partial update
            effects behind: only the owning transaction dies, its locks
@@ -294,7 +292,6 @@ let run t ~instrument (text : string) : result * (float * float * float * float)
   let t0 = Metrics.mono () in
   let finish ~kind ~ok =
     let total = Metrics.mono () -. t0 in
-    Metrics.observe t.latency total;
     Metrics.observe stmt_latency total;
     (match (cx, stmt_sp) with
      | Some c, Some sp ->
@@ -357,14 +354,12 @@ let run t ~instrument (text : string) : result * (float * float * float * float)
           t.txn <- None;
           raise e)
       | _ ->
-        let read_only = is_query stmt in
         let run_once () =
-          let txn = Database.begin_txn ~read_only t.db in
+          let txn = Database.begin_txn ~read_only:(is_query stmt) t.db in
           try
-            if not read_only then
-              List.iter
-                (fun (doc, mode) -> Database.lock_exn t.db txn ~doc ~mode)
-                locks;
+            List.iter
+              (fun (doc, mode) -> Database.lock_exn t.db txn ~doc ~mode)
+              locks;
             let r = eval txn in
             Database.commit ~park:t.park t.db txn;
             r

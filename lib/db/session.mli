@@ -30,10 +30,6 @@ val database : t -> Sedna_core.Database.t
 val id : t -> int
 (** Process-unique session number (annotated on statement spans). *)
 
-val latency : t -> Sedna_util.Metrics.histogram
-(** Statement latency of this session only (all sessions also feed the
-    registered ["stmt.latency"] histogram). *)
-
 val set_rewriter_options : t -> Sedna_xquery.Rewriter.options -> unit
 (** Per-session optimizer switches (benches/tests use this for
     ablations); the next statement compiles under them. *)

@@ -185,11 +185,17 @@ let handle_request t (conn : conn) cx (req : Wire.request) : bool (* keep going 
        | exception e -> send conn (err_of_exn e)));
     true
   | Wire.Execute text -> (
-    match conn.session with
-    | None ->
+    match (conn.session, conn.gov_id) with
+    | None, _ ->
       send conn (Wire.Err { code = "SE-PROTOCOL"; msg = "no open session" });
       true
-    | Some s ->
+    | Some _, Some gid when not (Governor.is_connected t.gov gid) ->
+      (* the governor dropped this session (a standby re-seed abandoned
+         its database, rolling back its transaction): drop the
+         connection unanswered, so the client reconnects and re-opens
+         a session on the current database *)
+      false
+    | Some s, _ ->
       (match run_execute t cx s text with
        | resp, body ->
          conn.pending <- Option.value body ~default:"";

@@ -20,7 +20,6 @@ type code =
   | Xquery_dynamic
   | Update_conflict
   | Lock_timeout
-  | Deadlock
   | Txn_read_only
   | Txn_not_active
   | Recovery_failure
@@ -51,7 +50,6 @@ let code_name = function
   | Xquery_dynamic -> "FORG0001"
   | Update_conflict -> "SE-UPDATE-CONFLICT"
   | Lock_timeout -> "SE-LOCK-TIMEOUT"
-  | Deadlock -> "SE-DEADLOCK"
   | Txn_read_only -> "SE-TXN-READONLY"
   | Txn_not_active -> "SE-TXN-NOT-ACTIVE"
   | Recovery_failure -> "SE-RECOVERY"

@@ -20,7 +20,6 @@ type code =
   | Xquery_dynamic  (** FORG0001 *)
   | Update_conflict
   | Lock_timeout
-  | Deadlock
   | Txn_read_only
   | Txn_not_active
   | Recovery_failure

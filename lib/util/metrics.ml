@@ -103,8 +103,8 @@ let default_buckets =
 
 let registry : (string, histogram) Hashtbl.t = Hashtbl.create 8
 
-let histogram ?(register = true) ?(buckets = default_buckets) hist_name =
-  match if register then Hashtbl.find_opt registry hist_name else None with
+let histogram ?(buckets = default_buckets) hist_name =
+  match Hashtbl.find_opt registry hist_name with
   | Some h -> h
   | None ->
     let h =
@@ -116,7 +116,7 @@ let histogram ?(register = true) ?(buckets = default_buckets) hist_name =
         total = 0;
       }
     in
-    if register then Hashtbl.add registry hist_name h;
+    Hashtbl.add registry hist_name h;
     h
 
 let histograms () =

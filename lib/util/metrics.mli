@@ -41,10 +41,9 @@ type histogram
 val default_buckets : float array
 (** 10 µs .. 10 s in a 1 / 2.5 / 5 ladder (seconds). *)
 
-val histogram : ?register:bool -> ?buckets:float array -> string -> histogram
-(** Find-or-create the named histogram in the global registry.
-    [~register:false] always creates a fresh anonymous one (used for
-    per-session latency so names don't collide). *)
+val histogram : ?buckets:float array -> string -> histogram
+(** Find-or-create the named histogram in the global registry
+    ([buckets] only matters on creation). *)
 
 val histograms : unit -> histogram list
 (** All registered histograms, sorted by name. *)

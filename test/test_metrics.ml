@@ -47,26 +47,10 @@ let test_counters_snapshot_zero_filter () =
     (List.assoc_opt name (Counters.snapshot ()) = Some 1);
   Counters.reset name
 
-(* ---- session isolation --------------------------------------------- *)
-
-let test_session_isolation () =
-  with_library (fun db ->
-      let s1 = Sedna_db.Session.connect db in
-      let s2 = Sedna_db.Session.connect db in
-      let q = {|count(doc("lib")/library/book)|} in
-      ignore (Sedna_db.Session.execute_string s1 q);
-      ignore (Sedna_db.Session.execute_string s1 q);
-      ignore (Sedna_db.Session.execute_string s1 q);
-      ignore (Sedna_db.Session.execute_string s2 q);
-      check_int "session latency observations" 3
-        (Metrics.hist_count (Sedna_db.Session.latency s1));
-      check_int "s2 latency observations (not polluted by s1)" 1
-        (Metrics.hist_count (Sedna_db.Session.latency s2)))
-
 (* ---- histograms ----------------------------------------------------- *)
 
 let test_histogram_edges () =
-  let h = Metrics.histogram ~register:false ~buckets:[| 1.0; 2.0; 4.0 |] "edges" in
+  let h = Metrics.histogram ~buckets:[| 1.0; 2.0; 4.0 |] "test.edges" in
   (* a value on a bucket's upper bound belongs to that bucket *)
   Metrics.observe h 1.0;
   Metrics.observe h 0.5;
@@ -78,7 +62,7 @@ let test_histogram_edges () =
   check_bool "p99 overflows to infinity" true
     (Metrics.percentile h 0.99 = Float.infinity);
   Alcotest.(check (float 1e-9)) "p20 in first bucket" 1.0 (Metrics.percentile h 0.2);
-  let empty = Metrics.histogram ~register:false ~buckets:[| 1.0 |] "empty" in
+  let empty = Metrics.histogram ~buckets:[| 1.0 |] "test.empty" in
   check_bool "empty percentile is nan" true (Float.is_nan (Metrics.percentile empty 0.5))
 
 (* ---- span store ------------------------------------------------------ *)
@@ -216,15 +200,35 @@ let test_profile_lock_timeout_aborts () =
        | _ -> Alcotest.fail "expected Lock_timeout");
       check_bool "s2 dropped out of its transaction" false
         (Sedna_db.Session.in_transaction s2);
-      check_int "s1 is the only holder" 1
-        (List.length (Sedna_core.Lock_mgr.holders (Sedna_core.Database.lock_manager db) "lib"));
-      Sedna_db.Session.commit s1)
+      (* s1 still holds its X lock: a writer from a third session is
+         refused, s1 itself goes on *)
+      let s3 = Sedna_db.Session.connect db in
+      Sedna_db.Session.begin_txn s3;
+      check_bool "s3 refused while s1 holds the document" true
+        (try
+           ignore (Sedna_db.Session.execute s3 {|UPDATE delete doc("lib")//nothing|});
+           false
+         with Sedna_util.Error.Sedna_error (Sedna_util.Error.Lock_timeout, _) -> true);
+      ignore
+        (Sedna_db.Session.execute s1
+           {|UPDATE insert <book><price>2</price></book> into doc("lib")/library|});
+      Sedna_db.Session.commit s1;
+      (* nothing of s2's or s3's refused transactions is left behind:
+         after s1's commit the document is free for an updater *)
+      Sedna_db.Session.begin_txn s2;
+      ignore
+        (Sedna_db.Session.execute s2
+           {|UPDATE insert <book><price>3</price></book> into doc("lib")/library|});
+      Alcotest.(check string) "s2 writes in a new transaction" "123"
+        (Sedna_db.Session.execute_string s2 {|count(doc("lib")/library/book)|});
+      Sedna_db.Session.commit s2)
 
 (* \profile publishes the same trace as any statement *)
 let test_profile_traced () =
   with_library (fun db ->
       let s = Sedna_db.Session.connect db in
       Span.clear ();
+      let stmts = Metrics.hist_count (Metrics.histogram "stmt.latency") in
       ignore (Sedna_db.Session.profile s {|count(doc("lib")//book)|});
       match Span.traces () with
       | [ (_, spans) ] ->
@@ -232,7 +236,8 @@ let test_profile_traced () =
         check_bool "statement span" true (named "statement");
         check_bool "compile span" true (named "compile");
         check_bool "eval span" true (named "eval");
-        check_int "latency observed" 1 (Metrics.hist_count (Sedna_db.Session.latency s))
+        check_int "latency observed" (stmts + 1)
+          (Metrics.hist_count (Metrics.histogram "stmt.latency"))
       | l -> Alcotest.failf "expected one trace, got %d" (List.length l))
 
 let suite =
@@ -240,7 +245,6 @@ let suite =
     Alcotest.test_case "diff" `Quick test_diff;
     Alcotest.test_case "snapshot filters zero cells" `Quick
       test_counters_snapshot_zero_filter;
-    Alcotest.test_case "session metric isolation" `Quick test_session_isolation;
     Alcotest.test_case "histogram bucket edges" `Quick test_histogram_edges;
     Alcotest.test_case "slow trace survives store wraparound" `Quick
       test_slow_survives_wraparound;

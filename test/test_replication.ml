@@ -458,6 +458,33 @@ let test_client_failover () =
   Recv.stop recv;
   (try Governor.shutdown gov_p with _ -> ())
 
+(* A re-seed abandons the standby database its sessions were bound to:
+   a client of the standby server reconnects, reads the re-seeded
+   store, and writes once the standby is promoted *)
+let test_client_survives_reseed () =
+  with_pair (fun ~gov_p:_ ~gov_s ~db ~sender:_ ~recv ->
+      insert db "one";
+      caught_up db recv;
+      let srv = Server.start ~on_promote:(fun () -> Recv.promote recv) gov_s in
+      Fun.protect
+        ~finally:(fun () -> Server.stop ~shutdown_governor:false srv)
+        (fun () ->
+          let c = Client.connect ~port:(Server.port srv) () in
+          ignore (Client.open_db c "db");
+          let count () = Client.execute_string c {|count(doc("d")/r/e)|} in
+          Alcotest.(check string) "standby read" "1" (count ());
+          let reseeds = Counters.get Counters.repl_reseeds in
+          Database.checkpoint db;
+          insert db "two";
+          caught_up db recv;
+          Alcotest.(check bool) "re-seeded" true
+            (Counters.get Counters.repl_reseeds > reseeds);
+          Alcotest.(check string) "read from the re-seeded store" "2" (count ());
+          ignore (Recv.promote recv);
+          ignore (Client.execute c {|UPDATE insert <e>three</e> into doc("d")/r|});
+          Alcotest.(check string) "write after promotion" "3" (count ());
+          Client.close c))
+
 let suite =
   [
     Alcotest.test_case "wal epoch bumps on reset" `Quick test_wal_epoch_bumps;
@@ -485,4 +512,6 @@ let suite =
       test_heartbeat_fault_fires;
     Alcotest.test_case "client failover + promote over the wire" `Quick
       test_client_failover;
+    Alcotest.test_case "standby client survives a re-seed" `Quick
+      test_client_survives_reseed;
   ]

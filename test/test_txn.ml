@@ -1,7 +1,13 @@
-(* Transaction tests (paper §6): atomicity, S2PL locking with deadlock
-   detection, snapshot reads, version purging. *)
+(* Transaction tests (paper §6): atomicity, no-wait S2PL locking,
+   snapshot reads, version purging. *)
 
 open Sedna_core
+
+(* did [f] refuse with SE-LOCK-TIMEOUT? *)
+let refused f =
+  match f () with
+  | () -> false
+  | exception Sedna_util.Error.Sedna_error (Sedna_util.Error.Lock_timeout, _) -> true
 
 let test_commit_visible () =
   Test_util.with_db (fun db ->
@@ -36,107 +42,169 @@ let test_abort_restores_catalog () =
       Alcotest.(check bool) "temp gone" true
         (Catalog.find_document (Database.catalog db) "temp" = None))
 
+(* No-wait S2PL: shared locks coexist; an upgrade is refused while
+   another transaction holds the document and granted once it is
+   alone; a refusal does not end the transaction *)
 let test_lock_conflicts () =
   Test_util.with_db (fun db ->
-      ignore (Test_util.load db "d" "<a/>");
       let t1 = Database.begin_txn db in
       let t2 = Database.begin_txn db in
-      Alcotest.(check bool) "t1 S granted" true
-        (Database.lock db t1 ~doc:"d" ~mode:Lock_mgr.Shared = Lock_mgr.Granted);
-      Alcotest.(check bool) "t2 S granted" true
-        (Database.lock db t2 ~doc:"d" ~mode:Lock_mgr.Shared = Lock_mgr.Granted);
-      (* t2 upgrade blocks behind t1's shared lock *)
-      Alcotest.(check bool) "t2 X blocked" true
-        (Database.lock db t2 ~doc:"d" ~mode:Lock_mgr.Exclusive = Lock_mgr.Blocked);
-      (* releasing t1 promotes t2 *)
+      let lock txn mode = Database.lock_exn db txn ~doc:"d" ~mode in
+      lock t1 Lock_mgr.Shared;
+      lock t2 Lock_mgr.Shared;
+      Alcotest.(check bool) "t2 upgrade refused" true
+        (refused (fun () -> lock t2 Lock_mgr.Exclusive));
       Database.commit db t1;
-      Alcotest.(check bool) "t2 now exclusive" true
-        (Lock_mgr.holds (Database.lock_manager db) "d" t2.Txn.id
-         = Some Lock_mgr.Exclusive);
-      Database.commit db t2)
-
-let test_deadlock_detection () =
-  Test_util.with_db (fun db ->
-      ignore (Test_util.load db "x" "<a/>");
-      ignore (Test_util.load db "y" "<a/>");
-      let t1 = Database.begin_txn db in
-      let t2 = Database.begin_txn db in
-      Alcotest.(check bool) "t1 X x" true
-        (Database.lock db t1 ~doc:"x" ~mode:Lock_mgr.Exclusive = Lock_mgr.Granted);
-      Alcotest.(check bool) "t2 X y" true
-        (Database.lock db t2 ~doc:"y" ~mode:Lock_mgr.Exclusive = Lock_mgr.Granted);
-      Alcotest.(check bool) "t1 waits for y" true
-        (Database.lock db t1 ~doc:"y" ~mode:Lock_mgr.Exclusive = Lock_mgr.Blocked);
-      Alcotest.(check bool) "t2 -> x is a deadlock" true
-        (Database.lock db t2 ~doc:"x" ~mode:Lock_mgr.Exclusive
-         = Lock_mgr.Deadlock_detected);
-      Database.abort db t2;
-      (* t1's queued request for y is granted once t2 dies *)
-      Alcotest.(check bool) "t1 got y" true
-        (Lock_mgr.holds (Database.lock_manager db) "y" t1.Txn.id
-         = Some Lock_mgr.Exclusive);
-      Database.commit db t1)
-
-let test_three_txn_deadlock_cycle () =
-  Test_util.with_db (fun db ->
-      ignore (Test_util.load db "x" "<a/>");
-      ignore (Test_util.load db "y" "<a/>");
-      ignore (Test_util.load db "z" "<a/>");
-      let lm = Database.lock_manager db in
-      let t1 = Database.begin_txn db in
-      let t2 = Database.begin_txn db in
+      lock t2 Lock_mgr.Exclusive;
       let t3 = Database.begin_txn db in
-      let x txn doc = Database.lock db txn ~doc ~mode:Lock_mgr.Exclusive in
-      Alcotest.(check bool) "t1 X x" true (x t1 "x" = Lock_mgr.Granted);
-      Alcotest.(check bool) "t2 X y" true (x t2 "y" = Lock_mgr.Granted);
-      Alcotest.(check bool) "t3 X z" true (x t3 "z" = Lock_mgr.Granted);
-      (* t1 -> t2 -> t3 -> t1: only the last edge closes the cycle *)
-      Alcotest.(check bool) "t1 waits for y" true (x t1 "y" = Lock_mgr.Blocked);
-      Alcotest.(check bool) "t2 waits for z" true (x t2 "z" = Lock_mgr.Blocked);
-      Alcotest.(check bool) "t3 -> x closes the cycle" true
-        (x t3 "x" = Lock_mgr.Deadlock_detected);
-      (* aborting the victim breaks the cycle: t2's queued request for z
-         is promoted, then the survivors unwind in turn *)
-      Database.abort db t3;
-      Alcotest.(check bool) "t2 promoted to z" true
-        (Lock_mgr.holds lm "z" t2.Txn.id = Some Lock_mgr.Exclusive);
+      Alcotest.(check bool) "t3 S refused behind t2's X" true
+        (refused (fun () -> lock t3 Lock_mgr.Shared));
       Database.commit db t2;
-      Alcotest.(check bool) "t1 promoted to y" true
-        (Lock_mgr.holds lm "y" t1.Txn.id = Some Lock_mgr.Exclusive);
-      Database.commit db t1;
-      (* nothing left behind in the lock tables *)
-      List.iter
-        (fun doc ->
-          Alcotest.(check int) (doc ^ " holders drained") 0
-            (List.length (Lock_mgr.holders lm doc));
-          Alcotest.(check int) (doc ^ " waiters drained") 0
-            (List.length (Lock_mgr.waiters lm doc)))
-        [ "x"; "y"; "z" ])
+      lock t3 Lock_mgr.Exclusive;
+      Database.commit db t3)
 
 let test_timeout_leaves_lock_tables_clean () =
   Test_util.with_db (fun db ->
       ignore (Test_util.load db "d" "<a><n>0</n></a>");
-      let lm = Database.lock_manager db in
       let s1 = Sedna_db.Session.connect db in
       let s2 = Sedna_db.Session.connect db in
       Sedna_db.Session.begin_txn s1;
       ignore (Sedna_db.Session.execute s1 {|UPDATE replace $n in doc("d")/a/n with <n>1</n>|});
       Sedna_db.Session.begin_txn s2;
       (* Lock_timeout is a catchable statement error that aborts only
-         s2's transaction; neither its lock nor its queued request may
-         survive the abort *)
+         s2's transaction; nothing of it may survive the abort *)
       (match Sedna_db.Session.execute s2 {|UPDATE replace $n in doc("d")/a/n with <n>2</n>|} with
        | exception Sedna_util.Error.Sedna_error (Sedna_util.Error.Lock_timeout, _) -> ()
        | _ -> Alcotest.fail "expected Lock_timeout");
       Alcotest.(check bool) "s2 dropped out of its transaction" false
         (Sedna_db.Session.in_transaction s2);
-      Alcotest.(check int) "s1 is the only holder" 1
-        (List.length (Lock_mgr.holders lm "d"));
-      Alcotest.(check int) "no queued waiters" 0
-        (List.length (Lock_mgr.waiters lm "d"));
+      (* s1 is the only holder: another updater is refused, s1 goes on *)
+      let t3 = Database.begin_txn db in
+      Alcotest.(check bool) "s1 still holds d" true
+        (refused (fun () -> Database.lock_exn db t3 ~doc:"d" ~mode:Lock_mgr.Shared));
+      Database.abort db t3;
+      ignore (Sedna_db.Session.execute s1 {|UPDATE replace $n in doc("d")/a/n with <n>3</n>|});
       Sedna_db.Session.commit s1;
-      Alcotest.(check int) "tables drained after commit" 0
-        (List.length (Lock_mgr.holders lm "d")))
+      (* tables drained after commit: a fresh updater is granted X *)
+      let t4 = Database.begin_txn db in
+      Database.lock_exn db t4 ~doc:"d" ~mode:Lock_mgr.Exclusive;
+      Database.commit db t4;
+      Alcotest.(check string) "s1's writes committed" "3"
+        (Test_util.exec db {|string(doc("d")/a/n)|}))
+
+(* A read-only transaction reads its snapshot and holds no lock, so an
+   auto-commit writer on the same document goes through at once *)
+let test_read_only_never_locks () =
+  Test_util.with_db (fun db ->
+      ignore (Test_util.load db "d" "<r><x/></r>");
+      let q = {|count(doc("d")//x)|} in
+      let s1 = Sedna_db.Session.connect db in
+      Sedna_db.Session.begin_txn ~read_only:true s1;
+      Alcotest.(check string) "reader" "1" (Sedna_db.Session.execute_string s1 q);
+      let restarts = Sedna_util.Counters.get Sedna_util.Counters.stmt_lock_restarts in
+      ignore
+        (Sedna_db.Session.execute (Sedna_db.Session.connect db)
+           {|UPDATE insert <x/> into doc("d")/r|});
+      Alcotest.(check int) "writer never restarted" restarts
+        (Sedna_util.Counters.get Sedna_util.Counters.stmt_lock_restarts);
+      Alcotest.(check string) "reader keeps its snapshot" "1"
+        (Sedna_db.Session.execute_string s1 q);
+      Sedna_db.Session.commit s1;
+      Alcotest.(check string) "the write committed" "2" (Test_util.exec db q))
+
+(* ---- lock rule against a holder-list model --------------------------- *)
+
+(* Random requests from three transaction slots on three documents,
+   through [begin_txn]/[lock_exn]/[commit]/[abort].  The model keeps
+   each open slot's held modes: a request is granted iff the slot is
+   read-only, already holds X or the same mode, or no other open slot
+   holds a conflicting mode on the document. *)
+type lock_op =
+  | Begin of bool (* read-only *)
+  | Lock of int * Lock_mgr.mode
+  | Commit
+  | Abort
+
+let show_lock_op (slot, op) =
+  Printf.sprintf "t%d:%s" slot
+    (match op with
+     | Begin ro -> if ro then "begin-ro" else "begin"
+     | Lock (d, Lock_mgr.Shared) -> Printf.sprintf "S%d" d
+     | Lock (d, Lock_mgr.Exclusive) -> Printf.sprintf "X%d" d
+     | Commit -> "commit"
+     | Abort -> "abort")
+
+let arb_lock_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map show_lock_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(
+      list_size (int_range 1 40)
+        (pair (int_range 0 2)
+           (frequency
+              [
+                (2, map (fun ro -> Begin ro) bool);
+                ( 6,
+                  map2
+                    (fun d x -> Lock (d, if x then Lock_mgr.Exclusive else Lock_mgr.Shared))
+                    (int_range 0 2) bool );
+                (1, return Commit);
+                (1, return Abort);
+              ])))
+
+let prop_lock_model ops =
+  Test_util.with_db (fun db ->
+      (* slot -> transaction, its read-only flag and modeled holdings *)
+      let slots = Array.make 3 None in
+      let doc d = Printf.sprintf "d%d" d in
+      let grants ~except ~ro ~held d mode =
+        let conflicts (i, slot) =
+          match slot with
+          | Some (_, _, holds) when i <> except -> (
+            match List.assoc_opt d holds with
+            | Some m -> not (Lock_mgr.compatible mode m)
+            | None -> false)
+          | _ -> false
+        in
+        ro
+        || held = Some Lock_mgr.Exclusive
+        || held = Some mode
+        || not (Seq.exists conflicts (Array.to_seqi slots))
+      in
+      let granted txn d mode =
+        not (refused (fun () -> Database.lock_exn db txn ~doc:(doc d) ~mode))
+      in
+      let step (i, op) =
+        match (op, slots.(i)) with
+        | Begin ro, None ->
+          slots.(i) <- Some (Database.begin_txn ~read_only:ro db, ro, []);
+          true
+        | Lock (d, mode), Some (txn, ro, holds) ->
+          let held = List.assoc_opt d holds in
+          let want = grants ~except:i ~ro ~held d mode in
+          let got = granted txn d mode in
+          if got && not ro && held <> Some Lock_mgr.Exclusive then
+            slots.(i) <- Some (txn, ro, (d, mode) :: List.remove_assoc d holds);
+          want = got
+        | (Commit | Abort), Some (txn, _, holds) ->
+          if op = Commit then Database.commit db txn else Database.abort db txn;
+          slots.(i) <- None;
+          (* the released requests, from a fresh updater: granted
+             unless another open slot still conflicts *)
+          let fresh = Database.begin_txn db in
+          let ok =
+            List.for_all
+              (fun (d, mode) ->
+                granted fresh d mode = grants ~except:i ~ro:false ~held:None d mode)
+              holds
+          in
+          Database.abort db fresh;
+          ok
+        | _ -> true
+      in
+      let ok = List.for_all step ops in
+      Array.iter (Option.iter (fun (txn, _, _) -> Database.abort db txn)) slots;
+      ok)
 
 let test_snapshot_reader () =
   Test_util.with_db (fun db ->
@@ -425,9 +493,10 @@ let suite =
     Alcotest.test_case "abort restores pages" `Quick test_abort_restores;
     Alcotest.test_case "abort restores catalog" `Quick test_abort_restores_catalog;
     Alcotest.test_case "lock conflicts and upgrade" `Quick test_lock_conflicts;
-    Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
-    Alcotest.test_case "three-txn deadlock cycle" `Quick
-      test_three_txn_deadlock_cycle;
+    Test_util.qcheck_case ~count:100 "lock rule matches the holder model" arb_lock_ops
+      prop_lock_model;
+    Alcotest.test_case "read-only transactions never lock" `Quick
+      test_read_only_never_locks;
     Alcotest.test_case "timeout leaves lock tables clean" `Quick
       test_timeout_leaves_lock_tables_clean;
     Alcotest.test_case "snapshot reader" `Quick test_snapshot_reader;
