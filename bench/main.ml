@@ -1328,61 +1328,24 @@ let e17 () =
     [ 1; 4; 16 ]
 
 (* ------------------------------------------------------------------ *)
-(* CRASH — crash-recovery matrix (crash-safety hardening)              *)
+(* CRASH, CHAOS, HEAL — the three fault drill sets                      *)
 (* ------------------------------------------------------------------ *)
 
-(* One Drill run per fault spec; exits nonzero on any durability or
-   integrity failure, so CI can gate on it.  With SEDNA_FAULT set
-   ("<site>:<policy>[,...]") only those specs run; otherwise every
-   registered site is crossed with crash/torn/fail/enospc.  [repl.*]
-   specs run on a primary/standby pair, the rest on a single node. *)
-let crash () =
-  header "CRASH  crash-recovery matrix"
-    "acked commits survive an injected crash at every fault site; \
-     injected I/O failures abort cleanly";
+(* One Drill run per spec or cell of a set; exits nonzero on any
+   durability, fencing or integrity failure, so CI can gate on it.
+   SEDNA_FAULT ("<spec>[,...]") runs only the specs it names that
+   belong to the set ([kinds]) instead of the set, and skips a set it
+   names nothing of; SEDNA_CHAOS_SEED seeds the run, cell k with
+   seed + k.  A failing cell prints the two settings that replay it. *)
+module Drill = Sedna_replication.Drill
+
+let drill name ~claim ~clients ~ops ~kinds set () =
+  header name claim;
+  let set_key = String.lowercase_ascii name in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sedna-crash-%d" (Unix.getpid ()))
+      (Printf.sprintf "sedna-%s-%d" set_key (Unix.getpid ()))
   in
-  let ops = if quick () then 8 else 24 in
-  let specs =
-    match Sys.getenv_opt Sedna_util.Fault.env_var with
-    | Some specs when String.trim specs <> "" ->
-      List.map String.trim (String.split_on_char ',' specs)
-    | _ -> Sedna_replication.Drill.specs ()
-  in
-  let outcomes = List.map (Sedna_replication.Drill.run ~ops ~dir) specs in
-  List.iter (fun o -> pf "  %s\n" (Sedna_replication.Drill.render o)) outcomes;
-  let failed = List.filter (fun o -> not (Sedna_replication.Drill.ok o)) outcomes in
-  pf "\n  %d/%d specs passed\n"
-    (List.length outcomes - List.length failed)
-    (List.length outcomes);
-  record_int "crash.specs" (List.length outcomes);
-  record_int "crash.failures" (List.length failed);
-  if failed <> [] then begin
-    pf "  CRASH MATRIX FAILED\n";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* CHAOS — network chaos drills (robustness hardening)                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The chaos cells: concurrent wire clients under one seeded network
-   fault flavor per cell, a mid-run promotion in every cell, and a hard
-   exit on any invariant violation so CI can gate on it.
-   SEDNA_CHAOS_SEED replays a different (or a failed) schedule; cell k
-   runs with seed + k.  SEDNA_NETFAULT restricts the run to the named
-   cells/specs. *)
-let chaos () =
-  header "CHAOS network chaos drills — fencing and acked-commit safety"
-    "concurrent clients under seeded network faults with a mid-run \
-     promotion: no acked commit lost, no write acked past the fence";
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sedna-chaos-%d" (Unix.getpid ()))
-  in
-  let clients, ops = if quick () then (2, 12) else (4, 24) in
   let seed =
     match Sys.getenv_opt "SEDNA_CHAOS_SEED" with
     | Some s -> ( match int_of_string_opt (String.trim s) with Some n -> n | None -> 1)
@@ -1390,323 +1353,57 @@ let chaos () =
   in
   pf "  seed %d (SEDNA_CHAOS_SEED replays a schedule; %d clients x %d ops)\n\n"
     seed clients ops;
-  let cells =
-    match Sys.getenv_opt Sedna_util.Netfault.env_var with
+  let specs =
+    match Sys.getenv_opt Sedna_util.Fault.env_var with
     | Some specs when String.trim specs <> "" ->
       List.map String.trim (String.split_on_char ',' specs)
-    | _ -> Sedna_replication.Drill.cells
+      |> List.filter (fun s -> List.mem (Drill.kind_of s) kinds)
+    | _ -> set ()
   in
+  if specs = [] then pf "  %s names no %s entry: skipped\n" Sedna_util.Fault.env_var name
+  else
   let outcomes =
-    List.mapi
-      (fun k cell ->
-        Sedna_replication.Drill.run ~clients ~ops ~seed:(seed + k) ~dir cell)
-      cells
+    List.mapi (fun k spec -> Drill.run ~clients ~ops ~seed:(seed + k) ~dir spec) specs
   in
-  List.iter (fun o -> pf "  %s\n" (Sedna_replication.Drill.render o)) outcomes;
-  let failed =
-    List.filter (fun o -> not (Sedna_replication.Drill.ok o)) outcomes
-  in
-  pf "\n  %d/%d cells passed\n"
-    (List.length outcomes - List.length failed)
+  let failed = List.filter (fun o -> not (Drill.ok o)) outcomes in
+  List.iter
+    (fun o ->
+      pf "  %s\n" (Drill.render o);
+      if not (Drill.ok o) then
+        pf "       replay: %sSEDNA_FAULT='%s' SEDNA_CHAOS_SEED=%d dune exec bench/main.exe -- %s\n"
+          (if quick () then "SEDNA_BENCH_QUICK=1 " else "")
+          o.Drill.spec o.Drill.seed name)
+    outcomes;
+  pf "\n  %d/%d cells passed\n" (List.length outcomes - List.length failed)
     (List.length outcomes);
-  record_int "chaos.cells" (List.length outcomes);
-  record_int "chaos.failures" (List.length failed);
-  record_int "chaos.seed" seed;
+  record_int (set_key ^ ".cells") (List.length outcomes);
+  record_int (set_key ^ ".failures") (List.length failed);
+  record_int (set_key ^ ".seed") seed;
   if failed <> [] then begin
-    pf "  CHAOS MATRIX FAILED (replay with SEDNA_CHAOS_SEED=%d)\n" seed;
+    pf "  %s FAILED\n" name;
     exit 1
   end
 
-(* ------------------------------------------------------------------ *)
-(* HEAL — self-healing storage drill                                   *)
-(* ------------------------------------------------------------------ *)
+let crash =
+  drill "CRASH"
+    ~claim:"acked commits survive an injected crash at every storage fault site; \
+            injected I/O failures abort cleanly"
+    ~clients:1 ~ops:(if quick () then 8 else 24) ~kinds:[ Drill.Local; Pair ] Drill.specs
 
-(* Phase A: corrupt on-disk pages behind the buffer pool's back while
-   an E14-style client mix hammers an unrelated hot document, and let
-   the online scrubber repair them — one victim from a committed WAL
-   after-image, and one whose after-image a checkpoint already
-   truncated away, so only the hot standby can supply it
-   (Wire.Page_request).  No client may ever observe the corruption.
+let chaos =
+  drill "CHAOS"
+    ~claim:"concurrent clients under seeded network faults with a mid-run \
+            promotion: no acked commit lost, no write acked past the fence"
+    ~clients:(if quick () then 2 else 4) ~ops:(if quick () then 12 else 24)
+    ~kinds:[ Drill.Chaos ] (fun () -> Drill.cells)
 
-   Phase B: injected resource exhaustion (the [enospc] fault action) at
-   the watchdog's probe and then at the group-commit fsync itself must
-   flip the node into SE-DEGRADED write-shedding mode — honest
-   refusals, never a false ack, reads keep working — and the watchdog's
-   hysteresis must recover it without a restart. *)
-let heal () =
-  header "HEAL self-healing storage drill"
-    "the scrubber repairs corrupt pages online (WAL after-image and \
-     standby fetch) under client load; injected ENOSPC degrades the \
-     node to read-only and it recovers by itself";
-  let module G = Sedna_db.Governor in
-  let module Server = Sedna_server.Server in
-  let module Client = Sedna_server.Server_client in
-  let module D = Sedna_core.Database in
-  let module C = Sedna_util.Counters in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sedna-heal-%d" (Unix.getpid ()))
-  in
-  Sedna_util.Sysutil.rm_rf dir;
-  Unix.mkdir dir 0o755;
-  Sedna_util.Fault.disarm_all ();
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  (* small pool: the victims must be evicted (absent) when corrupted,
-     so their repair cannot come from a resident frame *)
-  let db = D.create ~buffer_frames:16 (Filename.concat dir "primary") in
-  let s0 = Sedna_db.Session.connect db in
-  let run q = ignore (Sedna_db.Session.execute s0 q) in
-  List.iter
-    (fun (name, root) ->
-      ignore
-        (D.with_txn db (fun txn st ->
-             D.lock_exn db txn ~doc:name ~mode:Sedna_core.Lock_mgr.Exclusive;
-             Sedna_core.Loader.load_string st ~doc_name:name root)))
-    [ ("cold", "<cold/>"); ("warm", "<warm/>"); ("hot", "<hot/>") ];
-  let pad = String.make 1000 'x' in
-  let cold_n = if quick () then 60 else 120 in
-  (* warm stays at 40 even in quick mode: it must overflow the 16-frame
-     pool so at least one warm page is evicted (absent) while its
-     after-image is still in the WAL — that page is the WAL-repair
-     victim *)
-  let warm_n = 40 in
-  for i = 1 to cold_n do
-    run
-      (Printf.sprintf {|UPDATE insert <e i="%d">%s</e> into doc("cold")/cold|}
-         i pad)
-  done;
-  (* flush everything and truncate the WAL: the cold pages now have no
-     after-image left — only the standby can repair them *)
-  D.checkpoint db;
-  for i = 1 to warm_n do
-    run
-      (Printf.sprintf {|UPDATE insert <e i="%d">%s</e> into doc("warm")/warm|}
-         i pad)
-  done;
-  (* ---- replication pair; the standby also serves page fetches ------ *)
-  let pair = Sedna_replication.Drill.start_pair ~dir db in
-  let gov_p = pair.gov_p in
-  if not (Sedna_replication.Drill.caught_up pair) then
-    fail "standby never caught up";
-  let page_srv =
-    Sedna_replication.Repl_sender.start_source ~gov:pair.gov_s (fun () ->
-        Sedna_replication.Repl_receiver.database pair.standby)
-  in
-  (* ---- pick the victims -------------------------------------------- *)
-  (* warm the hot document first so every page the client mix can touch
-     is resident — victims are then guaranteed to be cold/warm data
-     pages no client query will fault in before the scrubber heals them *)
-  run {|count(doc("hot")/hot)|};
-  let fs = Sedna_core.Buffer_mgr.store (D.buffer db) in
-  let wal_pids =
-    let tbl = Hashtbl.create 32 in
-    List.iter
-      (function
-        | Sedna_core.Wal.Image (_, pid, _) -> Hashtbl.replace tbl pid ()
-        | _ -> ())
-      (Sedna_core.Wal.committed
-         (Sedna_core.Wal.read_all (Filename.concat (D.directory db) "wal.sdb")));
-    tbl
-  in
-  let npages = Sedna_core.File_store.page_count fs in
-  let victim_wal, victim_sb =
-    G.with_engine gov_p (fun () ->
-        let pick p =
-          let rec go pid =
-            if pid >= npages then None
-            else if
-              Sedna_core.Buffer_mgr.residency (D.buffer db) pid = `Absent
-              && p pid
-            then Some pid
-            else go (pid + 1)
-          in
-          go 0
-        in
-        ( pick (fun pid -> Hashtbl.mem wal_pids pid),
-          pick (fun pid -> not (Hashtbl.mem wal_pids pid)) ))
-  in
-  let wal0 = C.get C.scrub_repaired_wal
-  and sb0 = C.get C.scrub_repaired_standby in
-  (match (victim_wal, victim_sb) with
-   | Some a, Some b ->
-     pf "  victims: page %d (WAL repair), page %d (standby repair); %d pages total\n"
-       a b npages;
-     Sedna_replication.Drill.flip_byte db a;
-     Sedna_replication.Drill.flip_byte db b
-   | _ ->
-     fail "no victim pages found (wal=%b standby=%b)" (victim_wal <> None)
-       (victim_sb <> None));
-  (* ---- scrub under client load ------------------------------------- *)
-  let scrubber =
-    Sedna_core.Scrubber.create ~pages_per_sec:2000
-      ~fetch:
-        (Sedna_replication.Repl_client.page_fetcher ~host:"127.0.0.1"
-           ~port:(Sedna_replication.Repl_sender.port page_srv)
-           db)
-      ~lock:(fun f -> G.with_engine gov_p f)
-      db
-  in
-  Sedna_core.Scrubber.start scrubber;
-  let clients = 4 in
-  let per_client = if quick () then 20 else 40 in
-  let srv =
-    Server.start
-      ~config:{ Server.default_config with pool_size = clients + 2 }
-      gov_p
-  in
-  let port = Server.port srv in
-  let client_failures = ref 0 in
-  let mu = Mutex.create () in
-  let noted e i j =
-    Mutex.lock mu;
-    incr client_failures;
-    Mutex.unlock mu;
-    pf "  client %d op %d failed: %s\n" i j (Printexc.to_string e)
-  in
-  let body i () =
-    try
-      let c = Client.connect ~port () in
-      ignore (Client.open_db c "db");
-      for j = 1 to per_client do
-        try
-          if i = 0 then
-            ignore
-              (Client.execute c
-                 (Printf.sprintf
-                    {|UPDATE insert <w c="a%d"/> into doc("hot")/hot|} j))
-          else ignore (Client.execute c {|count(doc("hot")/hot/w)|})
-        with e -> noted e i j
-      done;
-      Client.close c
-    with e -> noted e i 0
-  in
-  let ts = List.init clients (fun i -> Thread.create (body i) ()) in
-  List.iter Thread.join ts;
-  let repaired () =
-    C.get C.scrub_repaired_wal > wal0 && C.get C.scrub_repaired_standby > sb0
-  in
-  let deadline = Unix.gettimeofday () +. 15. in
-  while (not (repaired ())) && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.05
-  done;
-  Sedna_core.Scrubber.stop scrubber;
-  if not (repaired ()) then
-    fail "scrubber never repaired both victims (wal %d->%d, standby %d->%d)"
-      wal0
-      (C.get C.scrub_repaired_wal)
-      sb0
-      (C.get C.scrub_repaired_standby);
-  List.iter
-    (function
-      | Some pid ->
-        if
-          G.with_engine gov_p (fun () ->
-              Sedna_core.File_store.verify_page fs pid)
-          = `Corrupt
-        then fail "page %d still corrupt after scrub" pid
-      | None -> ())
-    [ victim_wal; victim_sb ];
-  (* full scans fault every repaired page back in: they must be readable *)
-  let cold_seen = Sedna_db.Session.execute_string s0 {|count(doc("cold")/cold/e)|} in
-  let warm_seen = Sedna_db.Session.execute_string s0 {|count(doc("warm")/warm/e)|} in
-  if cold_seen <> string_of_int cold_n then
-    fail "cold scan after repair: %s entries, want %d" cold_seen cold_n;
-  if warm_seen <> string_of_int warm_n then
-    fail "warm scan after repair: %s entries, want %d" warm_seen warm_n;
-  record_int "heal.repaired_wal" (C.get C.scrub_repaired_wal - wal0);
-  record_int "heal.repaired_standby" (C.get C.scrub_repaired_standby - sb0);
-  record_int "heal.client_failures" !client_failures;
-  row3 "scrub repair under load"
-    (Printf.sprintf "%d via WAL, %d via standby"
-       (C.get C.scrub_repaired_wal - wal0)
-       (C.get C.scrub_repaired_standby - sb0))
-    (Printf.sprintf "%d client ops, %d failures" (clients * per_client)
-       !client_failures);
-  (* ---- phase B: resource exhaustion -> degraded mode ---------------- *)
-  let wd =
-    Sedna_core.Watchdog.start ~interval_s:0.05 ~recover_after:2
-      ~dir:(Filename.concat dir "primary")
-      ~get_db:(fun () -> Some db)
-      ()
-  in
-  let wait_for what cond =
-    let d = Unix.gettimeofday () +. 5. in
-    while (not (cond ())) && Unix.gettimeofday () < d do
-      Unix.sleepf 0.01
-    done;
-    if not (cond ()) then fail "timeout waiting for %s" what
-  in
-  let c = Client.connect ~port () in
-  ignore (Client.open_db c "db");
-  (* disk full at the probe: degraded; writes shed, reads keep working *)
-  Sedna_util.Fault.arm_spec "store.enospc:enospc@1";
-  wait_for "degraded mode (probe ENOSPC)" (fun () -> D.is_degraded db);
-  (match
-     Client.execute c {|UPDATE insert <w c="b0"/> into doc("hot")/hot|}
-   with
-   | _ -> fail "write acked while degraded"
-   | exception Client.Remote_error ("SE-DEGRADED", _) -> ()
-   | exception e ->
-     fail "degraded write: wanted SE-DEGRADED, got %s" (Printexc.to_string e));
-  (match Client.execute c {|count(doc("hot")/hot/w)|} with
-   | _ -> ()
-   | exception e ->
-     fail "read while degraded failed: %s" (Printexc.to_string e));
-  wait_for "auto-recovery" (fun () -> not (D.is_degraded db));
-  (match
-     Client.execute c {|UPDATE insert <w c="b1"/> into doc("hot")/hot|}
-   with
-   | _ -> ()
-   | exception e ->
-     fail "write after recovery failed: %s" (Printexc.to_string e));
-  (* disk full at the group-commit fsync itself: the parked commit must
-     fail — never a false ack — and the node degrade again *)
-  Sedna_util.Fault.arm_spec "wal.group_sync:enospc@1";
-  (match
-     Client.execute c {|UPDATE insert <w c="b2"/> into doc("hot")/hot|}
-   with
-   | _ -> fail "commit acked across a failed group fsync"
-   | exception Client.Remote_error ("SE-DEGRADED", _) -> ()
-   | exception e ->
-     fail "fsync ENOSPC: wanted SE-DEGRADED, got %s" (Printexc.to_string e));
-  wait_for "second auto-recovery" (fun () -> not (D.is_degraded db));
-  (match
-     Client.execute c {|UPDATE insert <w c="b3"/> into doc("hot")/hot|}
-   with
-   | _ -> ()
-   | exception e ->
-     fail "write after second recovery failed: %s" (Printexc.to_string e));
-  (* every acked write present, the refused one absent (no false ack) *)
-  let b2 = Client.execute_string c {|count(doc("hot")/hot/w[@c="b2"])|} in
-  let total = Client.execute_string c {|count(doc("hot")/hot/w)|} in
-  if b2 <> "0" then fail "unacked b2 write is visible (false ack)";
-  if total <> string_of_int (per_client + 2) then
-    fail "hot writes after drill: %s present, want %d" total (per_client + 2);
-  Client.close c;
-  record_int "heal.degraded_entered" (C.get C.degraded_entered);
-  record_int "heal.degraded_recovered" (C.get C.degraded_recovered);
-  record_int "heal.rejected_writes" (C.get C.degraded_rejected_writes);
-  row3 "degraded mode"
-    (Printf.sprintf "%d episodes, %d writes shed"
-       (C.get C.degraded_entered)
-       (C.get C.degraded_rejected_writes))
-    "reads served throughout, auto-recovered twice";
-  (* ---- teardown ----------------------------------------------------- *)
-  Sedna_util.Fault.disarm_all ();
-  Sedna_core.Watchdog.stop wd;
-  Server.stop ~shutdown_governor:false srv;
-  Sedna_replication.Repl_sender.stop page_srv;
-  Sedna_replication.Drill.stop_pair pair;
-  Sedna_util.Sysutil.rm_rf dir;
-  record_int "heal.failures" (List.length !failures + !client_failures);
-  if !failures <> [] || !client_failures > 0 then begin
-    List.iter (fun m -> pf "  - %s\n" m) (List.rev !failures);
-    pf "  HEAL DRILL FAILED\n";
-    exit 1
-  end;
-  pf "\n  HEAL drill passed: both repair paths exercised, zero failed queries,\n";
-  pf "  ENOSPC shed writes honestly and recovered without a restart\n"
+let heal =
+  drill "HEAL"
+    ~claim:"the scrubber repairs corrupt pages online (WAL after-image and \
+            standby fetch) under client load; injected ENOSPC degrades the \
+            node to read-only and it recovers by itself"
+    ~clients:4 ~ops:(if quick () then 20 else 40)
+    ~kinds:[ Drill.Heal ] (fun () -> Drill.heal_cells)
 
 (* ------------------------------------------------------------------ *)
 (* TRACE — observability: span instrumentation overhead                *)

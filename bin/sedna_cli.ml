@@ -82,26 +82,15 @@ let run_statement_inner session text =
           (match armed with
            | Some p -> Printf.sprintf "  armed: %s" p
            | None -> ""))
-      (Sedna_util.Fault.report ())
+      (Sedna_util.Fault.report ());
+    List.iter
+      (fun (a, b) -> Printf.printf "partition: %s->%s\n" a b)
+      (Sedna_util.Fault.partitions ())
   | "\\faults disarm" ->
     Sedna_util.Fault.disarm_all ();
-    print_endline "all fault policies disarmed"
-  | "\\netfaults" ->
-    List.iter
-      (fun (name, hits, armed) ->
-        Printf.printf "%-20s %6d hits%s\n" name hits
-          (match armed with
-           | Some p -> Printf.sprintf "  armed: %s" p
-           | None -> ""))
-      (Sedna_util.Netfault.report ());
-    (match Sedna_util.Netfault.partitions () with
-     | [] -> ()
-     | ps -> List.iter (fun (a, b) -> Printf.printf "partition: %s->%s\n" a b) ps)
-  | "\\netfaults disarm" ->
-    Sedna_util.Netfault.disarm_all ();
-    print_endline "all network fault policies disarmed, partitions healed"
-  | "\\netfaults heal" ->
-    Sedna_util.Netfault.heal_all ();
+    print_endline "all fault policies disarmed, partitions healed"
+  | "\\faults heal" ->
+    Sedna_util.Fault.heal_all ();
     print_endline "all partitions healed"
   | "\\scrub" ->
     (* one synchronous scrub pass over the session's database (the
@@ -130,12 +119,6 @@ let run_statement_inner session text =
     let spec = String.trim (String.sub text 12 (String.length text - 12)) in
     try
       Sedna_util.Fault.arm_spec spec;
-      Printf.printf "armed %s\n" spec
-    with e -> Printf.printf "error: %s\n" (Printexc.to_string e))
-  | text when String.length text > 15 && String.sub text 0 15 = "\\netfaults arm " -> (
-    let spec = String.trim (String.sub text 15 (String.length text - 15)) in
-    try
-      Sedna_util.Netfault.arm_spec spec;
       Printf.printf "armed %s\n" spec
     with e -> Printf.printf "error: %s\n" (Printexc.to_string e))
   | text when String.length text > 7 && String.sub text 0 7 = "\\trace " -> (
@@ -175,8 +158,7 @@ let interactive session =
      \\traces \\trace <id> (span tree) \\slow (\\slow clear)\n\
      \\checkpoint \\check (integrity) \\scrub (\\scrub status)\n\
      \\explain <query> \\profile <query>\n\
-     \\faults (\\faults arm <site>:<policy>, \\faults disarm)\n\
-     \\netfaults (\\netfaults arm <spec>, \\netfaults disarm, \\netfaults heal)";
+     \\faults (\\faults arm <spec>, \\faults heal, \\faults disarm)";
   let buf = Buffer.create 256 in
   try
     while true do
@@ -441,11 +423,13 @@ let promote_mode host port db_name =
 let main db_dir create stmts serve connect promote host port db_name
     max_sessions query_timeout repl_port standby_of metrics_port scrub_rate
     repair_from slow_ms slow_log =
-  (* SEDNA_FAULT=<site>:<policy>[,...] arms injection before the
-     database opens, so recovery itself can be put under fault;
-     SEDNA_NETFAULT does the same for the wire layer *)
-  Sedna_util.Fault.arm_from_env ();
-  Sedna_util.Netfault.arm_from_env ();
+  (* SEDNA_FAULT=<spec>[,...] arms storage and network injection before
+     the database opens, so recovery itself can be put under fault; a
+     spec naming no registered site is refused, not silently inert *)
+  (try Sedna_util.Fault.arm_from_env ()
+   with Invalid_argument m | Failure m ->
+     prerr_endline ("sedna_cli: " ^ Sedna_util.Fault.env_var ^ ": " ^ m);
+     exit 1);
   (* slow-statement log: SEDNA_SLOW_MS / SEDNA_SLOW_LOG first, explicit
      flags override *)
   Sedna_util.Span.slow_init_from_env ();

@@ -412,23 +412,33 @@ let close db =
 
 (* ---- transactions --------------------------------------------------------- *)
 
-let begin_txn ?(read_only = false) db : Txn.t =
-  if db.fenced && not read_only then begin
+(* The one rule for writes: a fenced or degraded node refuses them, each
+   with its own error and counter; [what] names the refused write.  A
+   commit passes the gate again: a fence or a full disk seen after its
+   transaction began must still stop it, so nothing is acked past the
+   fence point or into a filled disk. *)
+let write_gate db ~what =
+  if db.fenced then begin
     Counters.bump Counters.fence_rejected_writes;
     Error.raise_error Error.Fenced
-      "node is fenced at cluster epoch %d: another node was promoted; writes \
+      "node is fenced at cluster epoch %d: another node was promoted; %s \
        refused"
-      db.cluster_epoch
+      db.cluster_epoch what
   end;
-  if db.degraded && not read_only then begin
+  if db.degraded then begin
     Counters.bump Counters.degraded_rejected_writes;
     Error.raise_error Error.Degraded
-      "node is degraded (%s): writes refused until resources recover"
-      db.degraded_reason
+      "node is degraded (%s): %s refused until resources recover"
+      db.degraded_reason what
+  end
+
+let begin_txn ?(read_only = false) db : Txn.t =
+  if not read_only then begin
+    write_gate db ~what:"writes";
+    if db.standby then
+      Error.raise_error Error.Standby_read_only
+        "database is a hot standby: only BEGIN READ ONLY is accepted"
   end;
-  if db.standby && not read_only then
-    Error.raise_error Error.Standby_read_only
-      "database is a hot standby: only BEGIN READ ONLY is accepted";
   let id = db.next_txn_id in
   db.next_txn_id <- id + 1;
   let snapshot_ts, reader_catalog =
@@ -542,23 +552,7 @@ let commit ?(park = fun wait -> wait ()) db (txn : Txn.t) =
     Hashtbl.remove db.active txn.Txn.id
   end
   else begin
-    (* a fence observed *after* this transaction began must still stop
-       its commit: nothing may be acked past the fence point *)
-    if db.fenced then begin
-      Counters.bump Counters.fence_rejected_writes;
-      Error.raise_error Error.Fenced
-        "node fenced at cluster epoch %d while transaction %d was open: \
-         commit refused"
-        db.cluster_epoch txn.Txn.id
-    end;
-    (* same for degraded: a disk that filled while this transaction was
-       open must not receive (or falsely ack) its commit group *)
-    if db.degraded then begin
-      Counters.bump Counters.degraded_rejected_writes;
-      Error.raise_error Error.Degraded
-        "node degraded (%s) while transaction %d was open: commit refused"
-        db.degraded_reason txn.Txn.id
-    end;
+    write_gate db ~what:"the commit of an open transaction";
     let pages = Txn.dirty_pages txn in
     (* WAL protocol: after-images + commit record appended as one
        contiguous group under the writer cursor, then an fsync covering

@@ -1,5 +1,5 @@
 (* Seeded fault drills with one operation history and one audit (see
-   the interface for the three topologies).  Each drill arms its spec,
+   the interface for the topologies).  Each drill arms its spec,
    records every insert as an op, crashes/reopens or promotes where the
    fault lands, then audits: every acked token on some survivor, every
    survivor structurally intact, plus the topology's own named checks. *)
@@ -13,11 +13,12 @@ type result = Acked of int | Refused of string | Failed of string
 
 type op = { client : int; seq : int; token : string; t0 : float; result : result }
 
-type kind = Local | Pair | Chaos
+type kind = Local | Pair | Chaos | Heal
 
 type outcome = {
   spec : string; kind : kind; seed : int; history : op list;
   fired : bool; injected : int; crashes : int; reseeds : int; fenced : bool;
+  repaired : int; degraded : int;
   attempted : int; acked : int; refused : int; lost : int;
   post_fence_acked : int; new_primary_acked : int; failures : string list;
 }
@@ -33,6 +34,7 @@ let render o =
       Printf.sprintf "chaos seed %d post-fence %d new-primary %d%s" o.seed
         o.post_fence_acked o.new_primary_acked
         (if o.fenced then " fenced" else "")
+    | Heal -> Printf.sprintf "heal  repaired %d degraded %d" o.repaired o.degraded
   in
   Printf.sprintf "%s %-28s acked %d/%d refused %d lost %d injected %d  %s%s"
     (if ok o then "PASS" else "FAIL")
@@ -48,7 +50,7 @@ let policies = [ "crash@2"; "torn@2"; "fail@1"; "enospc@1" ]
 let specs () =
   List.concat_map
     (fun site -> List.map (fun p -> site ^ ":" ^ p) policies)
-    (Fault.sites ())
+    (Fault.sites ~plane:Fault.Storage ())
 
 (* Frame-level [drop] is deliberately absent: on a blocking
    request/response protocol a vanished frame is an unbounded client
@@ -62,9 +64,14 @@ let cell_spec ~seed = function
   | "partition" -> "part:primary<->standby"
   | s -> s
 
+(* HEAL: online scrub repair under client load, then injected ENOSPC
+   and degraded mode *)
+let heal_cells = [ "scrub"; "enospc" ]
+
 let kind_of spec =
   let has prefix = String.starts_with ~prefix spec in
-  if List.mem spec cells || has "net." || has "part:" then Chaos
+  if List.mem spec heal_cells then Heal
+  else if List.mem spec cells || has "net." || has "part:" then Chaos
   else if has "repl." then Pair
   else Local
 
@@ -84,6 +91,14 @@ let fail r fmt =
   Printf.ksprintf (fun m -> locked r (fun () -> r.failures <- m :: r.failures)) fmt
 
 let clean r = locked r (fun () -> r.failures = [])
+
+(* an unknown site, an action of the other plane or a malformed spec
+   fails the run instead of arming nothing *)
+let arm r spec =
+  match Fault.arm_spec spec with
+  | () -> ()
+  | exception Invalid_argument m -> fail r "%s" m
+  | exception Failure m -> fail r "bad spec %s: %s" spec m
 
 (* Run one insert as op [seq] of [client] and record it.  [send] runs
    the statement and returns the port of the node that acked it.  Clean
@@ -173,8 +188,7 @@ let flip_byte db pid =
       ignore (Unix.lseek fd off Unix.SEEK_SET);
       ignore (Unix.write fd b 0 1))
 
-let injections () =
-  Counters.get Counters.fault_injected + Counters.get Counters.net_injected
+let injections () = Counters.get Counters.fault_injected
 
 (* ---- the primary/standby pair ---------------------------------------- *)
 
@@ -218,7 +232,7 @@ let log_pair r ~dir =
 
 (* ---- local: crash, reopen, recover ------------------------------------ *)
 
-exception Dead (* reopen after a crash failed: abandon the run *)
+exception Dead (* a bad spec, or reopen after a crash failed: abandon the run *)
 
 let degraded = function
   | Error.Sedna_error (Error.Degraded, _) -> true
@@ -289,8 +303,9 @@ let run_local r ~ops ~dir spec =
           (fun () -> ignore (Scrubber.run_pass (Scrubber.create !db))))
       last
   in
-  Fault.arm_spec spec;
+  arm r spec;
   (try
+     if not (clean r) then raise Dead;
      for i = 1 to ops do
        guarded (Printf.sprintf "insert %d" i) (fun () ->
            ignore
@@ -338,7 +353,7 @@ let run_pair r ~ops ~dir spec =
   let db, p = log_pair r ~dir in
   Fun.protect ~finally:(fun () -> stop_pair p) @@ fun () ->
   let injected0 = injections () in
-  Fault.arm_spec spec;
+  arm r spec;
   if clean r then begin
     for i = 1 to ops do
       (match
@@ -428,8 +443,7 @@ let run_chaos r ~ops ~clients ~dir spec =
     Scrubber.create ~pages_per_sec:500 ~lock:(Governor.with_engine p.gov_p) db
   in
   Scrubber.start scrubber;
-  (try Netfault.arm_spec spec
-   with e -> fail r "bad spec %s: %s" spec (Printexc.to_string e));
+  arm r spec;
   let endpoints = [ ("127.0.0.1", p_port); ("127.0.0.1", s_port) ] in
   (* raised once the fence is confirmed (or given up on): every tail
      write starts after the fence point *)
@@ -472,7 +486,7 @@ let run_chaos r ~ops ~clients ~dir spec =
   done;
   (try ignore (Repl_receiver.promote p.standby)
    with e -> fail r "promote failed: %s" (Printexc.to_string e));
-  Netfault.heal_all ();
+  Fault.heal_all ();
   let fence = ref infinity in
   (match Repl_receiver.database p.standby with
    | None -> fail r "no standby database after promotion"
@@ -496,7 +510,7 @@ let run_chaos r ~ops ~clients ~dir spec =
      else fail r "deposed primary never fenced");
   tail_go := true;
   List.iter Thread.join threads;
-  Netfault.disarm_all ();
+  Fault.disarm_all ();
   let counts =
     match Repl_receiver.database p.standby with
     | Some sdb when clean r ->
@@ -525,31 +539,223 @@ let run_chaos r ~ops ~clients ~dir spec =
   stop_pair p;
   (0, fenced, counts)
 
+(* ---- heal: scrub repair under load, then degraded mode -------------- *)
+
+(* Corrupt two clean pages behind the buffer pool while clients write
+   the log and read it, and let the online scrubber repair them: one
+   from a committed WAL after-image, one whose after-image a checkpoint
+   already truncated away, so only the hot standby can supply it
+   (Wire.Page_request).  No client may ever see the corruption. *)
+let run_scrub r ~ops ~clients ~dir =
+  (* small pool: the victims must be evicted (absent) when corrupted,
+     so their repair cannot come from a resident frame *)
+  let db = Database.create ~buffer_frames:16 (Filename.concat dir "primary") in
+  List.iter (fun name -> load db name ("<" ^ name ^ "/>")) [ "cold"; "warm"; "log" ];
+  let fill name n =
+    for i = 1 to n do
+      exec db
+        (Printf.sprintf {|UPDATE insert <e i="%d">%s</e> into doc("%s")/%s|} i
+           (String.make 1000 'x') name name)
+    done
+  in
+  let cold_n = 3 * ops and warm_n = 40 in
+  fill "cold" cold_n;
+  (* flush everything and truncate the WAL: the cold pages now have no
+     after-image left — only the standby can repair them *)
+  Database.checkpoint db;
+  (* warm stays at 40 in every mode: it must overflow the 16-frame pool
+     so at least one warm page is evicted (absent) while its after-image
+     is still in the WAL — that page is the WAL-repair victim *)
+  fill "warm" warm_n;
+  let p = start_pair ~dir db in
+  Fun.protect ~finally:(fun () -> stop_pair p) @@ fun () ->
+  if not (caught_up p) then fail r "standby never caught up";
+  let page_srv =
+    Repl_sender.start_source ~gov:p.gov_s (fun () -> Repl_receiver.database p.standby)
+  in
+  Fun.protect ~finally:(fun () -> Repl_sender.stop page_srv) @@ fun () ->
+  (* make the log resident first: every page the clients touch is then
+     in the pool, so the victims are cold/warm pages no client query
+     faults in before the scrubber heals them *)
+  exec db {|count(doc("log")/log)|};
+  let fs = Buffer_mgr.store (Database.buffer db) in
+  let wal_pids = Hashtbl.create 32 in
+  List.iter
+    (function Wal.Image (_, pid, _) -> Hashtbl.replace wal_pids pid () | _ -> ())
+    (Wal.committed (Wal.read_all (Filename.concat (Database.directory db) "wal.sdb")));
+  let npages = File_store.page_count fs in
+  let pick wal =
+    let rec go pid =
+      if pid >= npages then None
+      else if
+        Buffer_mgr.residency (Database.buffer db) pid = `Absent
+        && Hashtbl.mem wal_pids pid = wal
+      then Some pid
+      else go (pid + 1)
+    in
+    go 0
+  in
+  let victims = Governor.with_engine p.gov_p (fun () -> [ pick true; pick false ]) in
+  let wal0 = Counters.get Counters.scrub_repaired_wal
+  and sb0 = Counters.get Counters.scrub_repaired_standby in
+  let victims =
+    match victims with
+    | [ Some a; Some b ] ->
+      flip_byte db a;
+      flip_byte db b;
+      [ a; b ]
+    | _ ->
+      fail r "no victim pages found";
+      []
+  in
+  let scrubber =
+    Scrubber.create ~pages_per_sec:2000
+      ~fetch:
+        (Repl_client.page_fetcher ~host:"127.0.0.1" ~port:(Repl_sender.port page_srv) db)
+      ~lock:(Governor.with_engine p.gov_p) db
+  in
+  Scrubber.start scrubber;
+  let config = { Server.default_config with Server.pool_size = clients + 2 } in
+  let srv = Server.start ~config p.gov_p in
+  Fun.protect ~finally:(fun () -> Server.stop ~shutdown_governor:false srv) @@ fun () ->
+  let port = Server.port srv in
+  (* client 0 writes the log, the others read it *)
+  let client c () =
+    match Server_client.connect ~port () with
+    | exception e -> fail r "client %d never connected: %s" c (Printexc.to_string e)
+    | cl ->
+      (try ignore (Server_client.open_db cl "db")
+       with e -> fail r "client %d open failed: %s" c (Printexc.to_string e));
+      for i = 1 to ops do
+        try
+          if c > 0 then ignore (Server_client.execute cl {|count(doc("log")/log/entry)|})
+          else
+            match
+              invoke r ~client:c ~seq:i ~pad:0 (fun stmt ->
+                  ignore (Server_client.execute cl stmt);
+                  port)
+            with
+            | Acked _ -> ()
+            | Refused m | Failed m -> fail r "client %d op %d refused: %s" c i m
+        with e -> fail r "client %d op %d failed: %s" c i (Printexc.to_string e)
+      done;
+      (try Server_client.close cl with _ -> ())
+  in
+  List.iter Thread.join (List.init clients (fun c -> Thread.create (client c) ()));
+  let repaired () =
+    Counters.get Counters.scrub_repaired_wal > wal0
+    && Counters.get Counters.scrub_repaired_standby > sb0
+  in
+  let deadline = Unix.gettimeofday () +. 15. in
+  while (not (repaired ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.05
+  done;
+  Scrubber.stop scrubber;
+  if not (repaired ()) then
+    fail r "scrubber never repaired both victims (wal %d->%d, standby %d->%d)" wal0
+      (Counters.get Counters.scrub_repaired_wal)
+      sb0
+      (Counters.get Counters.scrub_repaired_standby);
+  List.iter
+    (fun pid ->
+      if Governor.with_engine p.gov_p (fun () -> File_store.verify_page fs pid) = `Corrupt
+      then fail r "page %d still corrupt after scrub" pid)
+    victims;
+  (* full scans fault every repaired page back in: they must be readable *)
+  List.iter
+    (fun (name, n) ->
+      let seen =
+        Session.execute_string (Session.connect db)
+          (Printf.sprintf {|count(doc("%s")/%s/e)|} name name)
+      in
+      if seen <> string_of_int n then
+        fail r "%s scan after repair: %s entries, want %d" name seen n)
+    [ ("cold", cold_n); ("warm", warm_n) ];
+  audit r ~survivors:[ ("primary", db) ] ()
+
+(* Injected resource exhaustion, first at the watchdog's probe and then
+   at the group-commit fsync itself, must flip the node into
+   SE-DEGRADED write shedding — honest refusals, never a false ack,
+   reads keep working — and the watchdog's hysteresis must recover it
+   without a restart. *)
+let run_enospc r ~dir =
+  let db, p = log_pair r ~dir in
+  Fun.protect ~finally:(fun () -> stop_pair p) @@ fun () ->
+  let srv = Server.start p.gov_p in
+  Fun.protect ~finally:(fun () -> Server.stop ~shutdown_governor:false srv) @@ fun () ->
+  let wd =
+    Watchdog.start ~interval_s:0.05 ~recover_after:2
+      ~dir:(Filename.concat dir "primary")
+      ~get_db:(fun () -> Some db)
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Watchdog.stop wd) @@ fun () ->
+  let port = Server.port srv in
+  let cl = Server_client.connect ~port () in
+  ignore (Server_client.open_db cl "db");
+  let wait_for what cond =
+    let d = Unix.gettimeofday () +. 5. in
+    while (not (cond ())) && Unix.gettimeofday () < d do Unix.sleepf 0.01 done;
+    if not (cond ()) then fail r "timeout waiting for %s" what
+  in
+  let seq = ref 0 in
+  let write what ~acked =
+    incr seq;
+    match
+      invoke r ~client:0 ~seq:!seq ~pad:0 (fun stmt ->
+          ignore (Server_client.execute cl stmt);
+          port)
+    with
+    | Acked _ when acked -> ()
+    | Acked _ -> fail r "%s: acked, wanted SE-DEGRADED" what
+    | Refused m | Failed m -> fail r "%s: %s" what m
+    (* the shed write stays in the history as [Failed]: only acked ops
+       are audited *)
+    | exception Server_client.Remote_error ("SE-DEGRADED", _) when not acked -> ()
+    | exception e -> fail r "%s: %s" what (Printexc.to_string e)
+  in
+  (* disk full at the probe: degraded; writes shed, reads keep working *)
+  arm r "store.enospc:enospc@1";
+  wait_for "degraded mode (probe ENOSPC)" (fun () -> Database.is_degraded db);
+  write "write while degraded" ~acked:false;
+  (match Server_client.execute cl {|count(doc("log")/log/entry)|} with
+   | _ -> ()
+   | exception e -> fail r "read while degraded failed: %s" (Printexc.to_string e));
+  wait_for "auto-recovery" (fun () -> not (Database.is_degraded db));
+  write "write after recovery" ~acked:true;
+  (* disk full at the group-commit fsync itself: the parked commit must
+     fail — never a false ack — and the node degrade again *)
+  arm r "wal.group_sync:enospc@1";
+  write "commit across a failed group fsync" ~acked:false;
+  wait_for "second auto-recovery" (fun () -> not (Database.is_degraded db));
+  write "write after second recovery" ~acked:true;
+  (* a shed write leaves no trace: the log holds the two acked entries *)
+  let n = Server_client.execute_string cl {|count(doc("log")/log/entry)|} in
+  if n <> "2" then fail r "log holds %s entries after the drill, want the 2 acked" n;
+  (try Server_client.close cl with _ -> ());
+  audit r ~survivors:[ ("primary", db) ] ()
+
 (* ---- one entry point ---------------------------------------------------- *)
 
 let run ?(ops = 12) ?(clients = 4) ?(seed = 1) ~dir spec =
-  let reset () = Fault.disarm_all (); Netfault.disarm_all (); Sysutil.rm_rf dir in
+  let reset () = Fault.disarm_all (); Sysutil.rm_rf dir in
   reset ();
   Unix.mkdir dir 0o755;
   let kind = kind_of spec in
   let spec = if kind = Chaos then cell_spec ~seed spec else spec in
   let r = { mu = Mutex.create (); ops = []; failures = [] } in
-  let injected0 = injections () and reseeds0 = Counters.get Counters.repl_reseeds in
+  let repairs () =
+    Counters.(get scrub_repaired_pool + get scrub_repaired_wal + get scrub_repaired_standby)
+  in
+  let injected0 = injections () and reseeds0 = Counters.get Counters.repl_reseeds
+  and repaired0 = repairs () and degraded0 = Counters.get Counters.degraded_entered in
   let crashes, fenced, (lost, post, fresh) =
     match kind with
+    | Local -> run_local r ~ops ~dir spec
+    | Pair -> run_pair r ~ops ~dir spec
     | Chaos -> run_chaos r ~ops ~clients ~dir spec
-    | Local | Pair -> (
-      (* [Fault.arm] registers any name, so a misspelled site would
-         simply never fire: refuse it before arming *)
-      match Fault.parse_spec spec with
-      | exception Invalid_argument m ->
-        fail r "bad spec %s: %s" spec m;
-        (0, false, (0, 0, 0))
-      | site, _ when Fault.find site = None ->
-        fail r "unknown fault site %S" site;
-        (0, false, (0, 0, 0))
-      | _ when kind = Local -> run_local r ~ops ~dir spec
-      | _ -> run_pair r ~ops ~dir spec)
+    | Heal when spec = "scrub" -> (0, false, run_scrub r ~ops ~clients ~dir)
+    | Heal -> (0, false, run_enospc r ~dir)
   in
   reset ();
   let history = List.rev r.ops in
@@ -557,6 +763,8 @@ let run ?(ops = 12) ?(clients = 4) ?(seed = 1) ~dir spec =
   let injected = injections () - injected0 in
   { spec; kind; seed; history; fired = injected > 0; injected; crashes;
     reseeds = Counters.get Counters.repl_reseeds - reseeds0; fenced;
+    repaired = repairs () - repaired0;
+    degraded = Counters.get Counters.degraded_entered - degraded0;
     attempted = List.length history;
     acked = count (function Acked _ -> true | _ -> false);
     refused = count (function Refused _ -> true | _ -> false);

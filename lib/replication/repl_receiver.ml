@@ -331,7 +331,7 @@ let connect_primary t =
   try
     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string t.host, t.port));
     Unix.setsockopt fd Unix.TCP_NODELAY true;
-    Netfault.register fd ~local:"standby" ~peer:"primary";
+    Fault.register fd ~local:"standby" ~peer:"primary";
     fd
   with e ->
     (try Unix.close fd with _ -> ());
@@ -359,7 +359,7 @@ let session_loop t () =
          ());
       Counters.set Counters.repl_standby_connected 0;
       t.fd <- None;
-      Netfault.unregister fd;
+      Fault.unregister fd;
       (try Unix.close fd with _ -> ());
       if not t.stopping then Unix.sleepf t.poll_s
   done
@@ -442,7 +442,7 @@ let stop t =
    | Some fd ->
      (* the pull thread may be parked in a partitioned send/recv;
         release it or this join deadlocks until the partition heals *)
-     Netfault.interrupt fd;
+     Fault.interrupt fd;
      (try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
    | None -> ());
   (match t.thread with Some th -> Thread.join th | None -> ());

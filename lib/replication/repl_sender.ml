@@ -208,13 +208,13 @@ let serve_conn t conn_id fd =
   Mutex.lock t.mu;
   Hashtbl.remove t.conns conn_id;
   Mutex.unlock t.mu;
-  Netfault.unregister fd;
+  Fault.unregister fd;
   try Unix.close fd with _ -> ()
 
 let listener_main t () =
   let rec loop () =
     match Unix.accept t.listen_fd with
-    | fd, _addr when not (Netfault.on_accept fd ~local:"primary" ~peer:"standby") ->
+    | fd, _addr when not (Fault.on_accept fd ~local:"primary" ~peer:"standby") ->
       (try Unix.close fd with _ -> ());
       loop ()
     | fd, _addr ->
@@ -300,7 +300,7 @@ let stop t =
     Mutex.unlock t.mu;
     List.iter
       (fun fd ->
-        Netfault.interrupt fd;
+        Fault.interrupt fd;
         try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
       fds;
     List.iter Thread.join serving

@@ -97,7 +97,7 @@ let err_of_exn = function
 let reject fd ~code ~msg =
   Counters.bump Counters.conn_rejected;
   (try Wire.write_response fd (Wire.Err { code; msg }) with _ -> ());
-  Netfault.unregister fd;
+  Fault.unregister fd;
   try Unix.close fd with _ -> ()
 
 (* ---- statement handling ---------------------------------------------- *)
@@ -245,7 +245,7 @@ let close_conn t (conn : conn) =
    | Some gid when not t.killed -> (
      try Governor.disconnect t.gov gid with _ -> ())
    | _ -> ());
-  Netfault.unregister conn.fd;
+  Fault.unregister conn.fd;
   try Unix.close conn.fd with _ -> ()
 
 (* One traced request: rebuild the client's span context, surface the
@@ -351,7 +351,7 @@ let worker_main t () =
 let listener_main t () =
   let rec loop () =
     match Unix.accept t.listen_fd with
-    | fd, _addr when not (Netfault.on_accept fd ~local:"server" ~peer:"client") ->
+    | fd, _addr when not (Fault.on_accept fd ~local:"server" ~peer:"client") ->
       (* injected accept fault: the SYN never completed *)
       (try Unix.close fd with _ -> ());
       loop ()
@@ -458,7 +458,7 @@ let stop ?(shutdown_governor = true) t =
     Mutex.unlock t.amu;
     List.iter
       (fun fd ->
-        Netfault.interrupt fd;
+        Fault.interrupt fd;
         try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with _ -> ())
       fds;
     List.iter Thread.join t.workers;
@@ -497,7 +497,7 @@ let kill t =
     Mutex.unlock t.amu;
     List.iter
       (fun fd ->
-        Netfault.interrupt fd;
+        Fault.interrupt fd;
         try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
       fds;
     List.iter Thread.join t.workers;

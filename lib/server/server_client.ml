@@ -15,7 +15,7 @@ open Sedna_db
 module Span = Sedna_util.Span
 module Metrics = Sedna_util.Metrics
 module Retry = Sedna_util.Retry
-module Netfault = Sedna_util.Netfault
+module Fault = Sedna_util.Fault
 
 exception Remote_error of string * string
 
@@ -43,14 +43,14 @@ let try_connect host port =
   try
     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
     Unix.setsockopt fd Unix.TCP_NODELAY true;
-    Netfault.register fd ~local:"client" ~peer:"server";
+    Fault.register fd ~local:"client" ~peer:"server";
     fd
   with e ->
     (try Unix.close fd with _ -> ());
     raise e
 
 let close_fd fd =
-  Netfault.unregister fd;
+  Fault.unregister fd;
   try Unix.close fd with _ -> ()
 
 (* Connection attempts that mean "not up (yet / any more)" — worth

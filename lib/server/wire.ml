@@ -210,7 +210,7 @@ let get_str r =
 
 open Sedna_util
 
-(* Every frame passes a {!Netfault} site on the way out and in.  The
+(* Every frame passes a {!Fault} network site on the way out and in.  The
    injected weather lives entirely below the message codecs: a dropped
    send never reaches the socket, a torn send kills the connection
    after a prefix, a dropped recv silently reads the next frame — the
@@ -224,8 +224,8 @@ let write_frame fd (payload : Buffer.t) =
   Bytes.set b 2 (Char.chr ((len lsr 8) land 0xff));
   Bytes.set b 3 (Char.chr (len land 0xff));
   Bytes.blit_string (Buffer.contents payload) 0 b 4 len;
-  match Netfault.on_send fd ~len:(4 + len) with
-  | Proceed -> really_write fd b 0 (4 + len)
+  match Fault.on_send fd ~len:(4 + len) with
+  | Pass -> really_write fd b 0 (4 + len)
   | Drop_frame -> () (* the sender believes it went *)
   | Dup_frame ->
     really_write fd b 0 (4 + len);
@@ -238,7 +238,7 @@ let write_frame fd (payload : Buffer.t) =
     disconnected "torn frame injected"
 
 let rec read_frame fd : reader =
-  let verdict = Netfault.on_recv fd in
+  let verdict = Fault.on_recv fd in
   (match verdict with
    | Torn_frame _ ->
      (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());

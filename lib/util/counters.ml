@@ -136,7 +136,6 @@ let retry_sleeps = "retry.sleeps"
 let net_send = "net.send"
 let net_recv = "net.recv"
 let net_accept = "net.accept"
-let net_injected = "net.injected"
 let fence_demotions = "fence.demotions"
 let fence_rejected_writes = "fence.rejected_writes"
 let fence_rejected_pulls = "fence.rejected_pulls"

@@ -67,7 +67,8 @@ val catalog_decodes : string
     and the first reader after each catalog publication. *)
 
 val fault_injected : string
-(** An armed {!Fault} site fired (fail, crash or torn write). *)
+(** An armed {!Fault} site fired, storage or network (also bumped per
+    action as [fault.injected.<action>]). *)
 
 val checksum_verify : string
 (** Page read whose recorded CRC matched. *)
@@ -161,16 +162,13 @@ val retry_sleeps : string
 (** A {!Retry} loop slept before re-attempting an operation. *)
 
 val net_send : string
-(** Frames offered to the wire by {!Netfault.on_send} (hits, not faults). *)
+(** Frames offered to the wire by {!Fault.on_send} (hits, not faults). *)
 
 val net_recv : string
-(** Frame reads offered to {!Netfault.on_recv}. *)
+(** Frame reads offered to {!Fault.on_recv}. *)
 
 val net_accept : string
-(** Accepted connections offered to {!Netfault.on_accept}. *)
-
-val net_injected : string
-(** A network fault actually fired (also bumped per action). *)
+(** Accepted connections offered to {!Fault.on_accept}. *)
 
 val fence_demotions : string
 (** A node demoted itself after observing a higher cluster epoch. *)

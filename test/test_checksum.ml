@@ -72,10 +72,11 @@ let read_file path =
   close_in ic;
   s
 
-let empty_dir () =
-  let dir = Test_util.fresh_dir () in
+(* [f] gets a created, empty directory, removed afterwards *)
+let with_empty_dir f =
+  Test_util.with_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
-  dir
+  f dir
 
 (* one frame of every record kind, byte for byte *)
 let golden_frames =
@@ -92,7 +93,8 @@ let golden_frames =
   ]
 
 let test_wal_golden_frames () =
-  let path = Filename.concat (empty_dir ()) "wal.sdb" in
+  with_empty_dir @@ fun dir ->
+  let path = Filename.concat dir "wal.sdb" in
   List.iter
     (fun (record, expected) ->
       let w = Wal.create path in
@@ -108,7 +110,8 @@ let known_page () =
   Bytes.init Page.page_size (fun i -> Char.chr (((i * 31) + 7) land 0xff))
 
 let test_wal_golden_page_frame () =
-  let path = Filename.concat (empty_dir ()) "wal.sdb" in
+  with_empty_dir @@ fun dir ->
+  let path = Filename.concat dir "wal.sdb" in
   let w = Wal.create path in
   Wal.append w (Wal.Image (3, 5, known_page ()));
   Wal.close w;
@@ -119,7 +122,7 @@ let test_wal_golden_page_frame () =
     (hex (String.sub f (String.length f - 4) 4))
 
 let test_sidecar_golden () =
-  let dir = empty_dir () in
+  with_empty_dir @@ fun dir ->
   let fs = File_store.create (Filename.concat dir "data.sdb") in
   let pid = File_store.allocate fs in
   File_store.write_page fs pid (known_page ());

@@ -32,9 +32,9 @@ let test_policy_parsing () =
 
 (* An armed Nth policy fires exactly once and self-disarms. *)
 let test_nth_fires_once () =
-  let s = Fault.site "test.crash_suite" in
+  let s = Fault.site "wal.sync" in
   let before = Fault.site_hits s in
-  Fault.with_armed "test.crash_suite" (Fault.parse_policy "fail@2") (fun () ->
+  Fault.with_armed "wal.sync" (Fault.parse_policy "fail@2") (fun () ->
       ignore (Fault.hit s);
       (match Fault.hit s with
        | exception Fault.Injected_fault _ -> ()
@@ -43,12 +43,43 @@ let test_nth_fires_once () =
       ignore (Fault.hit s));
   Alcotest.(check int) "hits counted" (before + 3) (Fault.site_hits s)
 
+(* A spec that names no registered site, or an action of the other
+   plane, would arm something nothing ever fires: refused, and no
+   phantom site is registered on the way. *)
+let test_arm_spec_refusals () =
+  let sites = Fault.sites () in
+  List.iter
+    (fun spec ->
+      match Fault.arm_spec spec with
+      | exception Invalid_argument _ -> ()
+      | () ->
+        Fault.disarm_all ();
+        Alcotest.failf "%s accepted" spec)
+    [ "wal.apend:crash@2"; "net.send:crash"; "wal.sync:drop" ];
+  Alcotest.(check (list string)) "no phantom site" sites (Fault.sites ());
+  Alcotest.(check int) "nothing armed" 0 (Fault.armed_count ())
+
+(* CRASH's set is the storage plane only: 16 engine sites x 4 policies,
+   no network site and no site a test registered. *)
+let test_drill_specs () =
+  let sites =
+    [ "backup.copy"; "buffer.evict"; "buffer.flush"; "file_store.sync";
+      "file_store.write"; "repl.apply"; "repl.batch_apply"; "repl.heartbeat";
+      "repl.send"; "scrub.repair"; "scrub.verify"; "store.enospc";
+      "wal.append"; "wal.group_sync"; "wal.reset"; "wal.sync" ]
+  in
+  Alcotest.(check (list string)) "64 storage specs"
+    (List.concat_map
+       (fun s -> List.map (fun p -> s ^ ":" ^ p) [ "crash@2"; "torn@2"; "fail@1"; "enospc@1" ])
+       sites)
+    (Drill.specs ())
+
 (* Regression: a torn frame at the WAL tail must be truncated on open.
    The old open seeked to the end of the file and appended *behind* the
    garbage, so everything written after recovery was unreachable by the
    next recovery — acknowledged commits silently lost. *)
 let test_wal_truncates_torn_tail () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "wal.sdb" in
   let w = Wal.create path in
@@ -77,7 +108,7 @@ let test_wal_truncates_torn_tail () =
    and the engine rolled back) supersedes it: recovery must not replay
    that transaction. *)
 let test_abort_supersedes_commit () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = Database.create dir in
   ignore (Test_util.load db "d" "<a><v>keep</v></a>");
   Fault.with_armed "wal.sync" (Fault.parse_policy "fail@1") (fun () ->
@@ -100,7 +131,7 @@ let test_abort_supersedes_commit () =
 (* A flipped byte on disk is detected by the page checksum and surfaces
    as Corrupt_page instead of being served as data. *)
 let test_checksum_detects_flip () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = Database.create dir in
   ignore (Test_util.load db "d" "<a><v>payload</v></a>");
   Database.close db;
@@ -130,7 +161,7 @@ let test_checksum_detects_flip () =
 let check_outcome o =
   if not (Drill.ok o) then Alcotest.failf "%s" (Drill.render o)
 
-let drill spec = Drill.run ~dir:(Test_util.fresh_dir ()) spec
+let drill spec = Test_util.with_dir (fun dir -> Drill.run ~dir spec)
 
 let test_crash_during_commit () =
   let o = drill "wal.append:crash@5" in
@@ -171,8 +202,8 @@ let test_repl_spec () =
         o.Drill.lost)
     [ "repl.batch_apply:crash@2"; "repl.batch_apply:fail@1" ]
 
-(* [Fault.arm] registers any name, so a misspelled spec would arm a site
-   nothing ever hits and pass without testing anything. *)
+(* A misspelled spec would test nothing: the drill arms through
+   [Fault.arm_spec], which refuses it, and the run fails before any op. *)
 let test_unknown_site () =
   let o = drill "wal.apend:crash@2" in
   Alcotest.(check bool) "refused" false (Drill.ok o);
@@ -203,6 +234,8 @@ let suite =
     Alcotest.test_case "sites registered" `Quick test_sites_registered;
     Alcotest.test_case "policy parsing" `Quick test_policy_parsing;
     Alcotest.test_case "nth fires once" `Quick test_nth_fires_once;
+    Alcotest.test_case "arm_spec refuses phantom sites" `Quick test_arm_spec_refusals;
+    Alcotest.test_case "drill specs are the storage matrix" `Quick test_drill_specs;
     Alcotest.test_case "wal truncates torn tail" `Quick
       test_wal_truncates_torn_tail;
     Alcotest.test_case "abort supersedes commit" `Quick

@@ -1,6 +1,7 @@
-(* Network chaos layer and split-brain fencing: the Netfault spec
-   grammar and its seeded triggers, the unified Retry backoff, torn
-   mid-frame connections on both the statement and replication ports,
+(* Network chaos layer and split-brain fencing: the network half of
+   the Fault spec grammar and its seeded triggers, the unified Retry
+   backoff, torn mid-frame connections on both the statement and
+   replication ports,
    cluster-epoch fencing at the database and over the wire, the
    health endpoint's fenced/draining refusal, and one full chaos drill
    (partition + mid-run promotion). *)
@@ -18,50 +19,50 @@ module Drill = Sedna_replication.Drill
 
 let clean f =
   Fault.disarm_all ();
-  Netfault.disarm_all ();
-  Fun.protect ~finally:(fun () -> Netfault.disarm_all ()) f
+  Fun.protect ~finally:(fun () -> Fault.disarm_all ()) f
 
 (* ---- spec grammar ----------------------------------------------------- *)
 
 let test_netfault_grammar () =
   clean (fun () ->
-      let p = Netfault.parse_policy "drop@3" in
-      Alcotest.(check string) "drop@3" "drop@3" (Netfault.policy_to_string p);
-      let p = Netfault.parse_policy "delay=50@2+" in
-      (match p.Netfault.action with
-       | Netfault.Delay s ->
+      let p = Fault.parse_policy "drop@3" in
+      Alcotest.(check string) "drop@3" "drop@3" (Fault.policy_to_string p);
+      let p = Fault.parse_policy "delay=50@2+" in
+      (match p.Fault.action with
+       | Fault.Delay s ->
          Alcotest.(check bool) "50ms" true (abs_float (s -. 0.05) < 1e-9)
        | _ -> Alcotest.fail "expected Delay");
-      let p = Netfault.parse_policy "torn%0.1/7" in
-      (match p.Netfault.trigger with
+      let p = Fault.parse_policy "torn%0.1/7" in
+      (match p.Fault.trigger with
        | Fault.Prob (q, seed) ->
          Alcotest.(check bool) "prob and seed" true (q = 0.1 && seed = 7)
        | _ -> Alcotest.fail "expected Prob");
-      ignore (Netfault.parse_policy "dup");
+      ignore (Fault.parse_policy "dup");
       Alcotest.check_raises "bad action"
-        (Invalid_argument "Netfault.parse_policy: bad action in \"fry@1\"")
-        (fun () -> ignore (Netfault.parse_policy "fry@1"));
+        (Invalid_argument "Fault.parse_policy: bad action in \"fry@1\"")
+        (fun () -> ignore (Fault.parse_policy "fry@1"));
       (* partitions through arm_spec *)
-      Netfault.arm_spec "part:primary->standby";
+      Fault.arm_spec "part:primary->standby";
       Alcotest.(check (list (pair string string))) "one-way" [ ("primary", "standby") ]
-        (Netfault.partitions ());
-      Netfault.arm_spec "part:client<->server";
-      Alcotest.(check int) "two-way adds both" 3
-        (List.length (Netfault.partitions ()));
-      Netfault.heal ~from_role:"primary" ~to_role:"standby" ();
-      Alcotest.(check int) "healed one" 2 (List.length (Netfault.partitions ()));
-      Netfault.disarm_all ();
-      Alcotest.(check int) "disarm_all heals" 0
-        (List.length (Netfault.partitions ()));
+        (Fault.partitions ());
+      Fault.arm_spec "part:client<->server";
+      Alcotest.(check int) "two-way adds both" 3 (List.length (Fault.partitions ()));
       (* armed sites show up in the report *)
-      Netfault.arm_spec "net.send:drop@2";
-      let armed =
+      Fault.arm_spec "net.send:drop@2";
+      let armed () =
         List.filter_map
           (fun (n, _, p) -> Option.map (fun p -> (n, p)) p)
-          (Netfault.report ())
+          (Fault.report ())
       in
       Alcotest.(check (list (pair string string))) "report shows the policy"
-        [ ("net.send", "drop@2") ] armed)
+        [ ("net.send", "drop@2") ] (armed ());
+      Alcotest.(check int) "policies and partitions armed" 4 (Fault.armed_count ());
+      Fault.heal_all ();
+      Alcotest.(check int) "heal_all heals" 0 (List.length (Fault.partitions ()));
+      Alcotest.(check int) "heal_all keeps site policies" 1 (Fault.armed_count ());
+      Fault.arm_spec "part:primary->standby";
+      Fault.disarm_all ();
+      Alcotest.(check int) "disarm_all disarms and heals" 0 (Fault.armed_count ()))
 
 let test_trigger_determinism () =
   (* the same seeded probability trigger replays the same decisions *)
@@ -126,7 +127,7 @@ let test_retry_run () =
 (* ---- torn mid-frame: statement port ----------------------------------- *)
 
 let with_server f =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let g = G.create () in
   let db = G.create_database g ~name:"main" ~dir in
   ignore (Test_util.load db "d" "<r/>");
@@ -156,7 +157,7 @@ let test_torn_statement_port () =
               Alcotest.(check int) "one session" 1 (G.session_count g);
               (* the very next frame sent anywhere is torn: that is this
                  client's write request *)
-              Netfault.arm_spec "net.send:torn@1";
+              Fault.arm_spec "net.send:torn@1";
               (match
                  Client.execute c {|UPDATE insert <e/> into doc("d")/r|}
                with
@@ -180,7 +181,7 @@ let test_torn_statement_port () =
 
 let test_torn_replication_port () =
   clean (fun () ->
-      let pdir = Test_util.fresh_dir () in
+      Test_util.with_dir @@ fun pdir ->
       let sdir = pdir ^ "-standby" in
       let gov_p = G.create () in
       let gov_s = G.create () in
@@ -193,7 +194,7 @@ let test_torn_replication_port () =
       in
       Fun.protect
         ~finally:(fun () ->
-          Netfault.disarm_all ();
+          Fault.disarm_all ();
           Recv.stop recv;
           Sender.stop sender;
           (try G.shutdown gov_s with _ -> ());
@@ -209,13 +210,13 @@ let test_torn_replication_port () =
           let e, p = tip () in
           Alcotest.(check bool) "standby caught up" true
             (Recv.wait_caught_up recv ~epoch:e ~pos:p);
-          let injected0 = Counters.get Counters.net_injected in
+          let injected0 = Counters.get Counters.fault_injected in
           (* tear the next replication frame (the stream is the only
              traffic now), costing the connection mid-frame; the
              receiver must reconnect and resume from its acked cursor *)
-          Netfault.arm_spec "net.send:torn@1";
+          Fault.arm_spec "net.send:torn@1";
           Alcotest.(check bool) "the torn frame fired" true
-            (poll (fun () -> Counters.get Counters.net_injected > injected0));
+            (poll (fun () -> Counters.get Counters.fault_injected > injected0));
           insert "after";
           let e, p = tip () in
           Alcotest.(check bool) "standby recovered and caught up" true
@@ -229,7 +230,7 @@ let test_torn_replication_port () =
 (* ---- fencing ----------------------------------------------------------- *)
 
 let test_fencing_local () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = Database.create dir in
   Alcotest.(check int) "fresh cluster epoch" 0 (Database.cluster_epoch db);
   Alcotest.(check bool) "not fenced" false (Database.is_fenced db);
@@ -266,7 +267,7 @@ let test_fencing_local () =
   Database.close db2
 
 let test_fence_blocks_open_transaction_commit () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = Database.create dir in
   let rejected0 = Counters.get Counters.fence_rejected_writes in
   let txn = Database.begin_txn db in

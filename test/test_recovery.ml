@@ -6,7 +6,7 @@ open Sedna_core
 let reopen dir = Database.open_existing dir
 
 let test_wal_roundtrip () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "wal.sdb" in
   let w = Wal.create path in
@@ -26,7 +26,7 @@ let test_wal_roundtrip () =
   | records -> Alcotest.failf "unexpected records (%d)" (List.length records)
 
 let test_torn_tail_ignored () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "wal.sdb" in
   let w = Wal.create path in
@@ -41,7 +41,7 @@ let test_torn_tail_ignored () =
   Alcotest.(check int) "clean prefix survives" 2 (List.length (Wal.read_all path))
 
 let test_crash_recovers_committed () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = Database.create dir in
   ignore (Test_util.load db "d" "<a><v>1</v></a>");
   ignore (Test_util.exec db {|UPDATE replace $v in doc("d")/a/v with <v>2</v>|});
@@ -59,7 +59,7 @@ let test_crash_recovers_committed () =
    transaction, just before its Commit frame, must not end the readable
    log there: the commit behind it still replays. *)
 let test_recovers_past_logical_frame () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = Database.create dir in
   ignore (Test_util.load db "d" "<a><v>1</v></a>");
   ignore (Test_util.exec db {|UPDATE replace $v in doc("d")/a/v with <v>2</v>|});
@@ -108,7 +108,7 @@ let test_recovers_past_logical_frame () =
   Database.close db2
 
 let test_crash_loses_uncommitted () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = Database.create dir in
   ignore (Test_util.load db "d" "<a><v>1</v></a>");
   let s = Sedna_db.Session.connect db in
@@ -122,7 +122,7 @@ let test_crash_loses_uncommitted () =
   Database.close db2
 
 let test_recovery_restores_schema () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = Database.create dir in
   ignore (Test_util.load db "d" "<a/>");
   (* schema evolution after the checkpoint: a new element kind *)
@@ -136,7 +136,7 @@ let test_recovery_restores_schema () =
   Database.close db2
 
 let test_checkpoint_truncates_wal () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = Database.create dir in
   ignore (Test_util.load db "d" "<a><v>x</v></a>");
   Database.checkpoint db;
@@ -150,7 +150,7 @@ let test_checkpoint_truncates_wal () =
   Database.close db2
 
 let test_multiple_crash_cycles () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = ref (Database.create dir) in
   ignore (Test_util.load !db "d" "<log/>");
   for i = 1 to 5 do
@@ -165,7 +165,7 @@ let test_multiple_crash_cycles () =
   Database.close !db
 
 let test_backup_full_and_incremental () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let bdir = dir ^ "-bak" in
   let r1 = dir ^ "-restore1" in
   let r2 = dir ^ "-restore2" in
@@ -191,7 +191,7 @@ let test_backup_full_and_incremental () =
 (* point-in-time depth: base + N increments, every prefix restorable,
    each restore an exact snapshot of its moment with clean structure *)
 let test_backup_pit_every_increment () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let bdir = dir ^ "-bak" in
   let increments = 4 in
   let db = Database.create dir in
@@ -225,7 +225,7 @@ let test_backup_pit_every_increment () =
    incremental must refuse rather than silently produce a chain missing
    committed work (the WAL epoch stamp enforces this) *)
 let test_backup_incremental_refused_after_checkpoint () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let bdir = dir ^ "-bak" in
   let db = Database.create dir in
   ignore (Test_util.load db "d" "<a><v>base</v></a>");
@@ -257,7 +257,7 @@ let test_backup_incremental_refused_after_checkpoint () =
   Database.close db
 
 let test_close_reopen () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = Database.create dir in
   let events = Sedna_workloads.Generators.library ~books:60 () in
   ignore (Test_util.load_events db "lib" events);

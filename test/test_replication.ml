@@ -22,7 +22,7 @@ let count db = Test_util.exec db {|count(doc("d")/r/e)|}
    pulling from it; the callback gets all the moving parts *)
 let with_pair ?(port = 0) ?max_batch f =
   Fault.disarm_all ();
-  let pdir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun pdir ->
   let sdir = pdir ^ "-standby" in
   Sysutil.rm_rf sdir;
   let gov_p = Governor.create () in
@@ -56,7 +56,7 @@ let standby_db recv =
 (* ---- WAL streaming cursor ------------------------------------------- *)
 
 let test_wal_epoch_bumps () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "wal.sdb" in
   let w = Wal.create path in
@@ -74,7 +74,7 @@ let test_wal_epoch_bumps () =
   Wal.close w2
 
 let test_wal_stream_cursor () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "wal.sdb" in
   let w = Wal.create path in
@@ -272,7 +272,7 @@ let test_promotion_idempotent () =
    catalog without them leaves it pointing at pages it never got. *)
 let test_seed_mid_transaction () =
   Fault.disarm_all ();
-  let pdir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun pdir ->
   let sdir = pdir ^ "-standby" in
   Sysutil.rm_rf sdir;
   let gov_p = Governor.create () and gov_s = Governor.create () in
@@ -308,6 +308,7 @@ let test_seed_mid_transaction () =
 (* ---- heartbeat timeout ------------------------------------------------ *)
 
 let test_heartbeat_timeout_detection () =
+  Test_util.with_dir @@ fun dir ->
   (* a listener that accepts and then stays silent: the receiver must
      detect the dead air and keep cycling instead of hanging *)
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -332,7 +333,7 @@ let test_heartbeat_timeout_detection () =
   let gov = Governor.create () in
   let recv =
     Recv.start ~heartbeat_timeout_s:0.2 ~gov ~name:"db"
-      ~dir:(Test_util.fresh_dir () ^ "-hb") ~host:"127.0.0.1" ~port ()
+      ~dir ~host:"127.0.0.1" ~port ()
   in
   (* give it time for several connect/timeout cycles *)
   Unix.sleepf 1.0;
@@ -402,7 +403,7 @@ let test_heartbeat_fault_fires () =
 
 let test_client_failover () =
   Fault.disarm_all ();
-  let pdir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun pdir ->
   let sdir = pdir ^ "-standby" in
   let gov_p = Governor.create () in
   let gov_s = Governor.create () in

@@ -5,7 +5,7 @@
 open Sedna_core
 
 let test_scale () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = Database.create ~buffer_frames:512 dir in
   let events =
     Sedna_workloads.Generators.auction ~items:500 ~people:400 ~auctions:300 ()

@@ -73,8 +73,8 @@ let test_enospc_policy () =
   Alcotest.(check string) "canonical form" "enospc" (Fault.policy_to_string p);
   Alcotest.(check string) "roundtrip" "enospc@2"
     (Fault.policy_to_string (Fault.parse_policy "enospc@2"));
-  let s = Fault.site "test.enospc_suite" in
-  Fault.with_armed "test.enospc_suite" p (fun () ->
+  let s = Fault.site "store.enospc" in
+  Fault.with_armed "store.enospc" p (fun () ->
       (match Fault.hit s with
        | exception Unix.Unix_error (Unix.ENOSPC, _, _) -> ()
        | _ -> Alcotest.fail "armed enospc policy did not raise ENOSPC");
@@ -122,7 +122,7 @@ let test_wire_page_roundtrip () =
 (* clean-resident victim: the pool's frame is the committed content and
    is written straight back through *)
 let test_repair_from_pool () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = mk_db dir in
   for i = 1 to 20 do insert db i done;
   Database.checkpoint db;
@@ -146,7 +146,7 @@ let test_repair_from_pool () =
 
 (* absent victim with a committed WAL after-image: redo-from-log repair *)
 let test_repair_from_wal () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   (* tiny pool: pages are evicted as the document grows *)
   let db = mk_db ~frames:2 dir in
   for i = 1 to 30 do insert db i done;
@@ -170,7 +170,7 @@ let test_repair_from_wal () =
 (* absent victim whose after-image a checkpoint truncated away: only
    the injected fetch hook (the standby, in production) can supply it *)
 let test_repair_from_fetch_stub () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = mk_db ~frames:2 dir in
   for i = 1 to 30 do insert db i done;
   Database.checkpoint db;
@@ -212,7 +212,7 @@ let test_repair_from_fetch_stub () =
 
 (* a dirty resident frame defers: the flush rewrites the page anyway *)
 let test_repair_defers_dirty () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = mk_db dir in
   for i = 1 to 5 do insert db i done;
   (* no checkpoint: the data pages are dirty-resident *)
@@ -234,7 +234,7 @@ let test_repair_defers_dirty () =
 (* ---- no false positives against a concurrent writer ------------------- *)
 
 let test_scrub_vs_writer () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = mk_db ~frames:8 dir in
   let g = G.create () in
   G.register_database g ~name:"d" db;
@@ -263,7 +263,7 @@ let test_scrub_vs_writer () =
 (* ---- checksum adoption under concurrent readers ------------------------ *)
 
 let test_adopt_under_concurrent_readers () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = mk_db dir in
   for i = 1 to 20 do insert db i done;
   Database.close db;
@@ -305,7 +305,7 @@ let test_adopt_under_concurrent_readers () =
 (* ---- degraded mode ----------------------------------------------------- *)
 
 let test_degraded_semantics () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = mk_db dir in
   insert db 1;
   let rejected0 = Counters.get Counters.degraded_rejected_writes in
@@ -336,7 +336,7 @@ let test_degraded_semantics () =
 (* a write mid-transaction that hits injected ENOSPC at the group-commit
    fsync: SE-DEGRADED to the caller, transaction aborted, no false ack *)
 let test_commit_enospc_degrades () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = mk_db dir in
   insert db 1;
   Fault.arm_spec "wal.group_sync:enospc@1";
@@ -356,7 +356,7 @@ let test_commit_enospc_degrades () =
 (* ---- watchdog hysteresis ----------------------------------------------- *)
 
 let test_watchdog_degrade_and_recover () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = mk_db dir in
   (* a healthy probe is silent *)
   Watchdog.probe_dir dir;

@@ -8,7 +8,7 @@ module Wire = Sedna_server.Wire
 module G = Sedna_db.Governor
 
 let with_server ?limits ?config f =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let g = G.create () in
   ignore (G.create_database g ~name:"main" ~dir);
   (match limits with Some l -> G.set_limits g l | None -> ());
@@ -329,7 +329,7 @@ let test_concurrent_clients () =
 (* ---- graceful shutdown -------------------------------------------------- *)
 
 let test_graceful_shutdown_recoverable () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let g = G.create () in
   ignore (G.create_database g ~name:"main" ~dir);
   let srv = Server.start g in

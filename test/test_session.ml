@@ -66,7 +66,7 @@ let test_drop_document () =
 
 let test_governor () =
   let g = Sedna_db.Governor.create () in
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   ignore (Sedna_db.Governor.create_database g ~name:"main" ~dir);
   let _id, s = Sedna_db.Governor.connect g ~database:"main" in
   ignore (Sedna_db.Session.execute s {|CREATE DOCUMENT "d"|});
@@ -143,7 +143,7 @@ let test_index_maintenance () =
         (Test_util.exec db {|count(index-scan("nm", "pear"))|}))
 
 let test_index_survives_restart () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = Database.create dir in
   ignore (Test_util.load db "s" {|<shop><it><nm>kiwi</nm></it></shop>|});
   ignore

@@ -17,7 +17,7 @@ let test_xptr_encoding () =
     (Xptr.equal q (Xptr.page_start p))
 
 let with_bm ?(frames = 8) f =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
   let fs = File_store.create (Filename.concat dir "data.sdb") in
   let bm = Buffer_mgr.create ~frames fs in

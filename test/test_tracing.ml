@@ -100,7 +100,7 @@ let test_store_concurrent () =
 (* a primary served over TCP with a standby pulling its WAL *)
 let with_repl_server f =
   Fault.disarm_all ();
-  let pdir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun pdir ->
   let sdir = pdir ^ "-standby" in
   let gov_p = Governor.create () in
   let gov_s = Governor.create () in
@@ -395,7 +395,7 @@ let test_prom_name () =
    deadline must end it with SE-TIMEOUT well before the restart budget
    (about 0.2 s) would surface SE-LOCK-TIMEOUT. *)
 let test_deadline_preempts_lock_wait () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let db = Database.create dir in
   Fun.protect
     ~finally:(fun () ->

@@ -6,17 +6,23 @@ open Sedna_core
 
 let counter = ref 0
 
-let fresh_dir () =
+(* [f] gets a fresh directory path (not yet created) and everything
+   under its parent — a standby or backup named after it included — is
+   removed when [f] returns or raises. *)
+let with_dir f =
   incr counter;
-  let dir =
+  let root =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "sedna-test-%d-%d" (Unix.getpid ()) !counter)
   in
-  Sedna_util.Sysutil.rm_rf dir;
-  dir
+  Sedna_util.Sysutil.rm_rf root;
+  Unix.mkdir root 0o755;
+  Fun.protect
+    ~finally:(fun () -> try Sedna_util.Sysutil.rm_rf root with Unix.Unix_error _ -> ())
+    (fun () -> f (Filename.concat root "db"))
 
 let with_db ?buffer_frames f =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let db = Database.create ?buffer_frames dir in
   Fun.protect
     ~finally:(fun () -> try Database.close db with _ -> ())

@@ -97,7 +97,7 @@ let load_doc db name =
          Loader.load_string st ~doc_name:name "<log/>"))
 
 let with_cluster f =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
   let gov = Governor.create () in
   let db = Governor.create_database gov ~name:"db" ~dir in
@@ -266,7 +266,7 @@ let test_group_commit_across_checkpoint () =
    of the shared fsync at any point of the workload and every acked
    commit must still be there after recovery. *)
 let test_crash_at_group_sync () =
-  let dir = Test_util.fresh_dir () in
+  Test_util.with_dir @@ fun dir ->
   let o = Drill.run ~dir "wal.group_sync:crash@2" in
   if not (Drill.ok o) then Alcotest.fail (Drill.render o);
   Alcotest.(check bool) "fault fired" true o.Drill.fired
