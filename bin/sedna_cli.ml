@@ -9,6 +9,20 @@
 
 open Sedna_core
 
+let commands =
+  "Commands: \\begin \\begin-ro \\commit \\rollback \\documents\n\
+   \\counters (\\counters reset) \\trace (\\trace clear)\n\
+   \\traces \\trace <id> (span tree) \\slow (\\slow clear)\n\
+   \\checkpoint \\check (integrity) \\scrub (\\scrub status)\n\
+   \\explain <query> \\profile <query>\n\
+   \\faults (\\faults arm <spec>, \\faults heal, \\faults disarm) \\q"
+
+let is_command text = String.length text > 0 && text.[0] = '\\'
+
+(* the command word of a \-line, for naming it in a refusal *)
+let command_word text =
+  match String.index_opt text ' ' with Some i -> String.sub text 0 i | None -> text
+
 let run_statement_inner session text =
   match String.trim text with
   | "" -> ()
@@ -138,6 +152,8 @@ let run_statement_inner session text =
     let q = String.sub text 9 (String.length text - 9) in
     try print_endline (Sedna_db.Session.explain session q)
     with e -> Printf.printf "error: %s\n" (Sedna_util.Error.to_string e))
+  | text when is_command text ->
+    Printf.printf "error: unknown command %s\n%s\n" (command_word text) commands
   | text -> print_endline (Sedna_db.Session.execute_string session text)
 
 (* one guard for every statement and \-command: Exit quits, a simulated
@@ -151,14 +167,7 @@ let run_statement session text =
   | e -> Printf.printf "error: %s\n" (Sedna_util.Error.to_string e)
 
 let interactive session =
-  print_endline
-    "Sedna shell. Statements end with '&' on its own line; \\q quits.\n\
-     Commands: \\begin \\begin-ro \\commit \\rollback \\documents\n\
-     \\counters (\\counters reset) \\trace (\\trace clear)\n\
-     \\traces \\trace <id> (span tree) \\slow (\\slow clear)\n\
-     \\checkpoint \\check (integrity) \\scrub (\\scrub status)\n\
-     \\explain <query> \\profile <query>\n\
-     \\faults (\\faults arm <spec>, \\faults heal, \\faults disarm)";
+  print_endline ("Sedna shell. Statements end with '&' on its own line; \\q quits.\n" ^ commands);
   let buf = Buffer.create 256 in
   try
     while true do
@@ -405,9 +414,16 @@ let connect_mode host port db_name stmts =
   ignore (Sedna_server.Server_client.open_db c name);
   List.iter
     (fun stmt ->
-      try print_endline (Sedna_server.Server_client.execute_string c stmt) with
-      | Sedna_server.Server_client.Remote_error (code, msg) ->
-        Printf.printf "error: %s: %s\n" code msg)
+      (* \-commands act on a local session; the server only parses
+         statements *)
+      let cmd = String.trim stmt in
+      if is_command cmd then
+        Printf.printf "error: unknown command %s (\\-commands run in the local shell only)\n"
+          (command_word cmd)
+      else
+        try print_endline (Sedna_server.Server_client.execute_string c stmt) with
+        | Sedna_server.Server_client.Remote_error (code, msg) ->
+          Printf.printf "error: %s: %s\n" code msg)
     stmts;
   Sedna_server.Server_client.close c
 

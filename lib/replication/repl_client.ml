@@ -46,12 +46,10 @@ let page_fetcher ~host ~port (db : Sedna_core.Database.t) : int -> Bytes.t optio
         then page
         else None
 
-let connect ?retries ?backoff_s ?fetch_chunk endpoints =
+let connect ?retries ?backoff_s endpoints =
   match endpoints with
   | [] -> invalid_arg "Repl_client.connect: empty endpoint list"
-  | (host, port) :: _ ->
-    Server_client.connect ~host ~endpoints ?retries ?backoff_s ?fetch_chunk
-      ~port ()
+  | (host, port) :: _ -> Server_client.connect ~host ~endpoints ?retries ?backoff_s ~port ()
 
 (* Issue the PROMOTE admin statement against one specific endpoint —
    failover-on-connect would defeat the point of targeting the

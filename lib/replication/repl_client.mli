@@ -2,11 +2,7 @@
     {!Sedna_server.Server_client}. *)
 
 val connect :
-  ?retries:int ->
-  ?backoff_s:float ->
-  ?fetch_chunk:int ->
-  (string * int) list ->
-  Sedna_server.Server_client.t
+  ?retries:int -> ?backoff_s:float -> (string * int) list -> Sedna_server.Server_client.t
 (** Connect to the first reachable endpoint of the list (primary
     first); the returned client fails over between them transparently
     for reads and surfaces [SE-FAILOVER] for interrupted writes.

@@ -15,8 +15,9 @@
    document locks between statements but not the store lock, so
    snapshot readers (which take no document locks at all) run and
    finish while the writer is still open: the paper's §6.3 claim across
-   real connections.  Query results are materialized under the lock
-   but streamed to clients in fetch-batches without it.
+   real connections.  A query's result is serialized under the lock and
+   written back as the Execute reply's chunks after the lock is left,
+   so one statement is one round trip.
 
    Graceful shutdown drains: the listener stops accepting, queued but
    unstarted connections are refused with SE-SHUTDOWN, in-flight
@@ -31,11 +32,9 @@ type config = {
   port : int;  (** 0 picks an ephemeral port; read it back with {!port} *)
   pool_size : int;  (** worker threads *)
   max_queue : int;  (** accepted-but-unserved connections before SE-OVERLOADED *)
-  fetch_chunk : int;  (** default fetch-batch size in bytes *)
 }
 
-let default_config =
-  { host = "127.0.0.1"; port = 0; pool_size = 4; max_queue = 16; fetch_chunk = 64 * 1024 }
+let default_config = { host = "127.0.0.1"; port = 0; pool_size = 4; max_queue = 16 }
 
 type t = {
   gov : Governor.t;
@@ -69,8 +68,6 @@ type conn = {
   conn_id : int;
   mutable gov_id : int option;
   mutable session : Session.t option;
-  mutable pending : string;  (* materialized query result awaiting fetches *)
-  mutable sent : int;  (* bytes of [pending] already delivered *)
   queue_wait_s : float;  (* time spent in the accept queue *)
   mutable queue_wait_reported : bool;  (* span emitted on first traced request *)
 }
@@ -78,15 +75,14 @@ type conn = {
 (* Every response is stamped with the session database's cluster epoch
    ('E' header), so fencing epochs gossip to clients on traffic they
    already exchange; the client folds them into later requests. *)
-let send conn resp =
-  let epoch =
-    match conn.session with
-    | Some s ->
-      let e = Sedna_core.Database.cluster_epoch (Session.database s) in
-      if e > 0 then Some e else None
-    | None -> None
-  in
-  Wire.write_response ?epoch conn.fd resp
+let epoch conn =
+  match conn.session with
+  | Some s ->
+    let e = Sedna_core.Database.cluster_epoch (Session.database s) in
+    if e > 0 then Some e else None
+  | None -> None
+
+let send conn resp = Wire.write_response ?epoch:(epoch conn) conn.fd resp
 
 let err_of_exn = function
   | Error.Sedna_error (code, msg) ->
@@ -121,32 +117,26 @@ let txn_control (s : Session.t) (text : string) : string option =
     Some "rolled back"
   | _ -> None
 
-let run_execute t cx (s : Session.t) (text : string) : Wire.response * string option =
+let run_execute t cx (s : Session.t) (text : string) : Session.result =
   (* one statement inside the store lock; the per-query wall-clock
      budget is armed only for the locked section.  The request's span
      context becomes ambient only inside the locked section — the same
      single-statement ownership rule the Deadline cell relies on —
      and "engine.wait" measures the admission wait for that lock. *)
   let wait_sp = Option.map (fun c -> Span.start c "engine.wait") cx in
-  let result =
-    Governor.with_engine t.gov (fun () ->
-        (match (cx, wait_sp) with
-         | Some c, Some sp -> Span.finish c sp
-         | _ -> ());
-        Span.with_current cx (fun () ->
-            let timeout = (Governor.limits t.gov).Governor.query_timeout_s in
-            if timeout > 0. then Deadline.set timeout;
-            Fun.protect
-              ~finally:(fun () -> Deadline.clear ())
-              (fun () ->
-                match txn_control s text with
-                | Some msg -> Session.Message msg
-                | None -> Session.execute s text)))
-  in
-  match result with
-  | Session.Items body -> (Wire.Result_ready (String.length body), Some body)
-  | Session.Updated n -> (Wire.Updated n, None)
-  | Session.Message m -> (Wire.Message m, None)
+  Governor.with_engine t.gov (fun () ->
+      (match (cx, wait_sp) with
+       | Some c, Some sp -> Span.finish c sp
+       | _ -> ());
+      Span.with_current cx (fun () ->
+          let timeout = (Governor.limits t.gov).Governor.query_timeout_s in
+          if timeout > 0. then Deadline.set timeout;
+          Fun.protect
+            ~finally:(fun () -> Deadline.clear ())
+            (fun () ->
+              match txn_control s text with
+              | Some msg -> Session.Message msg
+              | None -> Session.execute s text)))
 
 let handle_request t (conn : conn) cx (req : Wire.request) : bool (* keep going *) =
   Counters.bump Counters.server_requests;
@@ -196,32 +186,13 @@ let handle_request t (conn : conn) cx (req : Wire.request) : bool (* keep going 
          a session on the current database *)
       false
     | Some s, _ ->
+      (* the rows go out after [run_execute] has left the store lock *)
       (match run_execute t cx s text with
-       | resp, body ->
-         conn.pending <- Option.value body ~default:"";
-         conn.sent <- 0;
-         send conn resp
-       | exception e ->
-         conn.pending <- "";
-         conn.sent <- 0;
-         send conn (err_of_exn e));
+       | Session.Items body -> Wire.write_rows ?epoch:(epoch conn) conn.fd body
+       | Session.Updated n -> send conn (Wire.Updated n)
+       | Session.Message m -> send conn (Wire.Message m)
+       | exception e -> send conn (err_of_exn e));
       true)
-  | Wire.Fetch max_bytes ->
-    (* stream the materialized result without the store lock *)
-    let max_bytes =
-      if max_bytes <= 0 then t.cfg.fetch_chunk else min max_bytes (Wire.max_frame / 2)
-    in
-    let remaining = String.length conn.pending - conn.sent in
-    let n = min max_bytes remaining in
-    let data = String.sub conn.pending conn.sent n in
-    conn.sent <- conn.sent + n;
-    let last = conn.sent >= String.length conn.pending in
-    if last then begin
-      conn.pending <- "";
-      conn.sent <- 0
-    end;
-    send conn (Wire.Chunk { last; data });
-    true
   | Wire.Close ->
     (* deregister before replying: a client that saw Bye must be able
        to count on its session slot being free (admission control) *)
@@ -274,7 +245,6 @@ let handle_traced t (conn : conn) trace_hdr (req : Wire.request) : bool =
         match req with
         | Wire.Open _ -> "server.open"
         | Wire.Execute _ -> "server.execute"
-        | Wire.Fetch _ -> "server.fetch"
         | Wire.Close -> "server.close"
       in
       let sp = Span.start cx name in
@@ -294,16 +264,7 @@ let handle_conn t fd queue_wait_s =
     id
   in
   let conn =
-    {
-      fd;
-      conn_id;
-      gov_id = None;
-      session = None;
-      pending = "";
-      sent = 0;
-      queue_wait_s;
-      queue_wait_reported = false;
-    }
+    { fd; conn_id; gov_id = None; session = None; queue_wait_s; queue_wait_reported = false }
   in
   let rec loop () =
     match Wire.read_request fd with
@@ -430,14 +391,21 @@ let start ?(config = default_config) ?on_promote (gov : Governor.t) : t =
   Logs.info (fun m -> m "server listening on %s:%d" config.host bound_port);
   t
 
-let stop ?(shutdown_governor = true) t =
+(* The one shutdown path.  A drain ([graceful]) wakes idle connections
+   with SHUTDOWN_RECEIVE, which leaves the response direction open so
+   in-flight statements finish and deliver their replies; a kill severs
+   both directions and marks the server [killed], so closing connections
+   skip their rollbacks.  Returns false if a shutdown had already
+   begun. *)
+let shut_down t ~graceful =
   Mutex.lock t.qmu;
-  let was_draining = t.draining in
+  let was_down = t.draining in
   t.draining <- true;
+  if not graceful then t.killed <- true;
   Condition.broadcast t.qcond;
   Mutex.unlock t.qmu;
-  if not was_draining then begin
-    Logs.info (fun m -> m "server draining");
+  if not was_down then begin
+    if graceful then Logs.info (fun m -> m "server draining");
     (* wake the listener out of accept(2) *)
     (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with _ -> ());
     (try
@@ -450,19 +418,23 @@ let stop ?(shutdown_governor = true) t =
      with _ -> ());
     (match t.listener with Some th -> Thread.join th | None -> ());
     (try Unix.close t.listen_fd with _ -> ());
-    (* wake connections idling in a read; their in-flight statements
-       (if any) complete first because SHUTDOWN_RECEIVE leaves the
-       response direction open *)
+    (* wake connections idling in a read *)
     Mutex.lock t.amu;
     let fds = Hashtbl.fold (fun _ fd acc -> fd :: acc) t.active [] in
     Mutex.unlock t.amu;
+    let how = if graceful then Unix.SHUTDOWN_RECEIVE else Unix.SHUTDOWN_ALL in
     List.iter
       (fun fd ->
         Fault.interrupt fd;
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with _ -> ())
+        try Unix.shutdown fd how with _ -> ())
       fds;
     List.iter Thread.join t.workers;
-    t.workers <- [];
+    t.workers <- []
+  end;
+  not was_down
+
+let stop ?(shutdown_governor = true) t =
+  if shut_down t ~graceful:true then begin
     (* every session is now disconnected (open transactions rolled
        back); checkpoint and close the stores cleanly *)
     if shutdown_governor then Governor.shutdown t.gov;
@@ -473,34 +445,4 @@ let stop ?(shutdown_governor = true) t =
    no governor shutdown.  Connections are severed mid-whatever; the
    databases keep their volatile state until the test calls
    [Database.crash] on them and re-opens through recovery. *)
-let kill t =
-  Mutex.lock t.qmu;
-  let was_down = t.draining in
-  t.draining <- true;
-  t.killed <- true;
-  Condition.broadcast t.qcond;
-  Mutex.unlock t.qmu;
-  if not was_down then begin
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with _ -> ());
-    (try
-       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-       (try
-          Unix.connect fd
-            (Unix.ADDR_INET (Unix.inet_addr_of_string t.cfg.host, t.bound_port))
-        with _ -> ());
-       Unix.close fd
-     with _ -> ());
-    (match t.listener with Some th -> Thread.join th | None -> ());
-    (try Unix.close t.listen_fd with _ -> ());
-    Mutex.lock t.amu;
-    let fds = Hashtbl.fold (fun _ fd acc -> fd :: acc) t.active [] in
-    Mutex.unlock t.amu;
-    List.iter
-      (fun fd ->
-        Fault.interrupt fd;
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
-      fds;
-    List.iter Thread.join t.workers;
-    t.workers <- [];
-    Logs.info (fun m -> m "server killed")
-  end
+let kill t = if shut_down t ~graceful:false then Logs.info (fun m -> m "server killed")

@@ -15,11 +15,10 @@ type config = {
   port : int;  (** 0 picks an ephemeral port; read it back with {!port} *)
   pool_size : int;  (** worker threads *)
   max_queue : int;  (** accepted-but-unserved connections before SE-OVERLOADED *)
-  fetch_chunk : int;  (** default fetch-batch size in bytes *)
 }
 
 val default_config : config
-(** 127.0.0.1, ephemeral port, 4 workers, queue of 16, 64 KiB chunks. *)
+(** 127.0.0.1, ephemeral port, 4 workers, queue of 16. *)
 
 type t
 

@@ -1,7 +1,7 @@
 (* Client side of the wire protocol: a blocking connection that the
    benches, tests and the CLI's --connect mode drive like a local
-   session.  Query results arrive in fetch-batches and are reassembled
-   here.
+   session.  A query's rows arrive as the chunks of its Execute reply
+   and are reassembled here.
 
    The client knows about failover: it holds a list of endpoints
    (primary first, standbys after) and, when the connection drops, it
@@ -26,7 +26,6 @@ let () =
 
 type t = {
   mutable fd : Unix.file_descr;
-  fetch_chunk : int;
   mutable closed : bool;
   endpoints : (string * int) array; (* failover order; element [cur] is live *)
   mutable cur : int;
@@ -97,8 +96,8 @@ let connect_any ~endpoints ~start ~retries ~backoff_s =
   in
   round None
 
-let connect ?(host = "127.0.0.1") ?(fetch_chunk = 64 * 1024) ?endpoints
-    ?(retries = 0) ?(backoff_s = 0.05) ~port () : t =
+let connect ?(host = "127.0.0.1") ?endpoints ?(retries = 0) ?(backoff_s = 0.05)
+    ~port () : t =
   (* a server that closed the connection must surface as EPIPE on our
      next write, not kill the client process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -110,7 +109,6 @@ let connect ?(host = "127.0.0.1") ?(fetch_chunk = 64 * 1024) ?endpoints
   let fd, cur = connect_any ~endpoints ~start:0 ~retries ~backoff_s in
   {
     fd;
-    fetch_chunk;
     closed = false;
     endpoints;
     cur;
@@ -126,20 +124,23 @@ let endpoint t = t.endpoints.(t.cur)
 let in_transaction t = t.in_txn
 let last_trace_id t = t.last_trace
 
-(* One request/response round trip; servers only ever push a frame in
-   response to one of ours, so this is the whole protocol.  The client
-   relays the highest cluster epoch it has seen on every request and
-   folds in whatever the response carries: after a failover to a
+(* One frame from the server.  Servers only ever send in reply to one
+   of our requests: one frame, or for a query the chunks up to the
+   [last] one.  Every frame's epoch header is folded in, and every
+   request relays the highest cluster epoch seen: after a failover to a
    promoted standby, the client itself becomes the messenger that
    fences the deposed primary on its next contact. *)
-let request ?trace (t : t) (req : Wire.request) : Wire.response =
-  let epoch = if t.seen_epoch > 0 then Some t.seen_epoch else None in
-  Wire.write_request ?trace ?epoch t.fd req;
+let receive (t : t) : Wire.response =
   let e, resp = Wire.read_response t.fd in
   (match e with
    | Some e when e > t.seen_epoch -> t.seen_epoch <- e
    | _ -> ());
   resp
+
+let request ?trace (t : t) (req : Wire.request) : Wire.response =
+  let epoch = if t.seen_epoch > 0 then Some t.seen_epoch else None in
+  Wire.write_request ?trace ?epoch t.fd req;
+  receive t
 
 let fail_err = function
   | Wire.Err { code; msg } -> raise (Remote_error (code, msg))
@@ -162,17 +163,16 @@ let with_trace (t : t) name f =
       (fun () ->
         f (Some (Span.wire_of ~trace:(Span.trace_id c) ~parent:sp.Span.sp_id)))
 
-let fetch_all ?trace (t : t) (total : int) : string =
-  let b = Buffer.create total in
-  let rec go () =
-    match fail_err (request ?trace t (Wire.Fetch t.fetch_chunk)) with
+(* A query's rows: the chunks from [first] up to the [last] one. *)
+let rows (t : t) first : string =
+  let b = Buffer.create 256 in
+  let rec go = function
     | Wire.Chunk { last; data } ->
       Buffer.add_string b data;
-      if not last then go ()
-    | _ -> raise (Wire.Protocol_error "unexpected response to Fetch")
+      if last then Buffer.contents b else go (receive t)
+    | _ -> raise (Wire.Protocol_error "a query's rows ended without their last chunk")
   in
-  go ();
-  Buffer.contents b
+  go first
 
 (* ---- failover -------------------------------------------------------- *)
 
@@ -237,13 +237,12 @@ let open_db (t : t) (database : string) : int =
 let execute (t : t) (text : string) : Session.result =
   let kind = statement_kind text in
   let run () =
-    (* one statement = one trace; the fetches of its result ride the
-       same context so server-side fetch spans join the tree *)
+    (* one statement = one trace = one round trip *)
     with_trace t "client.request" (fun trace ->
         match fail_err (request ?trace t (Wire.Execute text)) with
         | Wire.Updated n -> Session.Updated n
         | Wire.Message m -> Session.Message m
-        | Wire.Result_ready total -> Session.Items (fetch_all ?trace t total)
+        | Wire.Chunk _ as first -> Session.Items (rows t first)
         | _ -> raise (Wire.Protocol_error "unexpected response to Execute"))
   in
   let track r =

@@ -16,7 +16,6 @@ type t
 
 val connect :
   ?host:string ->
-  ?fetch_chunk:int ->
   ?endpoints:(string * int) list ->
   ?retries:int ->
   ?backoff_s:float ->
@@ -38,15 +37,11 @@ val open_db : t -> string -> int
 (** Open a session against the named database; returns the session id. *)
 
 val execute : t -> string -> Sedna_db.Session.result
-(** Run one statement; query results are reassembled from
-    fetch-batches.  ["BEGIN"], ["BEGIN READ ONLY"], ["COMMIT"] and
+(** Run one statement in one round trip; a query's rows are reassembled
+    from the chunks of its reply.  ["BEGIN"], ["BEGIN READ ONLY"], ["COMMIT"] and
     ["ROLLBACK"] are transaction control. *)
 
 val execute_string : t -> string -> string
-
-val request : ?trace:string -> t -> Wire.request -> Wire.response
-(** Raw round trip (tests use this to observe protocol-level replies).
-    [trace] is a pre-encoded {!Sedna_util.Span.wire_of} context. *)
 
 val last_trace_id : t -> string option
 (** Trace ID generated for the most recent traced operation — feed to

@@ -8,7 +8,6 @@
    Requests (client -> server):
      'O' str database          open a session against a database
      'X' str statement         execute one statement
-     'F' u32 max_bytes         fetch the next chunk of a query result
      'C'                       close the session
 
    Any request or response may be prefixed (inside the same frame) with
@@ -24,8 +23,9 @@
      'o' u32 session_id        session opened
      'u' u32 count             update statement done (affected nodes)
      'm' str message           DDL / transaction-control done
-     'r' u32 total_bytes       query result ready; fetch-batch to stream
-     'c' u8 last, str data     one result chunk ([last] = final one)
+     'c' u8 last, str data     query rows: an Execute that ran a query is
+                               answered by back-to-back chunks of at most
+                               [chunk_bytes] each, the final one [last]
      'b'                       session closed, connection ends
      'e' str code, str msg     error (code = SE-*/W3C error name)
 
@@ -65,14 +65,12 @@
 type request =
   | Open of string
   | Execute of string
-  | Fetch of int
   | Close
 
 type response =
   | Opened of int
   | Updated of int
   | Message of string
-  | Result_ready of int
   | Chunk of { last : bool; data : string }
   | Bye
   | Err of { code : string; msg : string }
@@ -103,6 +101,8 @@ type repl_response =
 (* Frames larger than this are a protocol violation, not a payload:
    reject before allocating. *)
 let max_frame = 64 * 1024 * 1024
+
+let chunk_bytes = 64 * 1024
 
 exception Protocol_error of string
 
@@ -296,9 +296,6 @@ let write_request ?trace ?epoch fd (req : request) =
    | Execute text ->
      Buffer.add_char b 'X';
      add_str b text
-   | Fetch max_bytes ->
-     Buffer.add_char b 'F';
-     add_u32 b max_bytes
    | Close -> Buffer.add_char b 'C');
   write_frame fd b
 
@@ -328,7 +325,6 @@ let read_request fd : string option * int option * request =
     match opcode with
     | 'O' -> Open (get_str r)
     | 'X' -> Execute (get_str r)
-    | 'F' -> Fetch (get_u32 r)
     | 'C' -> Close
     | c -> perror "unknown request opcode %C" c
   in
@@ -353,9 +349,6 @@ let write_response ?epoch fd (resp : response) =
    | Message m ->
      Buffer.add_char b 'm';
      add_str b m
-   | Result_ready total ->
-     Buffer.add_char b 'r';
-     add_u32 b total
    | Chunk { last; data } ->
      Buffer.add_char b 'c';
      Buffer.add_char b (if last then '\001' else '\000');
@@ -367,6 +360,18 @@ let write_response ?epoch fd (resp : response) =
      add_str b msg);
   write_frame fd b
 
+(* back-to-back chunks of at most [chunk_bytes], the last one flagged;
+   an empty result is one empty last chunk *)
+let write_rows ?epoch fd body =
+  let len = String.length body in
+  let rec go off =
+    let n = min chunk_bytes (len - off) in
+    let last = off + n >= len in
+    write_response ?epoch fd (Chunk { last; data = String.sub body off n });
+    if not last then go (off + n)
+  in
+  go 0
+
 let read_response fd : int option * response =
   let r = read_frame fd in
   let _trace, epoch, opcode = read_headers r in
@@ -375,7 +380,6 @@ let read_response fd : int option * response =
     | 'o' -> Opened (get_u32 r)
     | 'u' -> Updated (get_u32 r)
     | 'm' -> Message (get_str r)
-    | 'r' -> Result_ready (get_u32 r)
     | 'c' ->
       let last = get_u8 r <> 0 in
       Chunk { last; data = get_str r }

@@ -5,15 +5,15 @@
 type request =
   | Open of string  (** open a session against the named database *)
   | Execute of string  (** run one statement (query / update / DDL / BEGIN…) *)
-  | Fetch of int  (** next result chunk, at most this many bytes *)
   | Close
 
 type response =
   | Opened of int  (** session id *)
   | Updated of int  (** affected-node count of an update *)
   | Message of string  (** DDL / transaction-control confirmation *)
-  | Result_ready of int  (** query done; result of this many bytes awaits fetch *)
   | Chunk of { last : bool; data : string }
+      (** a slice of a query's serialized rows; an [Execute] that ran a
+          query is answered by chunks up to and including the [last] one *)
   | Bye
   | Err of { code : string; msg : string }
 
@@ -65,6 +65,9 @@ type repl_response =
 
 val max_frame : int
 
+val chunk_bytes : int
+(** The most bytes of rows one {!response.Chunk} carries (64 KiB). *)
+
 exception Protocol_error of string
 
 exception Disconnected of string
@@ -84,6 +87,11 @@ val read_request : Unix.file_descr -> string option * int option * request
 
 val write_response : ?epoch:int -> Unix.file_descr -> response -> unit
 val read_response : Unix.file_descr -> int option * response
+
+val write_rows : ?epoch:int -> Unix.file_descr -> string -> unit
+(** A query's serialized rows as the reply to its [Execute]: chunks of
+    at most {!chunk_bytes} written back to back, the final one [last]
+    (an empty result is one empty last chunk). *)
 
 val write_repl_request : Unix.file_descr -> repl_request -> unit
 val read_repl_request : Unix.file_descr -> repl_request

@@ -39,7 +39,6 @@ let test_wire_roundtrip () =
         [
           Wire.Open "main";
           Wire.Execute "count(doc(\"d\")//x)";
-          Wire.Fetch 4096;
           Wire.Close;
         ]
       in
@@ -62,7 +61,6 @@ let test_wire_roundtrip () =
           Wire.Opened 7;
           Wire.Updated 3;
           Wire.Message "ok";
-          Wire.Result_ready 11;
           Wire.Chunk { last = false; data = "<r a=\"&#13;\"/>" };
           Wire.Chunk { last = true; data = "" };
           Wire.Err { code = "SE-OVERLOADED"; msg = "queue full" };
@@ -80,7 +78,32 @@ let test_wire_roundtrip () =
       Wire.write_response ~epoch:9 b (Wire.Message "fenced gossip");
       let epoch, got = Wire.read_response a in
       Alcotest.(check bool) "response epoch round trip" true
-        (epoch = Some 9 && got = Wire.Message "fenced gossip"))
+        (epoch = Some 9 && got = Wire.Message "fenced gossip");
+      (* a query's rows: back-to-back chunks of at most [chunk_bytes],
+         the final one [last]; the writer runs in its own thread since
+         the rows outgrow the socket buffer *)
+      let rows_of body =
+        let th = Thread.create (fun () -> Wire.write_rows ~epoch:3 b body) () in
+        let rec go acc =
+          match Wire.read_response a with
+          | Some 3, Wire.Chunk { last; data } ->
+            Alcotest.(check bool) "chunk within bound" true
+              (String.length data <= Wire.chunk_bytes);
+            if last then List.rev (data :: acc) else go (data :: acc)
+          | _ -> Alcotest.fail "expected an epoch-stamped chunk"
+        in
+        let chunks = go [] in
+        Thread.join th;
+        chunks
+      in
+      let big =
+        String.init ((2 * Wire.chunk_bytes) + 17) (fun i -> Char.chr (97 + (i mod 26)))
+      in
+      let chunks = rows_of big in
+      Alcotest.(check int) "three chunks" 3 (List.length chunks);
+      Alcotest.(check bool) "multi-chunk reply reassembles" true (String.concat "" chunks = big);
+      Alcotest.(check (list string)) "an empty result is one empty last chunk" [ "" ]
+        (rows_of ""))
 
 (* ---- basic execution over TCP ----------------------------------------- *)
 
@@ -101,21 +124,18 @@ let test_execute_over_tcp () =
             (Client.execute_string c {|string(doc("d")//b[1])|}
              ^ Client.execute_string c {|string(doc("d")//b[2])|})))
 
-let test_fetch_batches () =
+(* a result larger than one chunk comes back byte for byte *)
+let test_multi_chunk_rows () =
   with_server (fun _g srv _dir ->
-      (* a tiny fetch chunk forces the result through many batches *)
-      let c = Client.connect ~port:(Server.port srv) ~fetch_chunk:5 () in
-      Fun.protect
-        ~finally:(fun () -> Client.close c)
-        (fun () ->
+      with_client srv (fun c ->
           ignore (Client.open_db c "main");
-          ignore (Client.execute c {|CREATE DOCUMENT "d"|});
-          ignore
-            (Client.execute c
-               {|UPDATE insert <long>abcdefghijklmnopqrstuvwxyz0123456789</long> into doc("d")|});
-          Alcotest.(check string) "reassembled across chunks"
-            "abcdefghijklmnopqrstuvwxyz0123456789"
-            (Client.execute_string c {|string(doc("d")/long)|})))
+          let got =
+            Client.execute_string c
+              {|string-join(for $i in 1 to 20000 return "abcdefgh", "")|}
+          in
+          Alcotest.(check int) "three chunks' worth" 160_000 (String.length got);
+          Alcotest.(check bool) "reassembled across chunks" true
+            (got = String.concat "" (List.init 20000 (fun _ -> "abcdefgh")))))
 
 (* ---- §6.3: snapshot reader while a writer is uncommitted --------------- *)
 
@@ -328,6 +348,49 @@ let test_concurrent_clients () =
 
 (* ---- graceful shutdown -------------------------------------------------- *)
 
+let check_integrity db =
+  match Sedna_core.Integrity.check_all (Sedna_core.Database.store db) with
+  | [] -> ()
+  | problems ->
+    Alcotest.failf "integrity after shutdown: %s"
+      (String.concat "; "
+         (List.concat_map (fun (d, es) -> List.map (fun e -> d ^ ": " ^ e) es) problems))
+
+(* a query already waiting for the store lock when the drain starts
+   still gets its rows before the drain ends its connection *)
+let test_drain_delivers_in_flight () =
+  with_server (fun g srv _dir ->
+      let c = open_client srv in
+      ignore (Client.execute c {|CREATE DOCUMENT "d"|});
+      ignore (Client.execute c {|UPDATE insert <r><a/><b/></r> into doc("d")|});
+      let answer = ref (Error "no answer") in
+      let query = ref None and stopper = ref None in
+      Fun.protect
+        ~finally:(fun () ->
+          Option.iter Thread.join !query;
+          Option.iter Thread.join !stopper;
+          Client.close c)
+        (fun () ->
+          G.with_engine g (fun () ->
+              query :=
+                Some
+                  (Thread.create
+                     (fun () ->
+                       answer :=
+                         try Ok (Client.execute_string c {|count(doc("d")/r/*)|})
+                         with e -> Error (Printexc.to_string e))
+                     ());
+              (* the statement is now blocked on the lock we hold *)
+              Thread.delay 0.15;
+              stopper := Some (Thread.create (fun () -> Server.stop srv) ());
+              while not (Server.is_draining srv) do
+                Thread.delay 0.005
+              done);
+          Option.iter Thread.join !query;
+          match !answer with
+          | Ok rows -> Alcotest.(check string) "in-flight query answered" "2" rows
+          | Error e -> Alcotest.failf "in-flight query lost to the drain: %s" e))
+
 let test_graceful_shutdown_recoverable () =
   Test_util.with_dir @@ fun dir ->
   let g = G.create () in
@@ -352,25 +415,80 @@ let test_graceful_shutdown_recoverable () =
   Fun.protect
     ~finally:(fun () -> Sedna_core.Database.close db)
     (fun () ->
-      (match Sedna_core.Integrity.check_all (Sedna_core.Database.store db) with
-       | [] -> ()
-       | problems ->
-         Alcotest.failf "integrity after shutdown: %s"
-           (String.concat "; "
-              (List.concat_map
-                 (fun (d, es) -> List.map (fun e -> d ^ ": " ^ e) es)
-                 problems)));
+      check_integrity db;
       let s = Sedna_db.Session.connect db in
       Alcotest.(check string) "committed data survived" "2"
         (Sedna_db.Session.execute_string s {|count(doc("d")/r/*)|});
       Alcotest.(check string) "uncommitted insert rolled back" "0"
         (Sedna_db.Session.execute_string s {|count(doc("d")/r/uncommitted)|}))
 
+(* write_commit's shape: two documents loaded into one database in two
+   transactions, reopened from disk and served, and two clients
+   inserting into their own document at the same time *)
+let test_two_writers_two_documents () =
+  Test_util.with_dir @@ fun dir ->
+  let buckets = 8 and per_client = 50 in
+  let xml =
+    "<r>" ^ String.concat "" (List.init buckets (fun _ -> "<k><e/><e/><e/><e/></k>")) ^ "</r>"
+  in
+  let db = Sedna_core.Database.create dir in
+  List.iter (fun name -> ignore (Test_util.load db name xml)) [ "w0"; "w1" ];
+  Sedna_core.Database.close db;
+  let g = G.create () in
+  G.register_database g ~name:"main" (Sedna_core.Database.open_existing dir);
+  let srv = Server.start g in
+  let count c i = Client.execute_string c (Printf.sprintf {|count(doc("w%d")/r/k/e)|} i) in
+  let want = string_of_int ((4 * buckets) + per_client) in
+  Fun.protect
+    ~finally:(fun () -> Server.stop srv)
+    (fun () ->
+      let acked = Array.make 2 0 and errors = Array.make 2 "" in
+      let writers =
+        List.init 2 (fun i ->
+            Thread.create
+              (fun () ->
+                try
+                  let c = open_client srv in
+                  Fun.protect
+                    ~finally:(fun () -> Client.close c)
+                    (fun () ->
+                      for j = 1 to per_client do
+                        match
+                          Client.execute c
+                            (Printf.sprintf {|UPDATE insert <e v="%d"/> into doc("w%d")/r/k[%d]|}
+                               j i
+                               (1 + (j mod buckets)))
+                        with
+                        | Sedna_db.Session.Updated _ -> acked.(i) <- acked.(i) + 1
+                        | _ -> errors.(i) <- "insert answered without a count"
+                      done)
+                with e -> errors.(i) <- Printexc.to_string e)
+              ())
+      in
+      List.iter Thread.join writers;
+      Array.iteri (fun i e -> if e <> "" then Alcotest.failf "writer %d: %s" i e) errors;
+      Array.iter (Alcotest.(check int) "every insert acked" per_client) acked;
+      let c = open_client srv in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          List.iter (fun i -> Alcotest.(check string) "served count" want (count c i)) [ 0; 1 ]));
+  let db = Sedna_core.Database.open_existing dir in
+  Fun.protect
+    ~finally:(fun () -> Sedna_core.Database.close db)
+    (fun () ->
+      check_integrity db;
+      List.iter
+        (fun i ->
+          Alcotest.(check string) "count after reopen" want
+            (Test_util.exec db (Printf.sprintf {|count(doc("w%d")/r/k/e)|} i)))
+        [ 0; 1 ])
+
 let suite =
   [
     Alcotest.test_case "wire round trip" `Quick test_wire_roundtrip;
     Alcotest.test_case "execute over tcp" `Quick test_execute_over_tcp;
-    Alcotest.test_case "fetch batches" `Quick test_fetch_batches;
+    Alcotest.test_case "multi-chunk rows" `Quick test_multi_chunk_rows;
     Alcotest.test_case "snapshot reader under writer" `Quick
       test_snapshot_reader_under_writer;
     Alcotest.test_case "writer blocks writer" `Quick test_writer_blocks_writer;
@@ -380,4 +498,8 @@ let suite =
     Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
     Alcotest.test_case "graceful shutdown recoverable" `Quick
       test_graceful_shutdown_recoverable;
+    Alcotest.test_case "drain delivers an in-flight query" `Quick
+      test_drain_delivers_in_flight;
+    Alcotest.test_case "two writers on two documents" `Quick
+      test_two_writers_two_documents;
   ]
