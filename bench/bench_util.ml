@@ -53,9 +53,7 @@ let fresh_db ?(buffer_frames = 1024) () =
   Sedna_core.Database.create ~buffer_frames dir
 
 let load_events db name events =
-  Sedna_core.Database.with_txn db (fun txn st ->
-      Sedna_core.Database.lock_exn db txn ~doc:name
-        ~mode:Sedna_core.Lock_mgr.Exclusive;
+  Sedna_core.Database.with_txn db (fun _ st ->
       Sedna_core.Loader.load_events st ~doc_name:name events)
 
 let session ?opts db =

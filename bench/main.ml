@@ -184,9 +184,7 @@ let e4 () =
       ignore
         (load_events db name
            (Sedna_workloads.Generators.wide ~kinds:2 ~children:fanout ()));
-      Sedna_core.Database.with_txn db (fun txn st ->
-          Sedna_core.Database.lock_exn db txn ~doc:name
-            ~mode:Sedna_core.Lock_mgr.Exclusive;
+      Sedna_core.Database.with_txn db (fun _ st ->
           let doc = Sedna_core.Catalog.get_document st.Sedna_core.Store.cat name in
           let dd = Sedna_core.Indirection.get st.Sedna_core.Store.bm
               doc.Sedna_core.Catalog.doc_indir in
@@ -236,9 +234,7 @@ let e4b () =
         Buffer.add_string b "</root>";
         Buffer.contents b
       in
-      Sedna_core.Database.with_txn db (fun txn st ->
-          Sedna_core.Database.lock_exn db txn ~doc:"d"
-            ~mode:Sedna_core.Lock_mgr.Exclusive;
+      Sedna_core.Database.with_txn db (fun _ st ->
           ignore (Sedna_core.Loader.load_string st ~doc_name:"d" xml);
           let doc = Sedna_core.Catalog.get_document st.Sedna_core.Store.cat "d" in
           let dd = Sedna_core.Indirection.get st.Sedna_core.Store.bm
@@ -686,7 +682,7 @@ let e12 () =
   let reader = Sedna_core.Database.begin_txn ~read_only:true db in
   let read_query () =
     Sedna_core.Database.run db reader (fun () ->
-        let st = Sedna_core.Database.txn_store db reader in
+        let st = Sedna_core.Database.txn_store db reader ~mode:Sedna_core.Lock_mgr.Shared in
         let doc = Sedna_core.Catalog.get_document st.Sedna_core.Store.cat "b" in
         let dd = Sedna_core.Indirection.get st.Sedna_core.Store.bm
             doc.Sedna_core.Catalog.doc_indir in
@@ -1273,9 +1269,7 @@ let e17 () =
     for w = 0 to writers - 1 do
       G.with_engine g (fun () ->
           ignore
-            (Sedna_core.Database.with_txn db (fun txn st ->
-                 Sedna_core.Database.lock_exn db txn ~doc:(doc w)
-                   ~mode:Sedna_core.Lock_mgr.Exclusive;
+            (Sedna_core.Database.with_txn db (fun _ st ->
                  Sedna_core.Loader.load_string st ~doc_name:(doc w) "<log/>")))
     done;
     let syncs0 = Sedna_util.Counters.get Sedna_util.Counters.wal_syncs in

@@ -18,8 +18,7 @@ let () =
   let events =
     Sedna_workloads.Generators.auction ~items:120 ~people:80 ~auctions:100 ()
   in
-  Database.with_txn db (fun txn st ->
-      Database.lock_exn db txn ~doc:"auction" ~mode:Lock_mgr.Exclusive;
+  Database.with_txn db (fun _ st ->
       let _, n = Loader.load_events st ~doc_name:"auction" events in
       Printf.printf "loaded %d nodes\n\n" n);
 

@@ -19,8 +19,7 @@ let () =
   (* bulk load 500 books through the loader API (faster than LOAD for
      generated event streams) *)
   let events = Sedna_workloads.Generators.library ~books:500 () in
-  Database.with_txn db (fun txn st ->
-      Database.lock_exn db txn ~doc:"catalog" ~mode:Lock_mgr.Exclusive;
+  Database.with_txn db (fun _ st ->
       let _, n = Loader.load_events st ~doc_name:"catalog" events in
       Printf.printf "loaded %d nodes\n\n" n);
 

@@ -14,8 +14,7 @@ let () =
   let exec q = Sedna_db.Session.execute_string session q in
 
   let events = Sedna_workloads.Generators.library ~books:200 () in
-  Database.with_txn db (fun txn st ->
-      Database.lock_exn db txn ~doc:"lib" ~mode:Lock_mgr.Exclusive;
+  Database.with_txn db (fun _ st ->
       ignore (Loader.load_events st ~doc_name:"lib" events));
 
   (* 1. the descriptive schema, queryable as XML (paper §4.1) *)

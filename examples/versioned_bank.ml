@@ -32,7 +32,7 @@ let () =
   let reader = Database.begin_txn ~read_only:true db in
   let read_balance () =
     Database.run db reader (fun () ->
-        let st = Database.txn_store db reader in
+        let st = Database.txn_store db reader ~mode:Lock_mgr.Shared in
         let ctx = Sedna_engine.Executor.initial_ctx st in
         let q, e = Sedna_xquery.Xq_parser.parse_query balance_query in
         ignore q;

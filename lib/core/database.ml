@@ -63,7 +63,7 @@ type t = {
   mutable degraded_reason : string;
 }
 
-let store db : Store.t = Store.create db.bm db.cat
+let store db : Store.t = Store.create ~lock:ignore db.bm db.cat
 
 (* make [blob] the committed catalog new readers see; its decoded copy
    is made by the first of them *)
@@ -494,13 +494,6 @@ let run db (txn : Txn.t) f =
       if Option.is_some overlay then Buffer_mgr.clear_read_overlay db.bm)
     f
 
-(* The store a transaction should execute against: readers get the
-   committed catalog they began with. *)
-let txn_store db (txn : Txn.t) : Store.t =
-  match txn.Txn.reader_catalog with
-  | Some cat -> Store.create db.bm cat
-  | None -> store db
-
 (* Strict 2PL at document granularity, without waiting (NO_WAIT): a
    request is granted iff no other active transaction holds a mode
    that conflicts with it (an S->X upgrade thus needs every other
@@ -511,9 +504,14 @@ let txn_store db (txn : Txn.t) : Store.t =
    statements with its pause *outside* the engine lock.  Nothing ever
    waits for a lock while holding one, so no deadlock can form.
    A transaction's locks live on it and end when it leaves [db.active].
-   Read-only transactions read their snapshot and never lock (§6.3). *)
+   Read-only transactions read their snapshot and never lock (§6.3).
+   A lock the transaction already holds (X, or the mode asked for)
+   returns before the span and the deadline check: a store asks again
+   at every name it resolves, e.g. once per iteration of a loop over
+   doc("d"). *)
 let lock_exn db (txn : Txn.t) ~doc ~mode =
-  if not txn.Txn.read_only then
+  let held = List.assoc_opt doc txn.Txn.locks in
+  if not (txn.Txn.read_only || held = Some Lock_mgr.Exclusive || held = Some mode) then
     Span.with_span "lock.wait" (fun sp ->
         (match sp with
          | Some sp ->
@@ -524,7 +522,6 @@ let lock_exn db (txn : Txn.t) ~doc ~mode =
          | None -> ());
         let outcome o = Option.iter (fun sp -> Span.annotate sp "outcome" (Metrics.Str o)) sp in
         Deadline.check_now ();
-        let held = List.assoc_opt doc txn.Txn.locks in
         let conflicts (other : Txn.t) =
           other != txn
           &&
@@ -532,8 +529,7 @@ let lock_exn db (txn : Txn.t) ~doc ~mode =
           | Some m -> not (Lock_mgr.compatible mode m)
           | None -> false
         in
-        if held = Some Lock_mgr.Exclusive || held = Some mode then outcome "granted"
-        else if Seq.exists conflicts (Hashtbl.to_seq_values db.active) then begin
+        if Seq.exists conflicts (Hashtbl.to_seq_values db.active) then begin
           outcome "timeout";
           Error.raise_error Error.Lock_timeout "transaction %d blocked on document %S"
             txn.Txn.id doc
@@ -542,6 +538,14 @@ let lock_exn db (txn : Txn.t) ~doc ~mode =
           txn.Txn.locks <- (doc, mode) :: List.remove_assoc doc txn.Txn.locks;
           outcome "granted"
         end)
+
+(* The store a transaction executes against.  An updater's store locks
+   every document it resolves in [mode] ([lock_exn]); a reader's gets
+   the committed catalog it began with and locks nothing. *)
+let txn_store db (txn : Txn.t) ~mode : Store.t =
+  match txn.Txn.reader_catalog with
+  | Some cat -> Store.create ~lock:ignore db.bm cat
+  | None -> Store.create ~lock:(fun doc -> lock_exn db txn ~doc ~mode) db.bm db.cat
 
 let commit ?(park = fun wait -> wait ()) db (txn : Txn.t) =
   if not (Txn.is_active txn) then
@@ -668,10 +672,11 @@ let abort db (txn : Txn.t) =
   Txn.mark_aborted txn;
   Hashtbl.remove db.active txn.Txn.id
 
-(* Convenience bracket: BEGIN; f; COMMIT (abort on exception). *)
+(* Convenience bracket: BEGIN; f; COMMIT (abort on exception).  An
+   updater's store locks in X every document [f] resolves. *)
 let with_txn ?read_only db f =
   let txn = begin_txn ?read_only db in
-  match run db txn (fun () -> f txn (txn_store db txn)) with
+  match run db txn (fun () -> f txn (txn_store db txn ~mode:Lock_mgr.Exclusive)) with
   | v ->
     commit db txn;
     v

@@ -27,6 +27,9 @@ val checkpoint : t -> unit
     log (no active transactions allowed). *)
 
 val store : t -> Store.t
+(** The live catalog outside any transaction; its store locks nothing
+    ({!Integrity}, tools). *)
+
 val catalog : t -> Catalog.t
 val buffer : t -> Buffer_mgr.t
 val versions : t -> Versions.t
@@ -114,9 +117,10 @@ val snapshot_view : t -> [ `Current | `Overlay of int ]
     overlay, [`Overlay n] through one that computed [n] page decisions
     (the rest were served by its one-page memo).  Tests and benches. *)
 
-val txn_store : t -> Txn.t -> Store.t
-(** The store a transaction must execute against (readers get their
-    snapshot catalog). *)
+val txn_store : t -> Txn.t -> mode:Lock_mgr.mode -> Store.t
+(** The store a transaction must execute against.  An updater's store
+    locks every document it resolves in [mode] through {!lock_exn}; a
+    reader's gets its snapshot catalog and locks nothing. *)
 
 val lock_exn : t -> Txn.t -> doc:string -> mode:Lock_mgr.mode -> unit
 (** Strict 2PL without waiting: grant iff no other active transaction
@@ -125,7 +129,9 @@ val lock_exn : t -> Txn.t -> doc:string -> mode:Lock_mgr.mode -> unit
     the engine lock, so no holder could release while it waited.  The
     lock is kept on the transaction until it commits or aborts.  A
     read-only transaction returns at once: it reads its snapshot and
-    never locks (paper §6.3). *)
+    never locks (paper §6.3).  So does a request for a lock the
+    transaction already holds (X, or the mode asked for): no
+    [lock.wait] span, no deadline check. *)
 
 val commit : ?park:((unit -> unit) -> unit) -> t -> Txn.t -> unit
 (** WAL protocol: logical records, page after-images and the commit
@@ -147,4 +153,5 @@ val abort : t -> Txn.t -> unit
     active table releases the locks. *)
 
 val with_txn : ?read_only:bool -> t -> (Txn.t -> Store.t -> 'a) -> 'a
-(** BEGIN; run; COMMIT — aborting on exceptions. *)
+(** BEGIN; run; COMMIT — aborting on exceptions.  An updater's store
+    locks in X every document the body resolves through it. *)

@@ -68,7 +68,7 @@ let entries_for (st : Store.t) (def : Catalog.index_def) (doc_desc : Node.desc)
 
 (* Build (or rebuild) the index for its document. *)
 let build (st : Store.t) (def : Catalog.index_def) =
-  let doc = Catalog.get_document st.Store.cat def.Catalog.idx_doc in
+  let doc = Store.document st def.Catalog.idx_doc in
   let doc_desc = Indirection.get st.Store.bm doc.Catalog.doc_indir in
   let bt = Btree.create st.Store.bm in
   List.iter
@@ -92,7 +92,11 @@ let create (st : Store.t) ~name ~doc ~path ~key_path ~kind =
   build st def;
   def
 
-let drop (st : Store.t) ~name = Catalog.remove_index st.Store.cat name
+let drop (st : Store.t) ~name =
+  Option.iter
+    (fun (def : Catalog.index_def) -> st.Store.lock def.Catalog.idx_doc)
+    (Catalog.find_index st.Store.cat name);
+  Catalog.remove_index st.Store.cat name
 
 (* point lookup: handles of indexed nodes with the given key *)
 let lookup_string (st : Store.t) (def : Catalog.index_def) (key : string) :

@@ -22,7 +22,7 @@ module F = Format
 
 let check_into (st : Store.t) (doc_name : string) errors =
   let bm = st.Store.bm in
-  let doc = Catalog.get_document st.Store.cat doc_name in
+  let doc = Store.document st doc_name in
   let dd = Indirection.get bm doc.Catalog.doc_indir in
   let err fmt = F.kasprintf (fun s -> errors := s :: !errors) fmt in
   let rec walk d =

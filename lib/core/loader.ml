@@ -97,9 +97,10 @@ let feed state (e : Sedna_xml.Xml_event.t) =
          ~name:(Some (Xname.make target))
          ~value:(Some data))
 
-(* Create the document node and its schema root; returns the loader
-   state positioned inside the document. *)
+(* Lock the new document's name, create its document node and schema
+   root; returns the loader state positioned inside the document. *)
 let start_document (st : Store.t) ~doc_name =
+  st.Store.lock doc_name;
   let cat = st.Store.cat in
   let schema_root = Catalog.new_snode cat ~parent:None ~kind:Catalog.Document ~name:None in
   let doc = Catalog.add_document cat ~name:doc_name ~schema_root_id:schema_root.Catalog.id in

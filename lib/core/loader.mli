@@ -5,8 +5,9 @@
 type state
 
 val start_document : Store.t -> doc_name:string -> state
-(** Register the document, materialize its document node and schema
-    root, and return a loader positioned inside it. *)
+(** Lock the name through the store, register the document,
+    materialize its document node and schema root, and return a loader
+    positioned inside it. *)
 
 val feed : state -> Sedna_xml.Xml_event.t -> unit
 (** Push one parser event.  Adjacent text events coalesce into one text

@@ -1,6 +1,13 @@
 (* The storage context threaded through node-level operations: the
-   buffer manager plus the catalog.  One per open database. *)
+   buffer manager, the catalog, and the document lock of the
+   transaction the computation runs in.  Every name a statement turns
+   into storage passes [lock] first (paper §6.2: document
+   granularity). *)
 
-type t = { bm : Buffer_mgr.t; cat : Catalog.t }
+type t = { bm : Buffer_mgr.t; cat : Catalog.t; lock : string -> unit }
 
-let create bm cat = { bm; cat }
+let create ~lock bm cat = { bm; cat; lock }
+
+let document st name =
+  st.lock name;
+  Catalog.get_document st.cat name

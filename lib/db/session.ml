@@ -5,7 +5,9 @@
    Auto-commit mode: a statement outside an explicit transaction runs
    in its own transaction — read-only (snapshot, no locks) for queries,
    updating (S2PL document locks, refused rather than waited for) for
-   updates and DDL. *)
+   updates and DDL.  An updating transaction locks each document where
+   the statement resolves it (the transaction's store, see
+   [Database.txn_store]): S for a query, X for an update or DDL. *)
 
 open Sedna_util
 open Sedna_core
@@ -55,50 +57,6 @@ let database t = t.db
 let id t = t.id
 
 let set_rewriter_options t o = t.rewriter_options <- o
-
-(* ---- lock-set inference ----------------------------------------------- *)
-
-(* Documents a statement touches: doc() calls and plan nodes anywhere in
-   its tree, plus the current members of every collection() it names.
-   Locking granularity is the document (paper §6.2). *)
-let statement_locks (db : Database.t) (s : Ast.statement) :
-    (string * Lock_mgr.mode) list =
-  let collections = (Database.catalog db).Catalog.collections in
-  let rec refs acc (e : Ast.expr) =
-    match e with
-    | Ast.Call (n, [ Ast.Str_lit name ]) -> (
-      match Xname.local n with
-      | "doc" | "document" -> name :: acc
-      | "collection" -> (
-        match Hashtbl.find_opt collections name with
-        | Some docs -> List.rev_append docs acc
-        | None -> acc)
-      | _ -> acc)
-    | Ast.Schema_path (d, _) -> d :: acc
-    | Ast.Index_probe { Ast.ip_doc = d; _ } | Ast.Chain_filter { Ast.cf_doc = d; _ } ->
-      Ast.fold refs (d :: acc) e
-    | e -> Ast.fold refs acc e
-  in
-  let lock mode acc = List.map (fun d -> (d, mode)) (List.sort_uniq compare acc) in
-  match s with
-  | Ast.Query (prolog, e) ->
-    lock Lock_mgr.Shared
-      (List.fold_left (fun acc (_, e') -> refs acc e') (refs [] e) prolog.Ast.variables)
-  | Ast.Update (_, u) ->
-    lock Lock_mgr.Exclusive
-      (match u with
-       | Ast.Insert_into (a, b)
-       | Ast.Insert_preceding (a, b)
-       | Ast.Insert_following (a, b)
-       | Ast.Replace (_, a, b) -> refs (refs [] a) b
-       | Ast.Delete a | Ast.Delete_undeep a | Ast.Rename (a, _) -> refs [] a)
-  | Ast.Ddl d -> (
-    match d with
-    | Ast.Create_document n | Ast.Drop_document n
-    | Ast.Load_string (_, n) | Ast.Load_file (_, n)
-    | Ast.Create_document_in (n, _) -> [ (n, Lock_mgr.Exclusive) ]
-    | Ast.Create_index { ix_doc; _ } -> [ (ix_doc, Lock_mgr.Exclusive) ]
-    | Ast.Drop_index _ | Ast.Create_collection _ | Ast.Drop_collection _ -> [])
 
 (* ---- transaction control ---------------------------------------------- *)
 
@@ -211,10 +169,13 @@ let build_ctx _t (st : Store.t) (prolog : Ast.prolog) : Sedna_engine.Executor.ct
   in
   { ctx0 with Sedna_engine.Executor.vars = vars }
 
+let is_query = function Ast.Query _ -> true | _ -> false
+
 (* Run an already-compiled statement; [prof] observes a query's
    operators ([\profile]). *)
 let run_statement ?prof t (stmt : Ast.statement) (txn : Txn.t) : result =
-  let st = Database.txn_store t.db txn in
+  let mode = if is_query stmt then Lock_mgr.Shared else Lock_mgr.Exclusive in
+  let st = Database.txn_store t.db txn ~mode in
   match stmt with
   | Ast.Query (prolog, e) ->
     let ctx = { (build_ctx t st prolog) with Sedna_engine.Executor.prof } in
@@ -229,8 +190,6 @@ let run_statement ?prof t (stmt : Ast.statement) (txn : Txn.t) : result =
     if txn.Txn.read_only then
       Error.raise_error Error.Txn_read_only "DDL in a read-only transaction";
     Message (Sedna_engine.Ddl_exec.execute st d)
-
-let is_query = function Ast.Query _ -> true | _ -> false
 
 (* Statement-level abort isolation: failures that can leave partial
    storage effects or a refused lock behind must abort the whole
@@ -319,7 +278,6 @@ let run t ~instrument (text : string) : result * (float * float * float * float)
     (* span-boundary deadline check: compilation can be slow and never
        passes an executor choke point *)
     Deadline.check_now ();
-    let locks = statement_locks t.db stmt in
     let te = ref 0. in
     let eval txn =
       Span.with_span "eval" (fun _ ->
@@ -333,12 +291,7 @@ let run t ~instrument (text : string) : result * (float * float * float * float)
     let r =
       match t.txn with
       | Some txn when Txn.is_active txn -> (
-        try
-          List.iter
-            (fun (doc, mode) -> Database.lock_exn t.db txn ~doc ~mode)
-            locks;
-          eval txn
-        with
+        try eval txn with
         | Fault.Injected_crash _ as e ->
           (* simulated process death: nothing may be written after
              this point, the harness reopens the directory *)
@@ -357,9 +310,6 @@ let run t ~instrument (text : string) : result * (float * float * float * float)
         let run_once () =
           let txn = Database.begin_txn ~read_only:(is_query stmt) t.db in
           try
-            List.iter
-              (fun (doc, mode) -> Database.lock_exn t.db txn ~doc ~mode)
-              locks;
             let r = eval txn in
             Database.commit ~park:t.park t.db txn;
             r
@@ -377,13 +327,15 @@ let run t ~instrument (text : string) : result * (float * float * float * float)
            group fsync, and that commit can only complete — and
            release — once this session lets go of the engine lock.
            So the pause between attempts goes through [t.park]
-           (engine lock released, like a commit park).  The timed-out
-           attempt was fully aborted, and locks are acquired before
-           any modification, so the restart is invisible to the
-           client.  Explicit transactions are not restarted: their
-           abort is the documented statement-failure contract.  This is
-           the only lock wait ([Database.lock_exn] never sleeps): 38
-           attempts pause 0.279 s in all before SE-LOCK-TIMEOUT. *)
+           (engine lock released, like a commit park).  A document is
+           locked where the statement resolves it, so a refusal may
+           come after the attempt changed other documents; the attempt
+           is fully aborted (before-images, catalog, locks), so the
+           restart is still invisible to the client.  Explicit
+           transactions are not restarted: their abort is the
+           documented statement-failure contract.  This is the only
+           lock wait ([Database.lock_exn] never sleeps): 38 attempts
+           pause 0.279 s in all before SE-LOCK-TIMEOUT. *)
         let max_attempts = 38 in
         let rec attempt n =
           match run_once () with

@@ -4,9 +4,10 @@
 
     Outside an explicit transaction, each statement auto-commits in its
     own transaction: read-only with a snapshot (no locks) for queries;
-    updating with S2PL document locks for updates and DDL.  The lock
-    set is inferred from the doc()/collection() references in the
-    statement. *)
+    updating with S2PL document locks for updates and DDL.  An
+    updating transaction locks a document where the statement resolves
+    it — doc(), a forced collection() member, an index probe, a load,
+    a drop — in S for a query and X for an update or DDL. *)
 
 type t
 
@@ -75,7 +76,3 @@ val explain : t -> string -> string
     session rewriter options, live catalog), prolog variable
     initializers included.  Queries only; raises [Unsupported] for
     updates and DDL. *)
-
-val statement_locks :
-  Sedna_core.Database.t -> Sedna_xquery.Xq_ast.statement -> (string * Sedna_core.Lock_mgr.mode) list
-(** The inferred lock set (exposed for tests). *)

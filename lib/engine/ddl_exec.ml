@@ -14,7 +14,7 @@ let prune_schema (cat : Catalog.t) (root_id : int) =
   Catalog.mark_dirty cat
 
 let drop_document (st : Store.t) name =
-  let doc = Catalog.get_document st.Store.cat name in
+  let doc = Store.document st name in
   (* drop dependent indexes first *)
   List.iter
     (fun (d : Catalog.index_def) ->

@@ -414,11 +414,15 @@ and eval_core (ctx : ctx) (e : Ast.expr) : item Seq.t =
       (N (Temp (new_tnode ~kind:Catalog.Pi ~name:(Some (Xname.make target)) ~value:v)))
   | Ast.Cast (e', ty) -> eval_cast ctx e' ty
   | Ast.Castable (e', ty) ->
+    (* only a failed cast is false: a refused lock or a fired deadline
+       in the operand must still reach the client *)
     let ok =
       try
         ignore (List.of_seq (eval_cast ctx e' ty));
         true
-      with _ -> false
+      with
+      | Error.Sedna_error ((Error.Xquery_dynamic | Error.Xquery_type | Error.Unsupported), _) ->
+        false
     in
     Seq.return (A (ABool ok))
   | Ast.Instance_of (e', ty) ->
@@ -530,7 +534,7 @@ and pred_holds ctx (pred : Ast.expr) : bool =
 and eval_schema_path ctx (doc_name : string) (steps : (Ast.axis * Xname.t) list)
     : item Seq.t =
   let st = ctx.st in
-  let doc = Catalog.get_document st.Store.cat doc_name in
+  let doc = Store.document st doc_name in
   let root_snode = Catalog.snode_by_id st.Store.cat doc.Catalog.schema_root_id in
   (* resolve the step names against the schema tree: this happens in
      main memory, no data block is touched (paper §5.1.4) *)
@@ -560,6 +564,7 @@ and eval_index_probe ctx (p : Ast.index_probe) : item Seq.t =
   match Catalog.find_index st.Store.cat p.Ast.ip_index with
   | None -> eval ctx p.Ast.ip_fallback
   | Some def ->
+    st.Store.lock def.Catalog.idx_doc;
     let keys = List.map (atomize st) (List.of_seq (eval ctx p.Ast.ip_key)) in
     let compatible (a : atomic) =
       match (def.Catalog.idx_kind, a) with
@@ -614,7 +619,7 @@ and eval_index_probe ctx (p : Ast.index_probe) : item Seq.t =
 and eval_chain_filter ctx (c : Ast.chain_filter) : item Seq.t =
   let st = ctx.st in
   let cat = st.Store.cat in
-  let doc = Catalog.get_document cat c.Ast.cf_doc in
+  let doc = Store.document st c.Ast.cf_doc in
   let root = Catalog.snode_by_id cat doc.Catalog.schema_root_id in
   let ps =
     Catalog.resolve_steps cat ~root
@@ -937,7 +942,7 @@ and eval_call ctx (n : Xname.t) (args : Ast.expr list) : item Seq.t =
   | "doc", [ a ] | "document", [ a ] -> (
     match singleton_atomic ctx (eval ctx a) with
     | Some name ->
-      let doc = Catalog.get_document ctx.st.Store.cat (string_of_atomic name) in
+      let doc = Store.document ctx.st (string_of_atomic name) in
       Seq.return (N (Stored (Indirection.get ctx.st.Store.bm doc.Catalog.doc_indir)))
     | None -> Seq.empty)
   | "doc-available", [ a ] -> (
@@ -954,7 +959,7 @@ and eval_call ctx (n : Xname.t) (args : Ast.expr list) : item Seq.t =
       in
       List.to_seq docs
       |> Seq.map (fun d ->
-             let doc = Catalog.get_document ctx.st.Store.cat d in
+             let doc = Store.document ctx.st d in
              N (Stored (Indirection.get ctx.st.Store.bm doc.Catalog.doc_indir)))
     | None -> Seq.empty)
   | "root", [] | "root", [ _ ] ->
@@ -1202,7 +1207,7 @@ and eval_call ctx (n : Xname.t) (args : Ast.expr list) : item Seq.t =
     let docs =
       Catalog.document_names cat
       |> List.map (fun name ->
-             let doc = Catalog.get_document cat name in
+             let doc = Store.document ctx.st name in
              let sroot = Catalog.snode_by_id cat doc.Catalog.schema_root_id in
              let all = sroot :: Catalog.schema_descendants sroot in
              let nodes =
@@ -1249,9 +1254,7 @@ and eval_call ctx (n : Xname.t) (args : Ast.expr list) : item Seq.t =
     match singleton_atomic ctx (eval ctx a) with
     | None -> Seq.empty
     | Some name ->
-      let doc =
-        Catalog.get_document ctx.st.Store.cat (string_of_atomic name)
-      in
+      let doc = Store.document ctx.st (string_of_atomic name) in
       let rec tnode_of (s : Catalog.snode) : tnode =
         let t =
           new_tnode ~kind:Catalog.Element
@@ -1365,6 +1368,7 @@ and eval_index_scan ctx (args : Ast.expr list) : item Seq.t =
       | None -> dynamic_error "index-scan needs an index name"
     in
     let def = Catalog.get_index ctx.st.Store.cat name in
+    ctx.st.Store.lock def.Catalog.idx_doc;
     let mode =
       match rest with
       | [ m ] -> (

@@ -171,8 +171,7 @@ let audit r ~survivors ?(new_port = -1) ?(fence = infinity) () =
 
 let load db name xml =
   ignore
-    (Database.with_txn db (fun txn st ->
-         Database.lock_exn db txn ~doc:name ~mode:Lock_mgr.Exclusive;
+    (Database.with_txn db (fun _ st ->
          Loader.load_string st ~doc_name:name xml))
 
 let flip_byte db pid =

@@ -5,8 +5,7 @@ open Sedna_core
 
 let with_bt f =
   Test_util.with_db (fun db ->
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"x" ~mode:Lock_mgr.Exclusive;
+      Database.with_txn db (fun _ st ->
           let bt = Btree.create st.Store.bm in
           f st bt))
 
@@ -112,8 +111,7 @@ let arb_ops =
 let prop_matches_reference ops =
   let result = ref true in
   Test_util.with_db (fun db ->
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"x" ~mode:Lock_mgr.Exclusive;
+      Database.with_txn db (fun _ st ->
           let bt = Btree.create st.Store.bm in
           let reference = Hashtbl.create 64 in
           List.iter

@@ -42,8 +42,7 @@ let test_deep_labels_overflow () =
   Test_util.with_db (fun db ->
       let events = Sedna_workloads.Generators.deep ~depth:40 () in
       ignore (Test_util.load_events db "deep" events);
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"deep" ~mode:Lock_mgr.Exclusive;
+      Database.with_txn db (fun _ st ->
           Test_util.check_invariants st "deep";
           let dd = Test_util.doc_desc st "deep" in
           let leaf =

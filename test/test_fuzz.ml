@@ -191,8 +191,7 @@ let prop_script_matches_reference (ops : op list) : bool =
   let result = ref true in
   Test_util.with_db (fun db ->
       ignore (Test_util.load db "f" "<root></root>");
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"f" ~mode:Lock_mgr.Exclusive;
+      Database.with_txn db (fun _ st ->
           let rroot = { rname = "root"; rtext = None; rkids = [] } in
           let sroot () =
             List.hd (Node.children st (Test_util.doc_desc st "f"))

@@ -24,10 +24,7 @@ let index_states (st : Store.t) doc =
     (Catalog.indexes_for_document st.Store.cat doc)
   |> List.sort compare
 
-let with_read db doc f =
-  Database.with_txn db (fun txn st ->
-      Database.lock_exn db txn ~doc ~mode:Lock_mgr.Shared;
-      f st)
+let with_read db f = Database.with_txn db (fun _ st -> f st)
 
 let contains s sub =
   let n = String.length sub in
@@ -42,8 +39,7 @@ let test_audit_reports_btree_drift () =
       ignore
         (Test_util.exec db {|CREATE INDEX "pid" ON doc("d")/r/p BY @id AS xs:string|});
       let drift f =
-        Database.with_txn db (fun txn st ->
-            Database.lock_exn db txn ~doc:"d" ~mode:Lock_mgr.Exclusive;
+        Database.with_txn db (fun _ st ->
             let def = Catalog.get_index st.Store.cat "pid" in
             let bt = Btree.of_root st.Store.bm def.Catalog.idx_root in
             f st bt;
@@ -168,7 +164,7 @@ let script_keeps_indexes (ops : op list) : bool =
         (fun op ->
           (try ignore (Test_util.exec db (stmt op))
            with Sedna_util.Error.Sedna_error _ -> ());
-          with_read db "d" (fun st ->
+          with_read db (fun st ->
               let ok =
                 List.for_all (fun (_, stored, want) -> stored = want) (index_states st "d")
               in
@@ -216,10 +212,9 @@ let test_many_documents () =
           ignore
             (run (Printf.sprintf {|UPDATE insert <p id="%s-1"/> into doc("%s")/r|} n n)))
         names;
-      Database.with_txn db (fun txn st ->
+      Database.with_txn db (fun _ st ->
           List.iter
             (fun n ->
-              Database.lock_exn db txn ~doc:n ~mode:Lock_mgr.Shared;
               let root = Test_util.doc_desc st n in
               let doc =
                 Catalog.document_of_schema_root st.Store.cat (Node.snode st root).Catalog.id
@@ -237,8 +232,7 @@ let test_many_documents () =
           Alcotest.(check (list string)) "i17" [ "c17-0"; "c17-1" ] (ids "i17");
           Alcotest.(check (list string)) "i33" [ "c33-0"; "c33-1" ] (ids "i33"));
       ignore (run {|DROP DOCUMENT "c17"|});
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"c18" ~mode:Lock_mgr.Shared;
+      Database.with_txn db (fun _ st ->
           Alcotest.(check int) "dropped document unregistered" 39
             (Hashtbl.length st.Store.cat.Catalog.doc_roots)))
 
@@ -315,7 +309,7 @@ let arb_child_case =
 let child_step_matches_walk (ns, kids, t, pos) : bool =
   Test_util.with_db (fun db ->
       ignore (Test_util.load db "d" (to_xml ~ns kids));
-      with_read db "d" (fun st ->
+      with_read db (fun st ->
           let ctx0 = Executor.initial_ctx st in
           let test = tests.(t) in
           let step =

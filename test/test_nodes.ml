@@ -10,8 +10,7 @@ let fig2 =
 let with_fig2 f =
   Test_util.with_db (fun db ->
       ignore (Test_util.load db "d" fig2);
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"d" ~mode:Lock_mgr.Exclusive;
+      Database.with_txn db (fun _ st ->
           f st))
 
 let names st ds =
@@ -88,8 +87,7 @@ let test_descendants_schema_vs_walk () =
         Sedna_workloads.Generators.auction ~items:30 ~people:20 ~auctions:15 ()
       in
       ignore (Test_util.load_events db "a" events);
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"a" ~mode:Lock_mgr.Exclusive;
+      Database.with_txn db (fun _ st ->
           let dd = Test_util.doc_desc st "a" in
           List.iter
             (fun nm ->
@@ -139,8 +137,7 @@ let test_middle_insert_order () =
 let test_block_split_preserves_order () =
   Test_util.with_db (fun db ->
       ignore (Test_util.load db "d" "<root><x>0</x><x>1</x></root>");
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"d" ~mode:Lock_mgr.Exclusive;
+      Database.with_txn db (fun _ st ->
           let root () =
             List.hd (Node.children st (Test_util.doc_desc st "d"))
           in
@@ -167,8 +164,7 @@ let test_widening () =
       (* a parent acquires children of many new schema kinds after load:
          each new kind forces the delayed widening relocation *)
       ignore (Test_util.load db "d" "<root><p/><p/><p/></root>");
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"d" ~mode:Lock_mgr.Exclusive;
+      Database.with_txn db (fun _ st ->
           let root = List.hd (Node.children st (Test_util.doc_desc st "d")) in
           (* capture handles, not descriptor addresses: relocations
              during widening invalidate direct pointers (paper §4.1.2) *)
@@ -206,8 +202,7 @@ let test_relocation_counts () =
       let fields_for fanout =
         let name = Printf.sprintf "w%d" fanout in
         ignore (Test_util.load_events db name (mk_events fanout));
-        Database.with_txn db (fun txn st ->
-            Database.lock_exn db txn ~doc:name ~mode:Lock_mgr.Exclusive;
+        Database.with_txn db (fun _ st ->
             let root = List.hd (Node.children st (Test_util.doc_desc st name)) in
             Sedna_util.Counters.reset Sedna_util.Counters.fields_updated;
             Sedna_util.Counters.reset Sedna_util.Counters.node_moved;
@@ -264,8 +259,7 @@ let test_serializer_roundtrip () =
   Test_util.with_db (fun db ->
       let src = Sedna_workloads.Generators.library ~books:40 () in
       ignore (Test_util.load_events db "d" src);
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"d" ~mode:Lock_mgr.Shared;
+      Database.with_txn db (fun _ st ->
           let dd = Test_util.doc_desc st "d" in
           let out = Node_ser.to_string st dd in
           let expect = Sedna_xml.Serializer.to_string src in
@@ -293,8 +287,7 @@ let test_deep_document () =
   Test_util.with_db (fun db ->
       let events = Sedna_workloads.Generators.deep ~depth:120 () in
       ignore (Test_util.load_events db "deep" events);
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"deep" ~mode:Lock_mgr.Shared;
+      Database.with_txn db (fun _ st ->
           Test_util.check_invariants st "deep";
           let dd = Test_util.doc_desc st "deep" in
           let leafs =

@@ -15,8 +15,7 @@ module Wire = Sedna_server.Wire
 let mk_db ?(frames = 32) dir =
   let db = Database.create ~buffer_frames:frames dir in
   ignore
-    (Database.with_txn db (fun txn st ->
-         Database.lock_exn db txn ~doc:"d" ~mode:Lock_mgr.Exclusive;
+    (Database.with_txn db (fun _ st ->
          Loader.load_string st ~doc_name:"d" "<d/>"));
   db
 

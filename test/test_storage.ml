@@ -180,9 +180,7 @@ let test_pins_protect () =
 
 let with_store f =
   Test_util.with_db (fun db ->
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"x" ~mode:Lock_mgr.Exclusive;
-          f st))
+      Database.with_txn db (fun _ st -> f st))
 
 let test_text_basic () =
   with_store (fun st ->
@@ -241,8 +239,7 @@ let arb_text_ops =
 let prop_text_store_matches_reference ops =
   let ok = ref true in
   Test_util.with_db (fun db ->
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"x" ~mode:Lock_mgr.Exclusive;
+      Database.with_txn db (fun _ st ->
           let bm = st.Store.bm and cat = st.Store.cat in
           let live = ref [] (* (slot, value) in insertion order *) in
           let value_of i l =

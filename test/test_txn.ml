@@ -28,9 +28,7 @@ let test_abort_restores () =
         (Test_util.exec db {|string(doc("d")/a/v)|});
       Alcotest.(check string) "no w" "0" (Test_util.exec db {|count(doc("d")/a/w)|});
       (* the store is structurally sound after the rollback *)
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"d" ~mode:Lock_mgr.Shared;
-          Test_util.check_invariants st "d"))
+      Database.with_txn db (fun _ st -> Test_util.check_invariants st "d"))
 
 let test_abort_restores_catalog () =
   Test_util.with_db (fun db ->
@@ -212,7 +210,7 @@ let test_snapshot_reader () =
       let reader = Database.begin_txn ~read_only:true db in
       let read () =
         Database.run db reader (fun () ->
-            let st = Database.txn_store db reader in
+            let st = Database.txn_store db reader ~mode:Lock_mgr.Shared in
             let dd = Test_util.doc_desc st "d" in
             Node_ser.string_value st dd)
       in
@@ -234,7 +232,7 @@ let test_snapshot_sees_schema_of_its_time () =
       ignore (Test_util.exec db {|UPDATE insert <brandnew/> into doc("d")/a|});
       let seen =
         Database.run db reader (fun () ->
-            let st = Database.txn_store db reader in
+            let st = Database.txn_store db reader ~mode:Lock_mgr.Shared in
             let dd = Test_util.doc_desc st "d" in
             let a = List.hd (Node.children st dd) in
             List.length (Node.children st a))
@@ -252,7 +250,7 @@ let test_reader_sees_uncommitted_nothing () =
       let reader = Database.begin_txn ~read_only:true db in
       let seen =
         Database.run db reader (fun () ->
-            let st = Database.txn_store db reader in
+            let st = Database.txn_store db reader ~mode:Lock_mgr.Shared in
             Node_ser.string_value st (Test_util.doc_desc st "d"))
       in
       Alcotest.(check string) "no dirty read" "1" seen;
@@ -444,8 +442,9 @@ let test_parked_commit_keeps_catalog () =
       let has_e cat = Catalog.find_document cat "e" <> None in
       let w = Database.begin_txn db in
       Database.run db w (fun () ->
-          Database.lock_exn db w ~doc:"e" ~mode:Lock_mgr.Exclusive;
-          ignore (Loader.load_string (Database.txn_store db w) ~doc_name:"e" "<b/>"));
+          ignore
+            (Loader.load_string (Database.txn_store db w ~mode:Lock_mgr.Exclusive)
+               ~doc_name:"e" "<b/>"));
       let during = ref false in
       Database.commit db w ~park:(fun wait ->
           during := has_e (reader_catalog db);
@@ -487,6 +486,90 @@ let test_reads_leave_catalog_intact () =
       Alcotest.(check bool) "readers still share it" true (reader_catalog db == cat);
       Alcotest.(check bool) "catalog bytes unchanged" true (String.equal before (bytes ())))
 
+(* ---- documents are locked where a statement resolves them ----------- *)
+
+(* d1 sits in collection c and carries an index, so each way of naming
+   it resolves here.  Transaction A runs [a] in an explicit updater
+   transaction; B's auto-commit [b] touches the same document and must
+   be refused (its restarts end in SE-LOCK-TIMEOUT) until A rolls back,
+   then go through.  The database is clean after a close and reopen. *)
+let resolved_lock_case ~a ~b ~check =
+  Test_util.with_dir (fun dir ->
+      let db = Database.create dir in
+      List.iter
+        (fun q -> ignore (Test_util.exec db q))
+        [
+          {|CREATE COLLECTION "c"|};
+          {|CREATE DOCUMENT "d1" IN COLLECTION "c"|};
+          {|UPDATE insert <r><x a="a"/></r> into doc("d1")|};
+          {|CREATE INDEX "ix" ON doc("d1")/r/x BY @a AS xs:string|};
+        ];
+      let sa = Sedna_db.Session.connect db in
+      Sedna_db.Session.begin_txn sa;
+      ignore (Sedna_db.Session.execute sa a);
+      Alcotest.(check bool) "B refused while A holds d1" true
+        (refused (fun () -> ignore (Test_util.exec db b)));
+      Sedna_db.Session.rollback sa;
+      ignore (Test_util.exec db b);
+      check db;
+      Database.close db;
+      let db = Database.open_existing dir in
+      Fun.protect
+        ~finally:(fun () -> Database.close db)
+        (fun () ->
+          check db;
+          Alcotest.(check (list (pair string (list string)))) "integrity after reopen" []
+            (Integrity.check_all (Database.store db))))
+
+let insert_y = {|UPDATE insert <y/> into doc("d1")/r|}
+let one_y db = Alcotest.(check string) "B's insert alone" "1" (Test_util.exec db {|count(doc("d1")/r/y)|})
+
+let test_computed_doc_name_locks () =
+  resolved_lock_case ~a:{|UPDATE insert <z/> into doc(concat("d","1"))/r|} ~b:insert_y
+    ~check:one_y
+
+let test_prolog_doc_name_locks () =
+  resolved_lock_case
+    ~a:{|declare variable $n := "d1"; UPDATE insert <z/> into doc($n)/r|}
+    ~b:insert_y ~check:one_y
+
+let test_index_scan_target_locks () =
+  resolved_lock_case ~a:{|UPDATE insert <z/> into index-scan("ix", "a")|} ~b:insert_y
+    ~check:one_y
+
+(* both ways round: A's DROP COLLECTION holds the member it drops, and
+   A's insert into the member holds off B's DROP COLLECTION *)
+let test_drop_collection_locks () =
+  resolved_lock_case ~a:{|DROP COLLECTION "c"|} ~b:insert_y ~check:one_y;
+  resolved_lock_case ~a:insert_y ~b:{|DROP COLLECTION "c"|} ~check:(fun db ->
+      Alcotest.(check bool) "d1 dropped" true
+        (Catalog.find_document (Database.catalog db) "d1" = None))
+
+(* DROP INDEX changes the index's document: it waits for A too *)
+let test_drop_index_locks () =
+  resolved_lock_case ~a:insert_y ~b:{|DROP INDEX "ix"|} ~check:(fun db ->
+      Alcotest.(check bool) "ix dropped" true
+        (Catalog.find_index (Database.catalog db) "ix" = None))
+
+(* a lock the transaction holds returns before its span: one lock.wait
+   however often the statement resolves the document *)
+let test_held_lock_fast_path () =
+  Test_util.with_db (fun db ->
+      ignore (Test_util.load db "d" "<r/>");
+      let s = Sedna_db.Session.connect db in
+      Sedna_db.Session.begin_txn s;
+      Sedna_util.Span.clear ();
+      Alcotest.(check string) "answer" "1000"
+        (Sedna_db.Session.execute_string s {|count(for $i in 1 to 1000 return doc("d")/r)|});
+      Sedna_db.Session.commit s;
+      let waits =
+        List.concat_map
+          (fun (_, spans) ->
+            List.filter (fun sp -> sp.Sedna_util.Span.sp_name = "lock.wait") spans)
+          (Sedna_util.Span.traces ())
+      in
+      Alcotest.(check int) "lock.wait spans" 1 (List.length waits))
+
 let suite =
   [
     Alcotest.test_case "commit visible" `Quick test_commit_visible;
@@ -518,4 +601,11 @@ let suite =
       test_parked_commit_keeps_catalog;
     Alcotest.test_case "reads leave the catalog intact" `Quick
       test_reads_leave_catalog_intact;
+    Alcotest.test_case "computed doc() name locks" `Quick test_computed_doc_name_locks;
+    Alcotest.test_case "prolog doc() name locks" `Quick test_prolog_doc_name_locks;
+    Alcotest.test_case "index-scan target locks" `Quick test_index_scan_target_locks;
+    Alcotest.test_case "drop collection locks its members" `Quick
+      test_drop_collection_locks;
+    Alcotest.test_case "drop index locks its document" `Quick test_drop_index_locks;
+    Alcotest.test_case "held lock skips the wait" `Quick test_held_lock_fast_path;
   ]

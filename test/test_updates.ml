@@ -9,8 +9,7 @@ let with_inv f =
   Test_util.with_db (fun db ->
       ignore (Test_util.load db "inv" fixture);
       f db (fun q -> Test_util.exec db q);
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"inv" ~mode:Lock_mgr.Shared;
+      Database.with_txn db (fun _ st ->
           Test_util.check_invariants st "inv"))
 
 let test_insert_into () =
@@ -104,8 +103,7 @@ let test_update_with_moved_targets () =
            {|UPDATE insert <mark/> into doc("w")/root/kind0|});
       Alcotest.(check string) "all 300 updated" "300"
         (Test_util.exec db {|count(doc("w")//mark)|});
-      Database.with_txn db (fun txn st ->
-          Database.lock_exn db txn ~doc:"w" ~mode:Lock_mgr.Shared;
+      Database.with_txn db (fun _ st ->
           Test_util.check_invariants st "w"))
 
 let test_update_copies_not_aliases () =

@@ -30,13 +30,11 @@ let with_db ?buffer_frames f =
 
 (* load an XML string as [name] inside its own transaction *)
 let load db name xml =
-  Database.with_txn db (fun txn st ->
-      Database.lock_exn db txn ~doc:name ~mode:Lock_mgr.Exclusive;
+  Database.with_txn db (fun _ st ->
       Loader.load_string st ~doc_name:name xml)
 
 let load_events db name events =
-  Database.with_txn db (fun txn st ->
-      Database.lock_exn db txn ~doc:name ~mode:Lock_mgr.Exclusive;
+  Database.with_txn db (fun _ st ->
       Loader.load_events st ~doc_name:name events)
 
 (* run one statement in auto-commit mode *)
@@ -58,7 +56,7 @@ let schema_has (cat : Catalog.t) ~doc names =
   <> []
 
 let doc_desc (st : Store.t) name =
-  let doc = Catalog.get_document st.Store.cat name in
+  let doc = Store.document st name in
   Indirection.get st.Store.bm doc.Catalog.doc_indir
 
 (* ---- storage invariant checker ------------------------------------- *)

@@ -92,8 +92,7 @@ let insert_stmt ?(doc = "log") token =
 
 let load_doc db name =
   ignore
-    (Database.with_txn db (fun txn st ->
-         Database.lock_exn db txn ~doc:name ~mode:Lock_mgr.Exclusive;
+    (Database.with_txn db (fun _ st ->
          Loader.load_string st ~doc_name:name "<log/>"))
 
 let with_cluster f =
@@ -102,8 +101,7 @@ let with_cluster f =
   let gov = Governor.create () in
   let db = Governor.create_database gov ~name:"db" ~dir in
   ignore
-    (Database.with_txn db (fun txn st ->
-         Database.lock_exn db txn ~doc:"log" ~mode:Lock_mgr.Exclusive;
+    (Database.with_txn db (fun _ st ->
          Loader.load_string st ~doc_name:"log" "<log/>"));
   Fun.protect
     ~finally:(fun () ->
